@@ -7,7 +7,7 @@
 //	llmqbench -list                      # available experiment IDs
 //	llmqbench -exp table2 -format csv    # machine-readable output
 //
-// Experiment IDs map to paper artifacts per DESIGN.md §4.
+// Experiment IDs map to paper artifacts in internal/bench's registry.
 package main
 
 import (

@@ -1,5 +1,5 @@
 // Package bench is the experiment harness: one runner per table and figure
-// of the paper's evaluation (see DESIGN.md §4 for the index), plus ablation
+// of the paper's evaluation (the registry below is the index), plus ablation
 // benches for the design choices. Every runner returns a Report whose rows
 // mirror the paper's presentation, so `cmd/llmqbench -exp fig3a` regenerates
 // the corresponding artifact.

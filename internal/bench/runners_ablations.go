@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/llmsim"
 	"repro/internal/query"
-	"repro/internal/tokenizer"
 )
 
 // runAblationFD isolates the functional-dependency inference (Sec. 4.2.1):
@@ -119,15 +118,10 @@ func runAblationBlock(cfg Config) (*Report, error) {
 // replaySchedule runs a prepared schedule through the engine at a given
 // block size.
 func replaySchedule(spec query.Spec, sched *core.Schedule, blockSize int, capacity int64) (llmsim.Metrics, error) {
-	tok := tokenizer.New()
-	prefix := tok.Encode(query.PromptPrefix(spec.UserPrompt))
+	prompts := query.PromptTokens(spec.UserPrompt, sched, nil)
 	reqs := make([]*llmsim.Request, len(sched.Rows))
 	for i, row := range sched.Rows {
-		data := tok.Encode(query.RowJSON(row.Cells))
-		p := make([]tokenizer.Token, 0, len(prefix)+len(data))
-		p = append(p, prefix...)
-		p = append(p, data...)
-		reqs[i] = &llmsim.Request{ID: row.Source, Prompt: p, OutTokens: spec.OutTokensFor(row.Source)}
+		reqs[i] = &llmsim.Request{ID: row.Source, Prompt: prompts[i], OutTokens: spec.OutTokensFor(row.Source)}
 	}
 	eng := llmsim.New(llmsim.Config{
 		Cost:             llmsim.CostModel{Model: llmsim.Llama3_8B, Cluster: llmsim.SingleL4},

@@ -169,16 +169,9 @@ func runTable3(cfg Config) (*Report, error) {
 		costs := map[string]float64{}
 		for _, method := range []string{"Original", "GGR"} {
 			sched := schedules[method]
-			tok := tokenizer.New()
-			prefix := tok.Encode(query.PromptPrefix(spec.UserPrompt))
-			prompts := make([][]tokenizer.Token, len(sched.Rows))
+			prompts := query.PromptTokens(spec.UserPrompt, sched, nil)
 			outs := make([]int, len(sched.Rows))
 			for i, row := range sched.Rows {
-				data := tok.Encode(query.RowJSON(row.Cells))
-				p := make([]tokenizer.Token, 0, len(prefix)+len(data))
-				p = append(p, prefix...)
-				p = append(p, data...)
-				prompts[i] = p
 				outs[i] = spec.OutTokensFor(row.Source)
 			}
 			u, err := pricing.Simulate(book, prompts, outs)

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/table"
 )
@@ -81,121 +85,180 @@ func GGR(t *table.Table, opt GGROptions) *Result {
 	if opt.LenOf == nil {
 		opt.LenOf = table.CharLen
 	}
-	s := &ggrSolver{t: t, opt: opt, lens: newLens(opt.LenOf)}
-	if opt.UseFDs {
-		s.fds = t.FDs()
-	} else {
-		s.fds = table.NewFDSet()
+	s := &ggrSolver{t: t, opt: opt}
+	s.encode()
+	n, m := t.NumRows(), t.NumCols()
+	rows, cols := make([]int32, n), make([]int32, m)
+	for i := range rows {
+		rows[i] = int32(i)
 	}
-	est, rows := s.rec(fullView(t), 0, 0)
-	sched := &Schedule{Rows: rows}
-	res := &Result{Schedule: sched, Estimate: est, PHC: PHC(sched, s.lens.fn())}
+	for j := range cols {
+		cols[j] = int32(j)
+	}
+	est := s.rec(rows, cols, nil, 0, 0)
+	best, phc := s.blocks, s.phc(s.blocks)
 
 	// Safeguard: the recursion's greedy splits can occasionally lose to the
 	// plain statistics ordering (value groups chosen early may scatter
 	// correlations the fixed order would have kept together). The fallback is
 	// one cheap extra pass, so never return a schedule worse than it.
-	if t.NumRows() > 1 && t.NumCols() > 1 {
-		fbPHC, fbRows := s.fallback(fullView(t))
-		if fbPHC > res.PHC {
-			fb := &Schedule{Rows: fbRows}
-			res = &Result{Schedule: fb, Estimate: fbPHC, PHC: PHC(fb, s.lens.fn())}
+	if n > 1 && m > 1 {
+		s.blocks = nil
+		if fb := s.fallback(rows, cols, nil); fb > phc {
+			best, est, phc = s.blocks, fb, fb
 		}
 	}
-	return res
+	return &Result{Schedule: s.schedule(best), Estimate: est, PHC: phc}
 }
 
+// ggrSolver holds one solve's state. The table is dictionary-encoded once
+// (encode) and the recursion, both fallback orderings, the row sorts and the
+// PHC accounting then work on int32 value ids instead of cell strings; the
+// schedule's cells are materialized once, at the end, for the winning
+// candidate only. Everything here lives for one solve and is confined to it.
 type ggrSolver struct {
-	t    *table.Table
-	opt  GGROptions
-	lens *lens
-	fds  *table.FDSet
+	t   *table.Table
+	opt GGROptions
+
+	codes    [][]int32 // [col][row]: the cell's value id within its column
+	sq       [][]int64 // [col][id]: squared length of the value
+	first    [][]int32 // [col][id]: first row holding the value
+	ranks    [][]int32 // [col][id]: rank in string order; built by sortRows on demand
+	inferred [][]int32 // [col]: columns FD-inferred from col, in FDSet order
+
+	// blocks is the schedule under construction, in order.
+	blocks []block
+
+	// Id-indexed scratch for per-value aggregation. An entry is live when its
+	// stamp equals the current epoch, so starting a scan is O(1).
+	epoch   uint32
+	stamp   []uint32
+	count   []int64 // bestGroup: rows holding the value
+	infSq   []int64 // bestGroup: Σ squared lengths of the inferred cells
+	slot    []int32 // refine: rows holding the value, then its output offset
+	touched []int32 // ids of the current scan, in first-appearance order
+
+	// chainOrder's prefix-tuple partition: perm lists the rows of every group
+	// of two or more, group i being perm[bounds[i]:bounds[i+1]]; the spare
+	// pair is what refine writes the next partition into.
+	perm, permSpare     []int32
+	bounds, boundsSpare []int32
 }
 
-// rec is the recursive case of Algorithm 1 over a sub-table view.
-// rowDepth counts row-wise splits (the complement branch), colDepth counts
-// column-wise splits (the group branch).
-func (g *ggrSolver) rec(v view, rowDepth, colDepth int) (int64, []Row) {
-	switch {
-	case len(v.rows) == 0:
-		return 0, nil
-	case len(v.cols) == 0:
-		// All columns consumed by prefixes up the stack: rows are empty
-		// tuples here; their hits were accounted by the parent.
-		out := make([]Row, len(v.rows))
-		for i, src := range v.rows {
-			out[i] = Row{Source: src}
-		}
-		return 0, out
-	case len(v.rows) == 1:
-		pos := identityPositions(len(v.cols))
-		return 0, emitFixed(v, pos)
-	case len(v.cols) == 1:
-		return g.singleColumn(v)
-	}
-	if g.stopped(rowDepth, colDepth) {
-		return g.fallback(v)
-	}
+// block is a run of scheduled rows sharing one field order (base column
+// indices): a leaf of the recursion with its prefix columns in front.
+type block struct {
+	rows  []int32
+	order []int32
+}
 
-	bestHC, bestCol, bestVal, bestCols := int64(-1), -1, "", []int(nil)
-	for ci := range v.cols {
-		hcByValue, colSet := g.hitCounts(v, ci)
-		for _, cand := range hcByValue {
-			if cand.hc > bestHC {
-				bestHC, bestCol, bestVal, bestCols = cand.hc, ci, cand.value, colSet
+// encode builds the per-column dictionaries. Ids are assigned in
+// first-appearance order, so a lower id always first occurs on an earlier
+// row. LenOf runs once per distinct value of a column.
+func (g *ggrSolver) encode() {
+	n, m := g.t.NumRows(), g.t.NumCols()
+	g.codes = make([][]int32, m)
+	g.sq = make([][]int64, m)
+	g.first = make([][]int32, m)
+	g.ranks = make([][]int32, m)
+	g.inferred = make([][]int32, m)
+	flat := make([]int32, n*m)
+	ids := make(map[string]int32)
+	maxIDs := 0
+	for c := 0; c < m; c++ {
+		clear(ids)
+		col := flat[c*n : (c+1)*n : (c+1)*n]
+		for r := 0; r < n; r++ {
+			v := g.t.Cell(r, c)
+			id, ok := ids[v]
+			if !ok {
+				id = int32(len(ids))
+				ids[v] = id
+				l := int64(g.opt.LenOf(v))
+				g.sq[c] = append(g.sq[c], l*l)
+				g.first[c] = append(g.first[c], int32(r))
+			}
+			col[r] = id
+		}
+		g.codes[c] = col
+		maxIDs = max(maxIDs, len(ids))
+		if g.opt.UseFDs {
+			for _, name := range g.t.FDs().Inferred(g.t.Columns()[c]) {
+				if j, ok := g.t.ColIndex(name); ok {
+					g.inferred[c] = append(g.inferred[c], int32(j))
+				}
 			}
 		}
 	}
-	if bestHC <= 0 || bestHC < g.opt.MinHitCount {
-		return g.fallback(v)
+	g.stamp = make([]uint32, maxIDs)
+	g.count = make([]int64, maxIDs)
+	g.infSq = make([]int64, maxIDs)
+	g.slot = make([]int32, maxIDs)
+}
+
+// nextEpoch invalidates every scratch entry.
+func (g *ggrSolver) nextEpoch() uint32 {
+	if g.epoch == math.MaxUint32 {
+		clear(g.stamp)
+		g.epoch = 0
+	}
+	g.epoch++
+	return g.epoch
+}
+
+// rec is the recursive case of Algorithm 1 over the sub-table rows × cols
+// (base indices, ascending), appending its schedule to g.blocks with prefix
+// — the columns matched further up the stack — leading every row, and
+// returning its PHC estimate. rowDepth counts row-wise splits (the
+// complement branch), colDepth counts column-wise splits (the group branch).
+func (g *ggrSolver) rec(rows, cols, prefix []int32, rowDepth, colDepth int) int64 {
+	switch {
+	case len(rows) == 0:
+		return 0
+	case len(cols) == 0 || len(rows) == 1:
+		// Nothing to order: the columns were all consumed by prefixes up the
+		// stack (which accounted their hits), or the row is alone.
+		g.emit(rows, prefix, cols)
+		return 0
+	case len(cols) == 1 || g.stopped(rowDepth, colDepth):
+		return g.fallback(rows, cols, prefix)
+	}
+
+	best := g.bestGroup(rows, cols)
+	if best.hc <= 0 || best.hc < g.opt.MinHitCount {
+		return g.fallback(rows, cols, prefix)
 	}
 
 	// Split rows into the matched group R_v and its complement.
-	baseCol := v.cols[bestCol]
-	var group, rest []int
-	for _, r := range v.rows {
-		if g.t.Cell(r, baseCol) == bestVal {
+	codes := g.codes[best.cols[0]]
+	split := make([]int32, len(rows))
+	group, rest := split[:0:best.count], split[best.count:best.count]
+	for _, r := range rows {
+		if codes[r] == best.id {
 			group = append(group, r)
 		} else {
 			rest = append(rest, r)
 		}
 	}
 	// Column set for the group branch: active columns minus the matched
-	// column and its FD-inferred columns.
-	drop := make(map[int]bool, len(bestCols))
-	for _, p := range bestCols {
-		drop[v.cols[p]] = true
-	}
-	var groupCols []int
-	for _, c := range v.cols {
-		if !drop[c] {
+	// column and its FD-inferred columns, which lead the group's rows (the
+	// chosen column first, then the inferred ones) ahead of what the branch
+	// orders; the complement's schedule follows.
+	groupCols := make([]int32, 0, len(cols)-len(best.cols))
+	for _, c := range cols {
+		if !slices.Contains(best.cols, c) {
 			groupCols = append(groupCols, c)
 		}
 	}
+	grpS := g.rec(group, groupCols, slices.Concat(prefix, best.cols), rowDepth, colDepth+1)
+	restS := g.rec(rest, cols, prefix, rowDepth+1, colDepth)
+	return restS + grpS + best.hc
+}
 
-	restS, restRows := g.rec(view{t: g.t, rows: rest, cols: v.cols}, rowDepth+1, colDepth)
-	grpS, grpRows := g.rec(view{t: g.t, rows: group, cols: groupCols}, rowDepth, colDepth+1)
-
-	// Prefix the matched cells (the chosen column first, then its inferred
-	// columns in active order) onto every group row, then append the
-	// complement's schedule.
-	prefixCols := make([]int, len(bestCols))
-	prefixNames := make([]string, len(bestCols))
-	for i, p := range bestCols {
-		prefixCols[i] = v.cols[p]
-		prefixNames[i] = g.t.Columns()[v.cols[p]]
-	}
-	out := make([]Row, 0, len(v.rows))
-	for _, r := range grpRows {
-		cells := make([]Cell, 0, len(prefixCols)+len(r.Cells))
-		for i, c := range prefixCols {
-			cells = append(cells, Cell{Field: prefixNames[i], Value: g.t.Cell(r.Source, c)})
-		}
-		cells = append(cells, r.Cells...)
-		out = append(out, Row{Source: r.Source, Cells: cells})
-	}
-	out = append(out, restRows...)
-	return restS + grpS + bestHC, out
+// emit appends one block: rows in the given order, each serialized as the
+// prefix columns followed by order.
+func (g *ggrSolver) emit(rows, prefix, order []int32) {
+	g.blocks = append(g.blocks, block{rows: rows, order: slices.Concat(prefix, order)})
 }
 
 // stopped reports whether early stopping applies at this depth.
@@ -209,84 +272,66 @@ func (g *ggrSolver) stopped(rowDepth, colDepth int) bool {
 	return false
 }
 
-type hcCandidate struct {
-	value string
-	hc    int64
+// groupChoice is the (column, value) group a recursion step splits on.
+type groupChoice struct {
+	hc    int64   // HITCOUNT of the group; -1 when there is no candidate
+	cols  []int32 // the chosen column, then its FD-inferred active columns
+	id    int32   // the value's id in cols[0]
+	count int     // rows in the group
 }
 
-// hitCounts implements HITCOUNT (Algorithm 1 lines 3–8) for every distinct
-// value of the view column at position ci, sharing the per-column scan. It
-// returns the candidates in first-appearance order plus the prefix column
-// positions ([c] + inferred, as positions into v.cols).
-func (g *ggrSolver) hitCounts(v view, ci int) ([]hcCandidate, []int) {
-	baseCol := v.cols[ci]
-	colName := g.t.Columns()[baseCol]
-
-	// Resolve FD-inferred columns to view positions (only active ones).
-	colSet := []int{ci}
-	if inferred := g.fds.Inferred(colName); len(inferred) > 0 {
-		namePos := make(map[string]int, len(v.cols))
-		for p, c := range v.cols {
-			namePos[g.t.Columns()[c]] = p
+// bestGroup implements HITCOUNT (Algorithm 1 lines 3–8) for every distinct
+// value of every active column and returns the maximum. Ties keep the first
+// candidate in (column, first appearance within rows) order.
+func (g *ggrSolver) bestGroup(rows, cols []int32) groupChoice {
+	best := groupChoice{hc: -1}
+	var bestCol int32
+	for _, c := range cols {
+		inferred := g.activeInferred(c, cols)
+		codes, sq := g.codes[c], g.sq[c]
+		epoch := g.nextEpoch()
+		g.touched = g.touched[:0]
+		for _, r := range rows {
+			id := codes[r]
+			if g.stamp[id] != epoch {
+				g.stamp[id], g.count[id], g.infSq[id] = epoch, 0, 0
+				g.touched = append(g.touched, id)
+			}
+			g.count[id]++
+			for _, ic := range inferred {
+				g.infSq[id] += g.sq[ic][g.codes[ic][r]]
+			}
 		}
-		for _, name := range inferred {
-			if p, ok := namePos[name]; ok {
-				colSet = append(colSet, p)
+		for _, id := range g.touched {
+			n := g.count[id]
+			// Own squared length plus the group's average inferred
+			// contribution, once per row after the group's first.
+			hc := (sq[id] + g.infSq[id]/n) * (n - 1)
+			if hc > best.hc {
+				best.hc, best.id, best.count, bestCol = hc, id, int(n), c
 			}
 		}
 	}
-
-	type agg struct {
-		count    int64
-		infSqSum int64 // sum over rows in the group of Σ_{c'} len(c')²
-	}
-	groups := make(map[string]*agg)
-	var order []string
-	for _, r := range v.rows {
-		val := g.t.Cell(r, baseCol)
-		a, ok := groups[val]
-		if !ok {
-			a = &agg{}
-			groups[val] = a
-			order = append(order, val)
-		}
-		a.count++
-		for _, p := range colSet[1:] {
-			a.infSqSum += g.lens.sq(g.t.Cell(r, v.cols[p]))
-		}
-	}
-	out := make([]hcCandidate, 0, len(order))
-	for _, val := range order {
-		a := groups[val]
-		totLen := g.lens.sq(val)
-		if a.count > 0 {
-			totLen += a.infSqSum / a.count // average inferred contribution
-		}
-		out = append(out, hcCandidate{value: val, hc: totLen * (a.count - 1)})
-	}
-	return out, colSet
+	best.cols = append([]int32{bestCol}, g.activeInferred(bestCol, cols)...)
+	return best
 }
 
-// singleColumn is the one-field base case: group identical values by sorting
-// and sum len(v)² × (count−1) per distinct value.
-func (g *ggrSolver) singleColumn(v view) (int64, []Row) {
-	rows := append([]int(nil), v.rows...)
-	sortRowsByCols(g.t, rows, []int{v.cols[0]})
-	var s int64
-	counts := make(map[string]int64)
-	for _, r := range rows {
-		counts[g.t.Cell(r, v.cols[0])]++
+// activeInferred returns the columns FD-inferred from c that are still in
+// cols.
+func (g *ggrSolver) activeInferred(c int32, cols []int32) []int32 {
+	var out []int32
+	for _, ic := range g.inferred[c] {
+		if slices.Contains(cols, ic) {
+			out = append(out, ic)
+		}
 	}
-	for val, c := range counts {
-		s += g.lens.sq(val) * (c - 1)
-	}
-	sorted := view{t: g.t, rows: rows, cols: v.cols}
-	return s, emitFixed(sorted, []int{0})
+	return out
 }
 
-// fallback is the table-statistics path (Sec. 4.2.2): choose a fixed field
-// order for the sub-table, sort rows lexicographically under it, and report
-// the exact PHC of the resulting block.
+// fallback is the table-statistics path (Sec. 4.2.2) and the one-field base
+// case: choose a fixed field order for the sub-table, sort rows
+// lexicographically under it, and report the exact PHC of the resulting
+// block.
 //
 // When catalog statistics are supplied (opt.Stats) the paper's score
 // ordering (avg(len)² weighted by repetition) is used without scanning.
@@ -300,87 +345,75 @@ func (g *ggrSolver) singleColumn(v view) (int64, []Row) {
 // This keeps entity-correlated fields together ahead of per-row noise (the
 // failure mode of the static score on wide tables like PDMX) at O(m·k·n)
 // for the k ≲ m positions until the chain dies.
-func (g *ggrSolver) fallback(v view) (int64, []Row) {
-	var pos []int
-	if g.opt.Stats != nil {
-		pos = g.scoreOrder(v)
-	} else {
-		pos = g.chainOrder(v)
+func (g *ggrSolver) fallback(rows, cols, prefix []int32) int64 {
+	order := cols
+	switch {
+	case len(cols) == 1: // a lone field is its own order
+	case g.opt.Stats != nil:
+		order = g.scoreOrder(cols)
+	default:
+		order = g.chainOrder(rows, cols)
 	}
-	rows := append([]int(nil), v.rows...)
-	baseCols := make([]int, len(pos))
-	for i, p := range pos {
-		baseCols[i] = v.cols[p]
-	}
-	sortRowsByCols(g.t, rows, baseCols)
-	out := emitFixed(view{t: g.t, rows: rows, cols: v.cols}, pos)
-	return phcOfRows(out, g.lens), out
+	sorted := slices.Clone(rows)
+	g.sortRows(sorted, order)
+	g.emit(sorted, prefix, order)
+	return g.phc([]block{{rows: sorted, order: order}})
 }
 
-// scoreOrder ranks the view's columns by the catalog-statistics score.
-func (g *ggrSolver) scoreOrder(v view) []int {
-	names := make([]string, len(v.cols))
-	for i, c := range v.cols {
+// scoreOrder ranks cols by the catalog-statistics score.
+func (g *ggrSolver) scoreOrder(cols []int32) []int32 {
+	names := make([]string, len(cols))
+	for i, c := range cols {
 		names[i] = g.t.Columns()[c]
 	}
-	ordered := g.opt.Stats.OrderByScore(names)
-	namePos := make(map[string]int, len(names))
-	for p, n := range names {
-		namePos[n] = p
+	order := make([]int32, len(cols))
+	for i, name := range g.opt.Stats.OrderByScore(names) {
+		j, _ := g.t.ColIndex(name) // a permutation of names
+		order[i] = int32(j)
 	}
-	pos := make([]int, len(ordered))
-	for i, n := range ordered {
-		pos[i] = namePos[n]
-	}
-	return pos
+	return order
 }
 
-// chainOrder computes the chain-aware greedy field order (positions into
-// v.cols). Once the expected chain survival drops below deadChain the
+// chainOrder computes the chain-aware greedy field order over rows (two or
+// more). Once the expected chain survival drops below deadChain the
 // remaining fields are unreachable, so they are appended by descending
 // average squared length (longest values first, harmless either way).
-func (g *ggrSolver) chainOrder(v view) []int {
+//
+// The rows are kept partitioned by their prefix tuple under the fields
+// chosen so far. A row alone in its group stays alone whatever field comes
+// next, so only groups of two or more are carried (perm/bounds) and the
+// lone rows are just counted.
+func (g *ggrSolver) chainOrder(rows, cols []int32) []int32 {
 	const deadChain = 0.02
-	n := len(v.rows)
-	if n == 0 {
-		return identityPositions(len(v.cols))
-	}
+	n := len(rows)
 	// Mean squared length per candidate column.
-	avgSq := make([]float64, len(v.cols))
-	for p, c := range v.cols {
+	avgSq := make([]float64, len(cols))
+	for p, c := range cols {
+		codes, sq := g.codes[c], g.sq[c]
 		var sum float64
-		for _, r := range v.rows {
-			sum += float64(g.lens.sq(g.t.Cell(r, c)))
+		for _, r := range rows {
+			sum += float64(sq[codes[r]])
 		}
 		avgSq[p] = sum / float64(n)
 	}
 
-	groupID := make([]int32, n) // prefix-tuple group per row; all start equal
-	remaining := make([]int, len(v.cols))
+	g.perm = append(g.perm[:0], rows...)
+	g.bounds = append(g.bounds[:0], 0, int32(n))
+	lone := 0 // rows alone in their group
+	remaining := make([]int, len(cols))
 	for i := range remaining {
 		remaining[i] = i
 	}
-	var order []int
-	groups := 1
-	type key struct {
-		g int32
-		v string
-	}
+	order := make([]int32, 0, len(cols))
 	for len(remaining) > 0 {
+		groups := lone + len(g.bounds) - 1
 		alive := float64(n - groups) // rows still matching their predecessor
 		if alive/float64(n) < deadChain {
 			break // chain effectively dead: order the tail statically
 		}
-		bestIdx, bestGain, bestPairs := -1, -1.0, 0
+		bestIdx, bestGain := -1, -1.0
 		for idx, p := range remaining {
-			seen := make(map[key]int32, groups*2)
-			for ri, r := range v.rows {
-				k := key{g: groupID[ri], v: g.t.Cell(r, v.cols[p])}
-				if _, ok := seen[k]; !ok {
-					seen[k] = int32(len(seen))
-				}
-			}
-			pairs := len(seen)
+			pairs := lone + g.distinctPairs(g.codes[cols[p]])
 			// Conditional survival: of the pairs still alive, the fraction
 			// this field would not break. The odds weighting implements the
 			// pairwise-exchange optimality criterion (put f before g iff
@@ -393,60 +426,156 @@ func (g *ggrSolver) chainOrder(v view) []int {
 			}
 			gain := avgSq[p] * s / (1 - s + 1/float64(n))
 			if gain > bestGain {
-				bestGain, bestIdx, bestPairs = gain, idx, pairs
+				bestGain, bestIdx = gain, idx
 			}
 		}
 		if bestIdx < 0 || bestGain <= 0 {
 			break
 		}
-		p := remaining[bestIdx]
-		// Re-derive the refined group ids for the chosen column.
-		seen := make(map[key]int32, bestPairs)
-		for ri, r := range v.rows {
-			k := key{g: groupID[ri], v: g.t.Cell(r, v.cols[p])}
-			id, ok := seen[k]
-			if !ok {
-				id = int32(len(seen))
-				seen[k] = id
-			}
-			groupID[ri] = id
-		}
-		groups = bestPairs
-		order = append(order, p)
+		c := cols[remaining[bestIdx]]
+		lone += g.refine(g.codes[c])
+		order = append(order, c)
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 	// Tail: statically by descending avg squared length, ties by position.
 	sort.SliceStable(remaining, func(a, b int) bool {
 		return avgSq[remaining[a]] > avgSq[remaining[b]]
 	})
-	return append(order, remaining...)
+	for _, p := range remaining {
+		order = append(order, cols[p])
+	}
+	return order
 }
 
-// subStats computes column statistics restricted to a view.
-func subStats(t *table.Table, v view, l *lens) *table.Stats {
-	sub := table.New(viewColNames(t, v)...)
-	for _, r := range v.rows {
-		cells := make([]string, len(v.cols))
-		for i, c := range v.cols {
-			cells[i] = t.Cell(r, c)
+// distinctPairs counts the distinct (group, value) pairs over the carried
+// groups for a column's codes: the groups its field would refine them into.
+func (g *ggrSolver) distinctPairs(codes []int32) int {
+	pairs := 0
+	for i := 0; i+1 < len(g.bounds); i++ {
+		epoch := g.nextEpoch()
+		for _, r := range g.perm[g.bounds[i]:g.bounds[i+1]] {
+			if id := codes[r]; g.stamp[id] != epoch {
+				g.stamp[id] = epoch
+				pairs++
+			}
 		}
-		sub.MustAppendRow(cells...)
 	}
-	return table.ComputeStats(sub, l.fn())
+	return pairs
 }
 
-func viewColNames(t *table.Table, v view) []string {
-	names := make([]string, len(v.cols))
-	for i, c := range v.cols {
-		names[i] = t.Columns()[c]
+// refine splits every carried group by its rows' codes, keeping row order
+// within a group, drops the groups that become single rows, and returns how
+// many it dropped.
+func (g *ggrSolver) refine(codes []int32) (dropped int) {
+	next := slices.Grow(g.permSpare[:0], len(g.perm))
+	nextBounds := append(g.boundsSpare[:0], 0)
+	for i := 0; i+1 < len(g.bounds); i++ {
+		group := g.perm[g.bounds[i]:g.bounds[i+1]]
+		epoch := g.nextEpoch()
+		g.touched = g.touched[:0]
+		for _, r := range group {
+			id := codes[r]
+			if g.stamp[id] != epoch {
+				g.stamp[id], g.slot[id] = epoch, 0
+				g.touched = append(g.touched, id)
+			}
+			g.slot[id]++
+		}
+		for _, id := range g.touched {
+			size := int(g.slot[id])
+			if size == 1 {
+				g.slot[id] = -1
+				dropped++
+				continue
+			}
+			g.slot[id] = int32(len(next))
+			next = next[:len(next)+size]
+			nextBounds = append(nextBounds, int32(len(next)))
+		}
+		for _, r := range group {
+			if at := g.slot[codes[r]]; at >= 0 {
+				next[at] = r
+				g.slot[codes[r]] = at + 1
+			}
+		}
 	}
-	return names
+	g.perm, g.permSpare = next, g.perm
+	g.bounds, g.boundsSpare = nextBounds, g.bounds
+	return dropped
 }
 
-func identityPositions(n int) []int {
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = i
+// sortRows sorts base row indices lexicographically by the given columns'
+// values, stably — comparing each value's rank in its column's string
+// order, which is built the first time a comparison reaches the column.
+func (g *ggrSolver) sortRows(rows, cols []int32) {
+	slices.SortStableFunc(rows, func(a, b int32) int {
+		for _, c := range cols {
+			if ia, ib := g.codes[c][a], g.codes[c][b]; ia != ib {
+				ranks := g.ranks[c]
+				if ranks == nil {
+					ranks = g.rankColumn(c)
+				}
+				return cmp.Compare(ranks[ia], ranks[ib])
+			}
+		}
+		return 0
+	})
+}
+
+// rankColumn ranks a column's distinct values in string order.
+func (g *ggrSolver) rankColumn(c int32) []int32 {
+	first := g.first[c]
+	ids := make([]int32, len(first))
+	for i := range ids {
+		ids[i] = int32(i)
 	}
-	return pos
+	slices.SortFunc(ids, func(a, b int32) int {
+		return strings.Compare(g.t.Cell(int(first[a]), int(c)), g.t.Cell(int(first[b]), int(c)))
+	})
+	ranks := make([]int32, len(ids))
+	for rank, id := range ids {
+		ranks[id] = int32(rank)
+	}
+	g.ranks[c] = ranks
+	return ranks
+}
+
+// phc computes the exact PHC (Eq. 1–2) of a block list: two cells match when
+// they sit in the same column and carry the same value id.
+func (g *ggrSolver) phc(blocks []block) int64 {
+	var total int64
+	prev, prevOrder := int32(-1), []int32(nil)
+	for _, b := range blocks {
+		for _, r := range b.rows {
+			for f := 0; prev >= 0 && f < len(b.order) && f < len(prevOrder); f++ {
+				c := b.order[f]
+				id := g.codes[c][r]
+				if prevOrder[f] != c || g.codes[c][prev] != id {
+					break
+				}
+				total += g.sq[c][id]
+			}
+			prev, prevOrder = r, b.order
+		}
+	}
+	return total
+}
+
+// schedule materializes a block list as the exported Schedule.
+func (g *ggrSolver) schedule(blocks []block) *Schedule {
+	names := g.t.Columns()
+	cells := make([]Cell, g.t.NumRows()*len(names))
+	s := &Schedule{Rows: make([]Row, 0, g.t.NumRows())}
+	for _, b := range blocks {
+		for _, r := range b.rows {
+			src := g.t.Row(int(r))
+			row := cells[:len(b.order):len(b.order)]
+			cells = cells[len(b.order):]
+			for k, c := range b.order {
+				row[k] = Cell{Field: names[c], Value: src[c]}
+			}
+			s.Rows = append(s.Rows, Row{Source: int(r), Cells: row})
+		}
+	}
+	return s
 }

@@ -15,6 +15,18 @@
 //   - GGR: Greedy Group Recursion (Algorithm 1), the practical solver, with
 //     functional-dependency inference, early stopping, and a table-statistics
 //     fallback ordering.
+//
+// GGR plans per distinct value, not per cell. Relational cells repeat —
+// that is the premise the schedule exploits for the KV cache — so a solve
+// first dictionary-encodes the table: each column's values become int32 ids
+// with their squared length measured once, and the recursion, the fallback
+// orderings, the row sorts and the PHC accounting all run on ids; cell
+// strings are touched again only to rank a column for sorting and to
+// materialize the winning schedule. Ids are handed out in first-appearance
+// order and every scan visits candidates in the order the rows present
+// them, never in map order, so a solve is deterministic and breaks ties
+// exactly as a scan over the cell strings would (testdata/ggr_golden.txt
+// pins this against the string-keyed solver it replaced).
 package core
 
 import (
@@ -117,6 +129,7 @@ func Verify(t *table.Table, s *Schedule) error {
 	}
 	seen := make([]bool, t.NumRows())
 	cols := t.Columns()
+	usedBy := make([]int, len(cols)) // 1 + the last schedule row using the column
 	for i, r := range s.Rows {
 		if r.Source < 0 || r.Source >= t.NumRows() {
 			return fmt.Errorf("core: schedule row %d has out-of-range source %d", i, r.Source)
@@ -128,17 +141,16 @@ func Verify(t *table.Table, s *Schedule) error {
 		if len(r.Cells) != len(cols) {
 			return fmt.Errorf("core: schedule row %d has %d cells, table has %d columns", i, len(r.Cells), len(cols))
 		}
-		used := make(map[string]bool, len(r.Cells))
 		for _, c := range r.Cells {
-			if used[c.Field] {
-				return fmt.Errorf("core: schedule row %d repeats field %q", i, c.Field)
-			}
-			used[c.Field] = true
-			want, ok := t.CellByName(r.Source, c.Field)
+			j, ok := t.ColIndex(c.Field)
 			if !ok {
 				return fmt.Errorf("core: schedule row %d references unknown field %q", i, c.Field)
 			}
-			if want != c.Value {
+			if usedBy[j] == i+1 {
+				return fmt.Errorf("core: schedule row %d repeats field %q", i, c.Field)
+			}
+			usedBy[j] = i + 1
+			if want := t.Cell(r.Source, j); want != c.Value {
 				return fmt.Errorf("core: schedule row %d field %q has value %q, table has %q", i, c.Field, c.Value, want)
 			}
 		}

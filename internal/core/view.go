@@ -7,7 +7,7 @@ import (
 )
 
 // view is a sub-table: a subset of base rows and base columns, in order.
-// Both solvers recurse over views so splitting never copies cell data.
+// OPHR recurses over views so splitting never copies cell data.
 type view struct {
 	t    *table.Table
 	rows []int // base row indices
@@ -95,8 +95,10 @@ func emitFixed(v view, colPos []int) []Row {
 	return out
 }
 
-// phcOfRows computes the exact PHC (Eq. 1–2) of a row list.
-func phcOfRows(rows []Row, l *lens) int64 {
-	s := Schedule{Rows: rows}
-	return PHC(&s, l.fn())
+func identityPositions(n int) []int {
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = i
+	}
+	return pos
 }

@@ -4,8 +4,7 @@
 // KV cache actually interact with: row and field counts, value-length
 // distributions (in tokens), per-column cardinalities, entity join structure
 // (many reviews per movie/product/post/beer), functional dependencies, and
-// topic-skewed sharing for the RAG corpora. DESIGN.md records the
-// substitution rationale.
+// topic-skewed sharing for the RAG corpora.
 package datagen
 
 import (

@@ -76,14 +76,50 @@ func (l *Lease) PrivateBlocks() int64 { return l.privBlocks }
 // SharedBlocks reports the number of trie blocks the lease pins.
 func (l *Lease) SharedBlocks() int64 { return int64(len(l.path)) }
 
+// node is one cached block. Almost every block has at most one child (a
+// prompt's chain), so the first child is held inline and the map is only
+// allocated when a second one arrives; from then on all children live in it.
 type node struct {
-	hash     uint64
-	parent   *node
-	children map[uint64]*node
-	refs     int32
-	lastUse  int64
-	dead     bool
+	hash    uint64
+	parent  *node
+	only    *node            // the single child while many is nil
+	many    map[uint64]*node // every child, once there have been two
+	refs    int32
+	lastUse int64
+	dead    bool
 }
+
+func (n *node) child(h uint64) *node {
+	if n.many != nil {
+		return n.many[h]
+	}
+	if n.only != nil && n.only.hash == h {
+		return n.only
+	}
+	return nil
+}
+
+func (n *node) addChild(ch *node) {
+	switch {
+	case n.many != nil:
+		n.many[ch.hash] = ch
+	case n.only == nil:
+		n.only = ch
+	default:
+		n.many = map[uint64]*node{n.only.hash: n.only, ch.hash: ch}
+		n.only = nil
+	}
+}
+
+func (n *node) removeChild(ch *node) {
+	if n.many != nil {
+		delete(n.many, ch.hash)
+	} else {
+		n.only = nil
+	}
+}
+
+func (n *node) leaf() bool { return n.only == nil && len(n.many) == 0 }
 
 // Cache is a single device pool. It is not safe for concurrent use; the
 // serving engine is single-threaded over a virtual clock. Concurrent
@@ -106,7 +142,7 @@ func New(cfg Config) *Cache {
 	}
 	return &Cache{
 		cfg:  cfg,
-		root: &node{children: make(map[uint64]*node)},
+		root: &node{},
 	}
 }
 
@@ -131,8 +167,8 @@ func (c *Cache) MatchLen(tokens []tokenizer.Token) int {
 	n := 0
 	cur := c.root
 	for _, h := range blockHashes(tokens, c.cfg.BlockSize) {
-		next, ok := cur.children[h]
-		if !ok {
+		next := cur.child(h)
+		if next == nil {
 			break
 		}
 		cur = next
@@ -170,8 +206,8 @@ func (c *Cache) Acquire(tokens []tokenizer.Token, reserveTokens int) (*Lease, bo
 	cur := c.root
 	matchedBlocks := 0
 	for _, h := range hashes {
-		next, ok := cur.children[h]
-		if !ok {
+		next := cur.child(h)
+		if next == nil {
 			break
 		}
 		cur = next
@@ -189,7 +225,7 @@ func (c *Cache) Acquire(tokens []tokenizer.Token, reserveTokens int) (*Lease, bo
 		for i := len(path) - 1; i >= 0; i-- {
 			n := path[i]
 			n.refs--
-			if n.refs == 0 && len(n.children) == 0 {
+			if n.refs == 0 && n.leaf() {
 				c.pushEvictable(n)
 			}
 		}
@@ -198,8 +234,8 @@ func (c *Cache) Acquire(tokens []tokenizer.Token, reserveTokens int) (*Lease, bo
 	}
 
 	for _, h := range hashes[matchedBlocks:] {
-		next := &node{hash: h, parent: cur, children: make(map[uint64]*node), refs: 1, lastUse: c.clock}
-		cur.children[h] = next
+		next := &node{hash: h, parent: cur, refs: 1, lastUse: c.clock}
+		cur.addChild(next)
 		cur = next
 		path = append(path, next)
 	}
@@ -230,7 +266,7 @@ func (c *Cache) Release(l *Lease) {
 		n := l.path[i]
 		n.refs--
 		n.lastUse = c.clock
-		if n.refs == 0 && len(n.children) == 0 {
+		if n.refs == 0 && n.leaf() {
 			c.pushEvictable(n)
 		}
 	}
@@ -264,15 +300,15 @@ func (c *Cache) evictOne() bool {
 	for c.evict.Len() > 0 {
 		e := heap.Pop(&c.evict).(evictEntry)
 		n := e.n
-		if n.dead || n.refs > 0 || len(n.children) > 0 || e.seq != n.lastUse {
+		if n.dead || n.refs > 0 || !n.leaf() || e.seq != n.lastUse {
 			continue
 		}
 		n.dead = true
-		delete(n.parent.children, n.hash)
+		n.parent.removeChild(n)
 		c.trie--
 		c.used--
 		c.stats.EvictedBlocks++
-		if p := n.parent; p != c.root && p.refs == 0 && len(p.children) == 0 {
+		if p := n.parent; p != c.root && p.refs == 0 && p.leaf() {
 			c.pushEvictable(p)
 		}
 		return true
@@ -304,7 +340,17 @@ func (c *Cache) CheckInvariants() error {
 	var walk func(n *node) (int64, error)
 	walk = func(n *node) (int64, error) {
 		var count int64
-		for _, ch := range n.children {
+		children := n.many
+		if n.only != nil {
+			if n.many != nil {
+				return 0, fmt.Errorf("kvcache: inline child beside a child map")
+			}
+			children = map[uint64]*node{n.only.hash: n.only}
+		}
+		for h, ch := range children {
+			if ch.hash != h {
+				return 0, fmt.Errorf("kvcache: child filed under the wrong hash")
+			}
 			if ch.dead {
 				return 0, fmt.Errorf("kvcache: dead node reachable")
 			}

@@ -203,6 +203,41 @@ func TestEvictionLRU(t *testing.T) {
 	}
 }
 
+// TestBranchEvictionBelowRoot covers the child representation's switch from
+// one inline child to a map: a block that gained a second child must still
+// be found through either, lose them one by one, and become an evictable
+// leaf itself once both are gone.
+func TestBranchEvictionBelowRoot(t *testing.T) {
+	c := New(Config{BlockSize: 4, CapacityBlocks: 3})
+	a := append(seq(0, 4), seq(100, 4)...) // blocks P A
+	b := append(seq(0, 4), seq(200, 4)...) // blocks P B
+	for _, p := range [][]tokenizer.Token{a, b} {
+		l, ok := c.Acquire(p, 0)
+		if !ok {
+			t.Fatal("acquire rejected")
+		}
+		c.Release(l)
+	}
+	if c.MatchLen(a) != 8 || c.MatchLen(b) != 8 {
+		t.Fatalf("branches cached %d and %d tokens, want 8 and 8", c.MatchLen(a), c.MatchLen(b))
+	}
+	// Three unrelated blocks need the whole pool: A, B, then the exposed P go.
+	l, ok := c.Acquire(seq(300, 12), 0)
+	if !ok {
+		t.Fatal("acquire needing every block rejected")
+	}
+	c.Release(l)
+	if got := c.Stats().EvictedBlocks; got != 3 {
+		t.Errorf("evicted %d blocks, want 3", got)
+	}
+	if c.MatchLen(a) != 0 || c.MatchLen(b) != 0 {
+		t.Error("evicted branches still match")
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPinnedBlocksSurviveEviction(t *testing.T) {
 	c := New(Config{BlockSize: 4, CapacityBlocks: 4})
 	a := seq(0, 8)

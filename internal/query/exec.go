@@ -68,9 +68,9 @@ type Config struct {
 	// its schedule instead of re-running the solver. Like Backend it changes
 	// planning cost only, never results, and is excluded from StageKey.
 	ReorderCache *ReorderCache
-	// PromptCache, when non-nil, memoizes per-row prompt tokenization over
+	// PromptCache, when non-nil, memoizes per-cell prompt tokenization over
 	// one long-lived tokenizer shared across stages and batch windows. Nil
-	// keeps the historical throwaway-tokenizer-per-stage behavior.
+	// confines the memo and a throwaway tokenizer to each stage.
 	PromptCache *PromptCache
 }
 
@@ -180,19 +180,12 @@ func RunStageContext(ctx context.Context, spec Spec, tbl *table.Table, cfg Confi
 		return nil, fmt.Errorf("query: schedule for %s broke semantics: %w", spec.Name, err)
 	}
 
-	// Tokenize through the shared memo when one is attached; otherwise a
-	// throwaway tokenizer confined to this stage, the historical behavior.
-	encode := cfg.PromptCache.encoder()
-	prefix := encode(PromptPrefix(spec.UserPrompt))
+	prompts := PromptTokens(spec.UserPrompt, sched, cfg.PromptCache)
 	reqs := make([]*llmsim.Request, len(sched.Rows))
 	for i, row := range sched.Rows {
-		data := encode(RowJSON(row.Cells))
-		prompt := make([]tokenizer.Token, 0, len(prefix)+len(data))
-		prompt = append(prompt, prefix...)
-		prompt = append(prompt, data...)
 		reqs[i] = &llmsim.Request{
 			ID:        row.Source,
-			Prompt:    prompt,
+			Prompt:    prompts[i],
 			OutTokens: spec.OutTokensFor(row.Source),
 		}
 	}

@@ -6,10 +6,12 @@
 package query
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/tokenizer"
 )
 
 // SystemPrompt is the shared instruction prefix (Appendix C). Because it is
@@ -51,4 +53,88 @@ func RowJSON(cells []core.Cell) string {
 // BuildPrompt assembles the full request text for one scheduled row.
 func BuildPrompt(userPrompt string, cells []core.Cell) string {
 	return PromptPrefix(userPrompt) + RowJSON(cells)
+}
+
+// PromptTokens tokenizes every request of a scheduled stage: element i is
+// the token stream of BuildPrompt(userPrompt, sched.Rows[i].Cells), ids
+// included, but computed per distinct cell instead of per row. The tokenizer
+// is prefix-stable and '{', '}', ',' and '"' are single-byte tokens, so a
+// row's stream is the concatenation of its pieces' streams:
+//
+//	Encode(prefix) Encode("{") Encode(`"f1": "v1"`) Encode(", ") Encode(`"f2": "v2"`) … Encode("}")
+//
+// Each distinct piece is walked once — through cache when one is attached,
+// else through a memo and a throwaway tokenizer confined to this call — and
+// rows are assembled by copying token slices. Pieces are first encoded in
+// serialization order, so a fresh tokenizer assigns exactly the ids a
+// whole-row walk would.
+func PromptTokens(userPrompt string, sched *core.Schedule, cache *PromptCache) [][]tokenizer.Token {
+	var encode func(promptPiece) []tokenizer.Token
+	if cache != nil {
+		encode = cache.encode
+	} else {
+		tok, memo := tokenizer.New(), make(map[promptPiece][]tokenizer.Token)
+		encode = func(p promptPiece) []tokenizer.Token {
+			toks, ok := memo[p]
+			if !ok {
+				toks = tok.Encode(p.text())
+				memo[p] = toks
+			}
+			return toks
+		}
+	}
+	literal := func(text string) []tokenizer.Token {
+		return encode(literalPiece(text))
+	}
+	prefix := literal(PromptPrefix(userPrompt))
+	var open, sep, end []tokenizer.Token // encoded where the first row needs them
+	var parts [][]tokenizer.Token
+	out := make([][]tokenizer.Token, len(sched.Rows))
+	for i, row := range sched.Rows {
+		if open == nil {
+			open = literal("{")
+		}
+		parts = append(parts[:0], prefix, open)
+		for k, c := range row.Cells {
+			if k > 0 {
+				if sep == nil {
+					sep = literal(", ")
+				}
+				parts = append(parts, sep)
+			}
+			parts = append(parts, encode(promptPiece{Cell: c}))
+		}
+		if end == nil {
+			end = literal("}")
+		}
+		parts = append(parts, end)
+		out[i] = slices.Concat(parts...)
+	}
+	return out
+}
+
+// promptPiece is one separately tokenized piece of a prompt, and the key it
+// is memoized under: a cell, or literal text (a stage prefix, the JSON
+// punctuation) carried in Value.
+type promptPiece struct {
+	core.Cell
+	literal bool
+}
+
+// literalPiece is the piece for text tokenized as is.
+func literalPiece(text string) promptPiece {
+	return promptPiece{Cell: core.Cell{Value: text}, literal: true}
+}
+
+// text renders the piece: literal text as is, a cell as RowJSON serializes
+// it.
+func (p promptPiece) text() string {
+	if p.literal {
+		return p.Value
+	}
+	buf := make([]byte, 0, len(p.Field)+len(p.Value)+8)
+	buf = strconv.AppendQuote(buf, p.Field)
+	buf = append(buf, ": "...)
+	buf = strconv.AppendQuote(buf, p.Value)
+	return string(buf)
 }

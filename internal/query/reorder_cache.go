@@ -12,7 +12,7 @@ import (
 
 // This file amortizes the two per-flush planning costs that data-parallel
 // sharding exposes once engine time stops dominating: the GGR solve over the
-// batch window's combined table, and per-row prompt tokenization.
+// batch window's combined table, and prompt tokenization.
 //
 // Both caches are opt-in via Config (nil keeps the historical
 // compute-every-time behavior); the serving runtime attaches one of each for
@@ -22,7 +22,8 @@ import (
 // DefaultReorderCacheCapacity bounds the reorder cache in schedules.
 const DefaultReorderCacheCapacity = 256
 
-// DefaultPromptCacheCapacity bounds the prompt cache in distinct texts.
+// DefaultPromptCacheCapacity bounds the prompt cache in distinct pieces
+// (cells and stage prefixes).
 const DefaultPromptCacheCapacity = 65536
 
 // reorderKey identifies one solve: the stage fingerprint (prompt, schema,
@@ -131,27 +132,29 @@ func (c *ReorderCache) store(key reorderKey, sched *core.Schedule, phc int64) {
 	c.lru.put(key, reorderEntry{sched: sched, phc: phc})
 }
 
-// PromptCache memoizes text tokenization over one long-lived tokenizer, so
-// a row's JSON payload and a stage's prompt prefix are walked once across
-// every stage and batch window that serves them. Sharing one tokenizer also
-// makes token IDs stable across batches — which is what a persistent
-// backend's cross-batch KV cache compares — where per-stage throwaway
-// tokenizers gave the same text a different ID in every batch.
+// PromptCache memoizes prompt tokenization over one long-lived tokenizer.
+// The unit is the prompt piece (see PromptTokens): one entry per distinct
+// cell — a (field, value) pair, tokenized as RowJSON serializes it — and one
+// per stage prefix, so a value that repeats down a column is walked once
+// across every row, stage and batch window that serves it. Sharing one
+// tokenizer also makes token IDs stable across batches — which is what a
+// persistent backend's cross-batch KV cache compares — where per-stage
+// throwaway tokenizers gave the same text a different ID in every batch.
 //
 // Returned token slices are shared and must be treated as immutable (every
-// caller appends them into a fresh prompt slice). The memo is LRU-bounded;
+// caller copies them into a fresh prompt slice). The memo is LRU-bounded;
 // the tokenizer's interned vocabulary grows with distinct text, which is the
 // same growth one kvcache trie already exhibits for the same traffic.
 type PromptCache struct {
 	tok *tokenizer.Tokenizer
 	mu  sync.Mutex
-	lru *lruMap[string, []tokenizer.Token] // guarded by mu
+	lru *lruMap[promptPiece, []tokenizer.Token] // guarded by mu
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// NewPromptCache returns a cache bounded to capacity distinct texts (<= 0
+// NewPromptCache returns a cache bounded to capacity distinct pieces (<= 0
 // uses DefaultPromptCacheCapacity).
 func NewPromptCache(capacity int) *PromptCache {
 	if capacity <= 0 {
@@ -159,15 +162,15 @@ func NewPromptCache(capacity int) *PromptCache {
 	}
 	return &PromptCache{
 		tok: tokenizer.New(),
-		lru: newLRUMap[string, []tokenizer.Token](capacity),
+		lru: newLRUMap[promptPiece, []tokenizer.Token](capacity),
 	}
 }
 
-// Encode tokenizes text through the memo. The returned slice is shared:
-// callers must not modify it.
-func (p *PromptCache) Encode(text string) []tokenizer.Token {
+// encode tokenizes one prompt piece through the memo. The returned slice is
+// shared: callers must not modify it.
+func (p *PromptCache) encode(piece promptPiece) []tokenizer.Token {
 	p.mu.Lock()
-	if toks, ok := p.lru.get(text); ok {
+	if toks, ok := p.lru.get(piece); ok {
 		p.mu.Unlock()
 		p.hits.Add(1)
 		return toks
@@ -175,31 +178,21 @@ func (p *PromptCache) Encode(text string) []tokenizer.Token {
 	p.mu.Unlock()
 
 	// Tokenize outside the memo lock: Tokenizer has its own, and a slow walk
-	// must not serialize concurrent encoders of other texts.
-	toks := p.tok.Encode(text)
+	// must not serialize concurrent encoders of other pieces.
+	toks := p.tok.Encode(piece.text())
 	p.misses.Add(1)
 
 	p.mu.Lock()
-	p.lru.put(text, toks)
+	p.lru.put(piece, toks)
 	p.mu.Unlock()
 	return toks
-}
-
-// encoder resolves the stage executor's tokenize function: the shared memo
-// when a cache is attached, a fresh tokenizer confined to the calling stage
-// (the historical behavior) on a nil receiver.
-func (p *PromptCache) encoder() func(string) []tokenizer.Token {
-	if p == nil {
-		return tokenizer.New().Encode
-	}
-	return p.Encode
 }
 
 // Hits and Misses report the memo's lookup accounting.
 func (p *PromptCache) Hits() int64   { return p.hits.Load() }
 func (p *PromptCache) Misses() int64 { return p.misses.Load() }
 
-// Len reports the number of memoized texts.
+// Len reports the number of memoized pieces.
 func (p *PromptCache) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -123,8 +123,8 @@ func TestReorderCacheEvictsLRU(t *testing.T) {
 // results match a fresh tokenizer's token count, and the memo is bounded.
 func TestPromptCacheMemoizes(t *testing.T) {
 	pc := NewPromptCache(4)
-	a := pc.Encode("the same text")
-	b := pc.Encode("the same text")
+	a := pc.encode(literalPiece("the same text"))
+	b := pc.encode(literalPiece("the same text"))
 	if &a[0] != &b[0] {
 		t.Fatal("repeated encode did not return the memoized slice")
 	}
@@ -132,7 +132,7 @@ func TestPromptCacheMemoizes(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 1/1", pc.Hits(), pc.Misses())
 	}
 	for i := 0; i < 8; i++ {
-		pc.Encode(fmt.Sprintf("distinct text %d", i))
+		pc.encode(literalPiece(fmt.Sprintf("distinct text %d", i)))
 	}
 	if got := pc.Len(); got != 4 {
 		t.Fatalf("memo holds %d texts, capacity 4", got)

@@ -89,9 +89,10 @@ type Metrics struct {
 	ReorderCacheHits   int64 `json:"reorderCacheHits"`
 	ReorderCacheMisses int64 `json:"reorderCacheMisses"`
 	ReorderSolves      int64 `json:"reorderSolves"`
-	// PromptCacheHits / PromptCacheMisses count memoized prompt
-	// tokenizations (prefixes and row payloads shared across stages and
-	// batch windows).
+	// PromptCacheHits / PromptCacheMisses count prompt-tokenization memo
+	// lookups per prompt piece: every cell of every row sent to the model,
+	// plus each stage's prefix and JSON punctuation (see
+	// query.PromptTokens) — not one per row.
 	PromptCacheHits   int64 `json:"promptCacheHits"`
 	PromptCacheMisses int64 `json:"promptCacheMisses"`
 

@@ -152,9 +152,10 @@ type Config struct {
 	// same rows — reuses its schedule instead of re-running the solver.
 	ReorderCacheCapacity int
 	// PromptCacheCapacity bounds the prompt tokenization memo in distinct
-	// texts (default query.DefaultPromptCacheCapacity; negative disables):
-	// row payloads repeated across stages and batch windows are tokenized
-	// once, on one long-lived tokenizer.
+	// pieces — cells and stage prefixes (default
+	// query.DefaultPromptCacheCapacity; negative disables): a cell repeated
+	// across rows, stages and batch windows is tokenized once, on one
+	// long-lived tokenizer.
 	PromptCacheCapacity int
 	// SlowQueryThreshold, when positive, turns on the slow-query log: every
 	// statement is recorded (a trace cannot be reconstructed after the

@@ -15,7 +15,6 @@ package tokenizer
 import (
 	"strings"
 	"sync"
-	"unicode"
 )
 
 // Token is a vocabulary identifier. IDs are assigned in order of first
@@ -55,20 +54,42 @@ func (t *Tokenizer) VocabSize() int {
 // Encode converts text into a sequence of tokens. Concatenating the decoded
 // pieces reproduces the input exactly.
 func (t *Tokenizer) Encode(text string) []Token {
-	pieces := Split(text)
-	out := make([]Token, len(pieces))
+	return t.AppendEncode(make([]Token, 0, Count(text)), text)
+}
+
+// AppendEncode appends text's tokens to dst and returns the extended slice.
+// It segments and interns in one pass over text, so encoding allocates only
+// when dst grows or the vocabulary does.
+func (t *Tokenizer) AppendEncode(dst []Token, text string) []Token {
 	t.mu.Lock()
-	for i, p := range pieces {
-		id, ok := t.ids[p]
-		if !ok {
-			id = Token(len(t.pieces))
-			t.ids[p] = id
-			t.pieces = append(t.pieces, p)
+	defer t.mu.Unlock()
+	for i := 0; i < len(text); {
+		end := segmentEnd(text, i)
+		if end-i <= maxPiece {
+			dst = append(dst, t.internLocked(text[i:end]))
+			i = end
+			continue
 		}
-		out[i] = id
+		// Fragment long segments into fixed-size chunks. The first chunk
+		// keeps any leading space so decode remains exact.
+		for ; i < end; i += chunk {
+			dst = append(dst, t.internLocked(text[i:min(i+chunk, end)]))
+		}
+		i = end
 	}
-	t.mu.Unlock()
-	return out
+	return dst
+}
+
+// internLocked returns the piece's id, assigning the next one on first
+// sight.
+func (t *Tokenizer) internLocked(p string) Token {
+	id, ok := t.ids[p]
+	if !ok {
+		id = Token(len(t.pieces))
+		t.ids[p] = id
+		t.pieces = append(t.pieces, p)
+	}
+	return id
 }
 
 // Decode reconstructs the text for a token sequence produced by Encode on
@@ -95,9 +116,11 @@ func (t *Tokenizer) Count(text string) int {
 // pure function of the text and needs no tokenizer state.
 func Count(text string) int {
 	n := 0
-	walk(text, func(start, end int) {
-		n += piecesFor(end - start)
-	})
+	for i := 0; i < len(text); {
+		end := segmentEnd(text, i)
+		n += piecesFor(end - i)
+		i = end
+	}
 	return n
 }
 
@@ -105,23 +128,18 @@ func Count(text string) int {
 // and for tools that need piece boundaries.
 func Split(text string) []string {
 	var out []string
-	walk(text, func(start, end int) {
-		seg := text[start:end]
-		if len(seg) <= maxPiece {
-			out = append(out, seg)
-			return
+	for i := 0; i < len(text); {
+		end := segmentEnd(text, i)
+		if end-i <= maxPiece {
+			out = append(out, text[i:end])
+			i = end
+			continue
 		}
-		// Fragment long segments into fixed-size chunks. The first chunk
-		// keeps any leading space so decode remains exact.
-		for len(seg) > 0 {
-			c := chunk
-			if c > len(seg) {
-				c = len(seg)
-			}
-			out = append(out, seg[:c])
-			seg = seg[c:]
+		for ; i < end; i += chunk {
+			out = append(out, text[i:min(i+chunk, end)])
 		}
-	})
+		i = end
+	}
 	return out
 }
 
@@ -133,42 +151,37 @@ func piecesFor(segLen int) int {
 	return (segLen + chunk - 1) / chunk
 }
 
-// walk invokes fn for each segment boundary in text. A segment is a maximal
-// run of letters/digits, optionally with one leading space, or a single
-// non-alphanumeric byte. Segmentation depends only on the bytes to the left
-// of each boundary, which is what makes the tokenizer prefix-stable.
-func walk(text string, fn func(start, end int)) {
-	i := 0
+// segmentEnd returns the end of the segment that starts at text[i]. A segment
+// is a maximal run of letters/digits, optionally with one leading space, or
+// a single non-alphanumeric byte. Segmentation depends only on the bytes to
+// the left of each boundary, which is what makes the tokenizer
+// prefix-stable.
+func segmentEnd(text string, i int) int {
 	n := len(text)
-	for i < n {
-		start := i
-		// A single leading space attaches to the following word, mirroring
-		// the "Ġ"-prefixed pieces of GPT-style vocabularies.
-		if text[i] == ' ' {
-			i++
-			if i >= n || !isWordByte(text[i]) {
-				fn(start, i)
-				continue
-			}
-		}
-		if isWordByte(text[i]) {
-			for i < n && isWordByte(text[i]) {
-				i++
-			}
-			fn(start, i)
-			continue
-		}
-		// Punctuation and control bytes are one token each.
+	// A single leading space attaches to the following word, mirroring the
+	// "Ġ"-prefixed pieces of GPT-style vocabularies.
+	if text[i] == ' ' {
 		i++
-		fn(start, i)
+		if i >= n || !wordByte[text[i]] {
+			return i
+		}
 	}
+	if !wordByte[text[i]] {
+		return i + 1 // punctuation and control bytes are one token each
+	}
+	for i < n && wordByte[text[i]] {
+		i++
+	}
+	return i
 }
 
-func isWordByte(b byte) bool {
-	if b < 0x80 {
-		return b == '_' || unicode.IsLetter(rune(b)) || unicode.IsDigit(rune(b))
+// wordByte marks the bytes that continue a word: ASCII letters, digits and
+// '_', plus every byte of a multi-byte UTF-8 sequence (treated uniformly as
+// word material; the synthetic corpora are ASCII so that is rarely taken).
+var wordByte = func() (w [256]bool) {
+	for b := range w {
+		w[b] = b >= 0x80 || b == '_' ||
+			'0' <= b && b <= '9' || 'a' <= b && b <= 'z' || 'A' <= b && b <= 'Z'
 	}
-	// Treat multi-byte UTF-8 continuation uniformly as word material; the
-	// synthetic corpora are ASCII so this path is rarely taken.
-	return true
-}
+	return w
+}()

@@ -111,6 +111,44 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 }
 
+// TestAppendEncodeMatchesSplit pins the one-pass encoder to the piece
+// splitter: appending onto a non-empty dst yields, per piece of Split, the id
+// a piece-by-piece interning assigns — new ids in first-appearance order.
+func TestAppendEncodeMatchesSplit(t *testing.T) {
+	f := func(head, s string) bool {
+		tok, ref := New(), map[string]Token{}
+		intern := func(p string) Token {
+			id, ok := ref[p]
+			if !ok {
+				id = Token(len(ref))
+				ref[p] = id
+			}
+			return id
+		}
+		var want []Token
+		for _, text := range []string{head, s, "  a_longer_word, {\"k\": \"v \"}  "} {
+			for _, p := range Split(text) {
+				want = append(want, intern(p))
+			}
+		}
+		got := tok.AppendEncode(nil, head)
+		got = tok.AppendEncode(got, s)
+		got = tok.AppendEncode(got, "  a_longer_word, {\"k\": \"v \"}  ")
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestCompressionRatio(t *testing.T) {
 	text := "The reordering algorithm maximizes the number of shared prefix " +
 		"tokens across consecutive requests in a relational analytics workload. " +

@@ -451,7 +451,7 @@ type (
 	ExperimentReport = bench.Report
 )
 
-// Experiments lists every reproducible table/figure ID (see DESIGN.md §4).
+// Experiments lists every reproducible table/figure ID.
 func Experiments() []string { return bench.Experiments() }
 
 // RunExperiment regenerates one of the paper's tables or figures.
