@@ -17,8 +17,10 @@
 //	/v1/simulate  {table, prompt, policy?}                    -> serving metrics
 //	/v1/sql       {sql, client?, class?, deadlineMs?,         -> result relation +
 //	               options: {naive?, policy?, trace?}}           per-statement stats +
-//	                                                             fleet metrics
-//	/v1/metrics   (GET) fleet-wide runtime metrics snapshot
+//	                                                             fleet totals
+//	/v1/metrics   (GET) fleet-wide runtime metrics snapshot: the totals
+//	              plus the per-stage / per-client / per-class /
+//	              per-worker breakdowns
 //	              (JSON; ?format=prometheus for text exposition)
 //	/v1/traces    (GET) retained statement traces (opt-in + slow queries)
 //	/healthz      (GET)

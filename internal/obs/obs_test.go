@@ -162,13 +162,20 @@ func TestRollupsAggregate(t *testing.T) {
 		t.Errorf("rowsDeduped = %d, want 1", a.RowsDeduped)
 	}
 
-	// Bounded: a second key fits, a third is dropped.
+	// Bounded: a second key fits, a third evicts the least recently
+	// observed (A).
 	r.Observe(StageObservation{StageKey: "B", Name: "s1", Dataset: "", Rows: 1, RowsOut: -1,
 		ModelCalls: 1, PromptTokens: 1, MatchedTokens: 0, JCTSeconds: 1, SolverSeconds: 0})
 	r.Observe(StageObservation{StageKey: "C", Name: "s2", Dataset: "", Rows: 1, RowsOut: -1,
 		ModelCalls: 1, PromptTokens: 1, MatchedTokens: 0, JCTSeconds: 1, SolverSeconds: 0})
-	if got := len(r.Snapshot()); got != 2 {
-		t.Errorf("snapshot has %d keys after overflow, want 2 (bounded)", got)
+	snap = r.Snapshot()
+	if len(snap) != 2 {
+		t.Errorf("snapshot has %d keys after overflow, want 2 (bounded)", len(snap))
+	}
+	for _, v := range snap {
+		if v.Name == "s0" {
+			t.Errorf("least recently observed key survived the overflow: %+v", v)
+		}
 	}
 
 	// A stage never observed for execution still gets a rollup from cache
@@ -182,6 +189,54 @@ func TestRollupsAggregate(t *testing.T) {
 		if v.CacheHitRate != 1 {
 			t.Errorf("cache hit rate = %g, want 1", v.CacheHitRate)
 		}
+	}
+}
+
+// TestRollupsEvictLeastRecentlyObserved pins the store's behaviour under
+// ad-hoc traffic: one-shot keys past the bound age out instead of freezing
+// the store, so a recurring stage that first appears afterwards is learned
+// with its full count, and a key that keeps being observed is never the
+// victim.
+func TestRollupsEvictLeastRecentlyObserved(t *testing.T) {
+	const limit = 512
+	r := NewRollups(limit)
+	observe := func(key, name string) {
+		r.Observe(StageObservation{StageKey: key, Name: name, Rows: 1, RowsOut: -1,
+			ModelCalls: 1, PromptTokens: 1, MatchedTokens: 0, JCTSeconds: 1, SolverSeconds: 0})
+		r.ObserveCache(key, 0, 1, 0, 0)
+	}
+	for i := 0; i < 600; i++ {
+		observe(fmt.Sprintf("one-shot-%d", i), "adhoc")
+		if i%100 == 0 {
+			observe("early-recurring", "early")
+		}
+	}
+	const recurrences = 7
+	for i := 0; i < recurrences; i++ {
+		observe("late-recurring", "late")
+		observe(fmt.Sprintf("interleaved-%d", i), "adhoc")
+	}
+	snap := r.Snapshot()
+	if len(snap) != limit {
+		t.Fatalf("snapshot has %d keys, want the bound %d", len(snap), limit)
+	}
+	counts := map[string]int64{}
+	for id, v := range snap {
+		if id == "" {
+			t.Fatalf("rollup %+v has no id", v)
+		}
+		if v.Name != "adhoc" {
+			counts[v.Name] = v.Count
+		}
+		if v.CacheMisses != v.Count {
+			t.Errorf("rollup %+v: cache outcomes and executions diverged", v)
+		}
+	}
+	if counts["late"] != recurrences {
+		t.Errorf("late recurring key count = %d, want %d", counts["late"], recurrences)
+	}
+	if counts["early"] != 6 {
+		t.Errorf("early recurring key count = %d, want 6 (never evicted)", counts["early"])
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"hash/fnv"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -33,18 +34,22 @@ type StageObservation struct {
 
 // Rollups accumulates per-StageKey statistics across statements: observed
 // selectivity, latency (mean and p99 over a bounded reservoir), token and
-// cache accounting. It is bounded: past limit distinct keys, new keys are
-// dropped (the limit is far above any realistic stage cardinality and the
-// bound keeps /v1/metrics small).
+// cache accounting. It is bounded: past limit distinct keys, a new key
+// evicts the least recently observed one, so one-shot stages age out and a
+// recurring stage that first appears after the store filled is still
+// learned (the bound keeps /v1/metrics small).
 type Rollups struct {
 	mu    sync.Mutex
 	limit int
+	clock uint64             // guarded by mu; ticks once per observation
 	m     map[string]*rollup // guarded by mu; keyed by full StageKey
 }
 
 // rollup fields are owned by the enclosing Rollups' mutex — the struct has
 // no lock of its own; all access goes through Rollups methods.
 type rollup struct {
+	id            string // shortID of the key, hashed once at insert
+	lastSeen      uint64 // Rollups.clock at the latest observation
 	name, dataset string
 
 	count           int64
@@ -82,9 +87,6 @@ func (r *Rollups) Observe(ob StageObservation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ru := r.getLocked(ob.StageKey)
-	if ru == nil {
-		return
-	}
 	if ru.name == "" {
 		ru.name, ru.dataset = ob.Name, ob.Dataset
 	}
@@ -117,26 +119,44 @@ func (r *Rollups) ObserveCache(stageKey string, hits, misses, inflightDeduped, r
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ru := r.getLocked(stageKey)
-	if ru == nil {
-		return
-	}
 	ru.cacheHits += hits
 	ru.cacheMisses += misses
 	ru.inflightDeduped += inflightDeduped
 	ru.rowsDeduped += rowsDeduped
 }
 
+// getLocked resolves key's rollup, creating it on first sight (evicting the
+// least recently observed key when the store is full), and stamps it as the
+// most recently observed.
+//
 //llmqlint:holds mu
 func (r *Rollups) getLocked(key string) *rollup {
+	r.clock++
 	ru := r.m[key]
 	if ru == nil {
 		if len(r.m) >= r.limit {
-			return nil // bounded: new keys past the limit are dropped
+			r.evictOldestLocked()
 		}
-		ru = &rollup{}
+		ru = &rollup{id: shortID(key)}
 		r.m[key] = ru
 	}
+	ru.lastSeen = r.clock
 	return ru
+}
+
+// evictOldestLocked drops the least recently observed key. The scan is
+// O(limit), paid only by a never-seen stage arriving at a full store.
+//
+//llmqlint:holds mu
+func (r *Rollups) evictOldestLocked() {
+	var oldest string
+	seen := uint64(math.MaxUint64)
+	for key, ru := range r.m {
+		if ru.lastSeen < seen {
+			oldest, seen = key, ru.lastSeen
+		}
+	}
+	delete(r.m, oldest)
 }
 
 // StageRollup is the exported per-StageKey aggregate merged into
@@ -179,7 +199,7 @@ func (r *Rollups) Snapshot() map[string]StageRollup {
 		return nil
 	}
 	out := make(map[string]StageRollup, len(r.m))
-	for key, ru := range r.m {
+	for _, ru := range r.m {
 		sr := StageRollup{
 			Name:            ru.name,
 			Dataset:         ru.dataset,
@@ -208,7 +228,7 @@ func (r *Rollups) Snapshot() map[string]StageRollup {
 		if lookups := ru.cacheHits + ru.cacheMisses + ru.inflightDeduped; lookups > 0 {
 			sr.CacheHitRate = float64(ru.cacheHits) / float64(lookups)
 		}
-		out[shortID(key)] = sr
+		out[ru.id] = sr
 	}
 	return out
 }

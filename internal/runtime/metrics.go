@@ -39,9 +39,11 @@ type counters struct {
 	batchWindowsShortened atomic.Int64
 }
 
-// Metrics is a point-in-time snapshot of the runtime's accounting. The
-// JSON form rides in every /v1/sql response.
-type Metrics struct {
+// Totals is the fixed-size part of the runtime's accounting: every field is
+// a scalar read from an atomic, so a snapshot costs the same after a million
+// statements as after one and takes no lock. Its JSON form is the "runtime"
+// object of every /v1/sql response.
+type Totals struct {
 	// StatementsSubmitted / StatementsDone / StatementsFailed /
 	// StatementsCanceled count statements through the admission queue
 	// (failed and canceled are disjoint subsets of done; canceled means the
@@ -128,6 +130,14 @@ type Metrics struct {
 	// statement landing in a batch-class window, or a statement deadline
 	// inside the window. It is the observable proof the batcher is SLO-aware.
 	BatchWindowsShortened int64 `json:"batchWindowsShortened"`
+}
+
+// Metrics is a point-in-time snapshot of the runtime's whole accounting:
+// the fixed-size Totals plus the breakdowns whose size grows with served
+// history (Stages) or with the fleet (Clients, QueueWait, Cluster). Totals is
+// embedded, so the JSON object stays flat. GET /v1/metrics serves it.
+type Metrics struct {
+	Totals
 
 	// Clients breaks the fleet accounting down by tenant; nil until the
 	// first statement is admitted. Keys are normalized ClientIDs (anonymous
@@ -188,15 +198,15 @@ type WaitHistogram struct {
 }
 
 // HitRate is the fleet-wide prompt-token-weighted prefix-cache hit rate.
-func (m Metrics) HitRate() float64 {
+func (m Totals) HitRate() float64 {
 	if m.PromptTokens == 0 {
 		return 0
 	}
 	return float64(m.MatchedTokens) / float64(m.PromptTokens)
 }
 
-func (c *counters) snapshot() Metrics {
-	return Metrics{
+func (c *counters) snapshot() Totals {
+	return Totals{
 		StatementsSubmitted: c.statementsSubmitted.Load(),
 		StatementsDone:      c.statementsDone.Load(),
 		StatementsFailed:    c.statementsFailed.Load(),

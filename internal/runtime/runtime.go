@@ -252,8 +252,9 @@ func (c Config) traceRingSize() int {
 }
 
 // rollupLimit bounds distinct StageKeys the per-stage rollup store tracks —
-// far above any realistic stage cardinality, it only guards /v1/metrics
-// against unbounded growth on adversarial workloads.
+// far above the cardinality of recurring stages; ad-hoc traffic (a fresh
+// prompt per statement) fills it, and the least recently observed keys age
+// out, so /v1/metrics stays bounded.
 const rollupLimit = 512
 
 // Options tunes one statement's execution.
@@ -421,22 +422,32 @@ func New(db *sqlfront.DB, cfg Config) *Runtime {
 // DB returns the registry statements run against.
 func (rt *Runtime) DB() *sqlfront.DB { return rt.db }
 
-// Metrics snapshots the runtime's accounting, folding in the reorder
-// cache's solver accounting and — when the serving backend is a
-// backend.Sharded — the data-parallel shard counters.
-func (rt *Runtime) Metrics() Metrics {
-	m := rt.c.snapshot()
+// Totals snapshots the fixed-size accounting: the runtime's own counters,
+// the reorder and prompt caches' lookup accounting and — when the serving
+// backend is a backend.Sharded — the data-parallel shard counters. Every
+// source is an atomic, so the cost is independent of how many statements,
+// stages or clients the runtime has served, and no lock is taken.
+func (rt *Runtime) Totals() Totals {
+	t := rt.c.snapshot()
 	if rt.reorder != nil {
 		s := rt.reorder.Stats()
-		m.ReorderCacheHits, m.ReorderCacheMisses, m.ReorderSolves = s.Hits, s.Misses, s.Solves
+		t.ReorderCacheHits, t.ReorderCacheMisses, t.ReorderSolves = s.Hits, s.Misses, s.Solves
 	}
 	if rt.prompts != nil {
-		m.PromptCacheHits, m.PromptCacheMisses = rt.prompts.Hits(), rt.prompts.Misses()
+		t.PromptCacheHits, t.PromptCacheMisses = rt.prompts.Hits(), rt.prompts.Misses()
 	}
 	if sh, ok := unwrapBackend(rt.servingBackend()).(*backend.Sharded); ok {
 		s := sh.Stats()
-		m.ShardedBatches, m.ShardRuns, m.ShardJCTSeconds = s.ShardedBatches, s.ShardRuns, s.ShardJCTSeconds
+		t.ShardedBatches, t.ShardRuns, t.ShardJCTSeconds = s.ShardedBatches, s.ShardRuns, s.ShardJCTSeconds
 	}
+	return t
+}
+
+// Metrics snapshots the whole accounting: Totals plus the per-client,
+// per-class, per-stage and per-worker breakdowns, whose size (and the locks
+// they are read under) grow with served history and fleet size.
+func (rt *Runtime) Metrics() Metrics {
+	m := Metrics{Totals: rt.Totals()}
 	if cr, ok := unwrapBackend(rt.servingBackend()).(*cluster.Router); ok {
 		cm := cr.Metrics()
 		m.Cluster = &cm
@@ -657,14 +668,13 @@ func (rt *Runtime) prepared(sql string) (*sqlfront.Prepared, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	rt.c.planCacheMisses.Add(1)
 	if limit <= 0 {
+		rt.c.planCacheMisses.Add(1)
 		return p, false, nil
 	}
 	rt.planMu.Lock()
-	if prev, ok := rt.plans[sql]; ok {
-		p = prev // lost a prepare race; share the winner
-	} else {
+	prev, lostRace := rt.plans[sql]
+	if !lostRace {
 		for len(rt.plans) >= limit {
 			for k := range rt.plans {
 				delete(rt.plans, k)
@@ -674,6 +684,14 @@ func (rt *Runtime) prepared(sql string) (*sqlfront.Prepared, bool, error) {
 		rt.plans[sql] = p
 	}
 	rt.planMu.Unlock()
+	if lostRace {
+		// A concurrent statement inserted the same text first: this one is
+		// served the winner's plan from the cache, so it accounts as a hit
+		// and misses stay one per plan actually inserted.
+		rt.c.planCacheHits.Add(1)
+		return prev, true, nil
+	}
+	rt.c.planCacheMisses.Add(1)
 	return p, false, nil
 }
 

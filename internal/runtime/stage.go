@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -225,16 +226,43 @@ func (rt *Runtime) resolveOwned(keys []string, m *member) {
 // (two rows that read the same but carry different labels answer
 // differently), and its output budget (free-text answers scale with it).
 func stageRowKey(fp string, tbl *table.Table, spec query.Spec, row int) string {
-	var sb strings.Builder
-	sb.Grow(len(fp) + 64)
-	sb.WriteString(fp)
-	for _, cell := range tbl.Row(row) {
-		fmt.Fprintf(&sb, "%d:%s;", len(cell), cell)
-	}
+	cells := tbl.Row(row)
 	truth := ""
 	if spec.TruthHidden != "" {
 		truth = tbl.HiddenValue(spec.TruthHidden, row)
 	}
-	fmt.Fprintf(&sb, "|%d:%s|%d", len(truth), truth, spec.OutTokensFor(row))
+	budget := spec.OutTokensFor(row)
+	// Sized exactly, so the key — which the result cache retains — is one
+	// allocation with no slack.
+	size := len(fp) + 1 + decimalLen(len(truth)) + 1 + len(truth) + 1 + decimalLen(budget)
+	for _, cell := range cells {
+		size += decimalLen(len(cell)) + 1 + len(cell) + 1
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	var num [20]byte
+	writeInt := func(n int) { sb.Write(strconv.AppendInt(num[:0], int64(n), 10)) }
+	sb.WriteString(fp)
+	for _, cell := range cells {
+		writeInt(len(cell))
+		sb.WriteByte(':')
+		sb.WriteString(cell)
+		sb.WriteByte(';')
+	}
+	sb.WriteByte('|')
+	writeInt(len(truth))
+	sb.WriteByte(':')
+	sb.WriteString(truth)
+	sb.WriteByte('|')
+	writeInt(budget)
 	return sb.String()
+}
+
+// decimalLen is the number of digits of n ≥ 0 in base 10.
+func decimalLen(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }

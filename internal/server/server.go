@@ -342,7 +342,9 @@ type SQLRequest struct {
 }
 
 // SQLResponse carries the result relation, the statement's own serving
-// statistics, and a snapshot of the runtime's fleet-wide metrics.
+// statistics, and the runtime's fleet-wide totals. Its size is a function of
+// the statement alone: the breakdowns that grow with served history or fleet
+// size (stages, clients, queueWait, cluster) are GET /v1/metrics' to serve.
 type SQLResponse struct {
 	Columns []string   `json:"columns"`
 	Rows    [][]string `json:"rows"`
@@ -365,8 +367,9 @@ type SQLResponse struct {
 	// Trace is the statement's span tree, present only when the request set
 	// options.trace. See docs/API.md for the schema.
 	Trace *obs.Trace `json:"trace,omitempty"`
-	// Runtime is the fleet-wide accounting after this statement finished.
-	Runtime runtime.Metrics `json:"runtime"`
+	// Runtime is the fleet-wide fixed-size accounting after this statement
+	// finished.
+	Runtime runtime.Totals `json:"runtime"`
 }
 
 func handleSQL(cfg Config, w http.ResponseWriter, r *http.Request) {
@@ -441,7 +444,7 @@ func handleSQL(cfg Config, w http.ResponseWriter, r *http.Request) {
 			LLMCalls:   res.LLMCalls,
 			Stages:     res.Stages,
 			Deprecated: deprecated,
-			Runtime:    rt.Metrics(),
+			Runtime:    rt.Totals(),
 		}
 		if opts.Trace {
 			resp.Trace = h.Trace()
@@ -511,8 +514,8 @@ func handleHealth(cfg Config, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleMetrics serves GET /v1/metrics: the fleet-wide runtime accounting
-// that previously only rode piggybacked on /v1/sql responses. JSON by
+// handleMetrics serves GET /v1/metrics: the fleet-wide runtime accounting,
+// totals and breakdowns (a /v1/sql response carries the totals only). JSON by
 // default; ?format=prometheus (or an Accept header preferring text/plain)
 // switches to the Prometheus text exposition format. A runtime-less cluster
 // worker serves its batch accounting instead.

@@ -14,7 +14,7 @@ import (
 	"repro/internal/table"
 )
 
-func post(t *testing.T, h http.Handler, path string, body interface{}) *httptest.ResponseRecorder {
+func post(t testing.TB, h http.Handler, path string, body interface{}) *httptest.ResponseRecorder {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -26,7 +26,7 @@ func post(t *testing.T, h http.Handler, path string, body interface{}) *httptest
 	return rec
 }
 
-func decode[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
+func decode[T any](t testing.TB, rec *httptest.ResponseRecorder) T {
 	t.Helper()
 	var out T
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
@@ -204,6 +204,11 @@ func TestRejectsUnknownFields(t *testing.T) {
 // sqlHandler builds a service with a serving runtime over one ad-hoc table.
 func sqlHandler(t *testing.T) (http.Handler, *runtime.Runtime) {
 	t.Helper()
+	return sqlHandlerWith(t, runtime.Config{Workers: 2})
+}
+
+func sqlHandlerWith(t testing.TB, cfg runtime.Config) (http.Handler, *runtime.Runtime) {
+	t.Helper()
 	tbl := table.New("ticket_id", "region", "request")
 	for i := 0; i < 12; i++ {
 		tbl.MustAppendRow(
@@ -214,7 +219,7 @@ func sqlHandler(t *testing.T) (http.Handler, *runtime.Runtime) {
 	}
 	db := sqlfront.NewDB()
 	db.Register("tickets", tbl)
-	rt := runtime.New(db, runtime.Config{Workers: 2})
+	rt := runtime.New(db, cfg)
 	t.Cleanup(rt.Close)
 	return NewWithRuntime(rt), rt
 }
