@@ -43,9 +43,7 @@
 // the old anonymous first-come-first-served queue for A/B runs. -quota-calls
 // and -quota-tokens arm per-client post-paid token buckets (burst caps via
 // -quota-call-burst / -quota-token-burst): a client that overdraws gets 429
-// with a Retry-After header until its buckets refill. The deprecated
-// top-level "naive"/"policy" request fields still execute but answer with a
-// "deprecated" warning; use the "options" object.
+// with a Retry-After header until its buckets refill.
 //
 // -backend selects the serving target behind the whole stack (the
 // llmq.Backend seam): "sim" builds one confined engine per batch (the
@@ -107,29 +105,19 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/runtime"
 	"repro/internal/server"
 	"repro/internal/sqlfront"
-	"repro/internal/table"
 )
 
-// repeatable collects every occurrence of a repeated string flag.
-type repeatable []string
-
-func (r *repeatable) String() string { return strings.Join(*r, ",") }
-
-func (r *repeatable) Set(v string) error {
-	*r = append(*r, v)
-	return nil
-}
-
 func main() {
-	var csvs, datasets repeatable
-	flag.Var(&csvs, "csv", "CSV to register for /v1/sql, as name=path (repeatable)")
-	flag.Var(&datasets, "dataset", "bundled dataset to register under its own name (repeatable)")
+	var csvs, datasets []string
+	flag.Func("csv", "CSV to register for /v1/sql, as name=path (repeatable)", func(v string) error { csvs = append(csvs, v); return nil })
+	flag.Func("dataset", "bundled dataset to register under its own name (repeatable)", func(v string) error { datasets = append(datasets, v); return nil })
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		scale       = flag.Float64("scale", 0.05, "dataset scale when -dataset is used")
@@ -170,19 +158,14 @@ func main() {
 		logger.Warn("llmqserve: CHAOS MODE, fault injection armed", "spec", *faultSpec)
 	}
 
-	clusterCfg := cluster.Config{HedgeAfter: *hedgeAfter}
-	if injector != nil && !*workerMode {
-		// Router-side chaos rides the router's HTTP client, faulting the
-		// wire between router and workers.
-		clusterCfg.HTTPClient = &http.Client{Transport: faults.NewRoundTripper(nil, injector)}
+	// A worker's chaos faults the wire it serves (middleware below), not its backend.
+	backendChaos := injector
+	if *workerMode {
+		backendChaos = nil
 	}
-	be, err := cluster.Resolve(*backendName, *shards, splitWorkers(*clusterW), clusterCfg)
+	be, err := cli.ResolveBackend(*backendName, *shards, *clusterW, cluster.Config{HedgeAfter: *hedgeAfter}, backendChaos)
 	if err != nil {
 		fatal(err)
-	}
-	if injector != nil && !*workerMode && *backendName != "remote" {
-		// Local-backend chaos wraps the serving path directly.
-		be = faults.NewBackend(be, injector)
 	}
 	var worker *server.Worker
 	if *workerMode {
@@ -196,29 +179,8 @@ func main() {
 	var rt *runtime.Runtime
 	if len(csvs) > 0 || len(datasets) > 0 {
 		db := sqlfront.NewDB()
-		for _, name := range datasets {
-			d, err := datagen.RelationalByName(name, datagen.Options{Scale: *scale, Seed: *seed})
-			if err != nil {
-				fatal(err)
-			}
-			db.Register(name, d.Table)
-		}
-		for _, spec := range csvs {
-			i := strings.IndexByte(spec, '=')
-			if i <= 0 || i == len(spec)-1 {
-				fatal(fmt.Errorf("malformed -csv %q: want name=path", spec))
-			}
-			name, path := spec[:i], spec[i+1:]
-			f, err := os.Open(path)
-			if err != nil {
-				fatal(err)
-			}
-			t, err := table.ReadCSV(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			db.Register(name, t)
+		if err := cli.RegisterTables(db, datasets, csvs, datagen.Options{Scale: *scale, Seed: *seed}); err != nil {
+			fatal(err)
 		}
 		rt = runtime.New(db, runtime.Config{
 			Workers:          *workers,
@@ -252,7 +214,8 @@ func main() {
 	}
 
 	router, _ := be.(*cluster.Router)
-	handler := server.NewWithConfig(server.Config{Runtime: rt, Worker: worker, Cluster: router, AccessLog: logger})
+	srvCfg := server.Config{Runtime: rt, Worker: worker, Cluster: router, AccessLog: logger}
+	handler := server.NewWithConfig(srvCfg)
 	if injector != nil && *workerMode {
 		// Worker-side chaos faults the wire as served: 5xx answers, corrupt
 		// bodies, aborted connections, latched crashes — including /healthz,
@@ -269,7 +232,7 @@ func main() {
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {
-		debugSrv = startDebugServer(*debugAddr, rt, logger)
+		debugSrv = startDebugServer(*debugAddr, srvCfg, logger)
 	}
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections, let
@@ -324,7 +287,7 @@ func buildLogger(format string) (*slog.Logger, error) {
 // address a load balancer exposes. Handlers are registered on a private mux
 // (not http.DefaultServeMux) so nothing else the process imports can leak
 // endpoints onto it.
-func startDebugServer(addr string, rt *runtime.Runtime, logger *slog.Logger) *http.Server {
+func startDebugServer(addr string, cfg server.Config, logger *slog.Logger) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -332,13 +295,13 @@ func startDebugServer(addr string, rt *runtime.Runtime, logger *slog.Logger) *ht
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
-	if rt != nil {
-		// Publish the runtime metrics snapshot as an expvar, computed on
+	if cfg.Runtime != nil {
+		// Publish the GET /v1/metrics snapshot as an expvar, computed on
 		// demand per scrape.
-		expvar.Publish("llmq", expvar.Func(func() any { return rt.Metrics() }))
+		expvar.Publish("llmq", expvar.Func(func() any { return cfg.Metrics() }))
 		mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(rt.Metrics())
+			_ = json.NewEncoder(w).Encode(cfg.Metrics())
 		})
 	}
 	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
@@ -364,18 +327,6 @@ func shutdown(rt *runtime.Runtime, be backend.Backend, debugSrv *http.Server) {
 	if debugSrv != nil {
 		_ = debugSrv.Close()
 	}
-}
-
-// splitWorkers parses the -cluster-workers flag: comma-separated addresses,
-// empty entries dropped.
-func splitWorkers(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 func fatal(err error) {

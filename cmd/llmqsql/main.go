@@ -45,10 +45,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/faults"
@@ -58,20 +58,10 @@ import (
 	"repro/internal/table"
 )
 
-// repeatable collects every occurrence of a repeated string flag.
-type repeatable []string
-
-func (r *repeatable) String() string { return strings.Join(*r, ",") }
-
-func (r *repeatable) Set(v string) error {
-	*r = append(*r, v)
-	return nil
-}
-
 func main() {
-	var csvs, datasets repeatable
-	flag.Var(&csvs, "csv", "CSV to register, as name=path or a bare path named by -table (repeatable)")
-	flag.Var(&datasets, "dataset", "bundled dataset to register under its own name (repeatable)")
+	var csvs, datasets []string
+	flag.Func("csv", "CSV to register, as name=path or a bare path named by -table (repeatable)", func(v string) error { csvs = append(csvs, v); return nil })
+	flag.Func("dataset", "bundled dataset to register under its own name (repeatable)", func(v string) error { datasets = append(datasets, v); return nil })
 	var (
 		tblName = flag.String("table", "t", "name for a bare-path -csv registration")
 		scale   = flag.Float64("scale", 0.05, "dataset scale when -dataset is used")
@@ -96,69 +86,29 @@ func main() {
 		os.Exit(2)
 	}
 
+	// A bare-path -csv is this CLI's own shorthand: -table names it (a second
+	// bare path is then rejected below as that name registered twice).
+	for i, spec := range csvs {
+		if !strings.Contains(spec, "=") {
+			csvs[i] = *tblName + "=" + spec
+		}
+	}
 	db := sqlfront.NewDB()
-	registered := map[string]bool{}
-	register := func(name string, t *table.Table) {
-		// Register is last-write-wins; a repeated name here is a typo that
-		// would silently shadow an earlier table.
-		if registered[name] {
-			fatal(fmt.Errorf("table %q registered twice; give each -csv/-dataset a distinct name", name))
-		}
-		registered[name] = true
-		db.Register(name, t)
-	}
-	for _, name := range datasets {
-		d, err := datagen.RelationalByName(name, datagen.Options{Scale: *scale, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		register(name, d.Table)
-	}
-	bare := 0
-	for _, spec := range csvs {
-		name, path := *tblName, spec
-		if i := strings.IndexByte(spec, '='); i >= 0 {
-			name, path = spec[:i], spec[i+1:]
-			if name == "" || path == "" {
-				fatal(fmt.Errorf("malformed -csv %q: want name=path", spec))
-			}
-		} else if bare++; bare > 1 {
-			fatal(fmt.Errorf("only one bare-path -csv may use -table %q; name the others as name=path", *tblName))
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		t, err := table.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		register(name, t)
+	if err := cli.RegisterTables(db, datasets, csvs, datagen.Options{Scale: *scale, Seed: *seed}); err != nil {
+		fatal(err)
 	}
 
-	var workerAddrs []string
-	for _, a := range strings.Split(*workers, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			workerAddrs = append(workerAddrs, a)
-		}
-	}
 	var injector *faults.Injector
-	var clusterCfg cluster.Config
 	if *faultsF != "" {
 		var err error
 		if injector, err = faults.Parse(*faultsF); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "llmqsql: CHAOS MODE, fault injection armed: %s\n", *faultsF)
-		clusterCfg.HTTPClient = &http.Client{Transport: faults.NewRoundTripper(nil, injector)}
 	}
-	be, err := cluster.Resolve(*beName, *shards, workerAddrs, clusterCfg)
+	be, err := cli.ResolveBackend(*beName, *shards, *workers, cluster.Config{}, injector)
 	if err != nil {
 		fatal(err)
-	}
-	if injector != nil && *beName != "remote" {
-		be = faults.NewBackend(be, injector)
 	}
 	defer be.Close()
 

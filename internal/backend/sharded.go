@@ -95,21 +95,34 @@ func (s *Sharded) Stats() ShardStats {
 	}
 }
 
+// ShardStatsOf reports the accounting of the Sharded serving behind be,
+// seen through decorators that expose what they wrap as Unwrap() Backend
+// (a chaos wrapper, a tracing wrapper); zero when the chain holds none.
+func ShardStatsOf(be Backend) ShardStats {
+	for {
+		switch b := be.(type) {
+		case *Sharded:
+			return b.Stats()
+		case interface{ Unwrap() Backend }:
+			be = b.Unwrap()
+		default:
+			return ShardStats{}
+		}
+	}
+}
+
 // RunBatch partitions the batch along its group boundaries and serves the
-// shards concurrently on the inner backend. The first shard error cancels
-// the rest and is returned; ctx cancellation propagates to every shard.
+// shards concurrently on the inner backend (see RunParts for the failure
+// and cancellation contract).
 func (s *Sharded) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return BatchResult{}, err
-	}
-	if s.shards == 1 || len(spec.Groups) <= 1 || len(spec.Requests) < 2 {
-		return s.inner.RunBatch(ctx, spec)
 	}
 	parts, err := SplitByGroups(spec, s.shards)
 	if err != nil {
 		return BatchResult{}, err
 	}
-	if len(parts) <= 1 {
+	if len(parts) <= 1 { // SplitByGroups hands an unsplittable batch back whole
 		return s.inner.RunBatch(ctx, spec)
 	}
 
@@ -118,28 +131,53 @@ func (s *Sharded) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, er
 	// the concurrent shard goroutines may annotate the same parent.
 	sp := obs.FromContext(ctx)
 	sp.Set("shards", len(parts))
+	var jctMicros atomic.Int64 // charged to the counters only if every shard succeeds
+	merged, err := RunParts(ctx, parts, func(ctx context.Context, b int, part BatchSpec) (BatchResult, error) {
+		shardStart := time.Now()
+		res, err := s.inner.RunBatch(ctx, part)
+		if sp != nil {
+			c := sp.ChildAt(fmt.Sprintf("shard-%d", b), shardStart, time.Since(shardStart))
+			c.Set("requests", len(part.Requests))
+			if err == nil {
+				c.Set("jctSeconds", res.Metrics.JCT)
+			}
+		}
+		jctMicros.Add(int64(res.Metrics.JCT * 1e6))
+		return res, err
+	})
+	if err != nil {
+		return BatchResult{}, err
+	}
+	s.shardedBatches.Add(1)
+	s.shardRuns.Add(int64(len(parts)))
+	s.shardJCTMicros.Add(jctMicros.Load())
+	return merged, nil
+}
+
+// RunParts is the scatter–gather every fan-out backend (Sharded,
+// cluster.Router) shares: it serves the parts of one split batch
+// concurrently through run and merges their results (MergeBatchResults,
+// weighted by each part's request count). The first failing part cancels
+// its peers; ctx cancellation propagates to every part. A single part runs
+// on the caller's goroutine and its result is returned as is.
+func RunParts(ctx context.Context, parts []BatchSpec, run func(ctx context.Context, i int, part BatchSpec) (BatchResult, error)) (BatchResult, error) {
+	if len(parts) == 1 {
+		return run(ctx, 0, parts[0])
+	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]BatchResult, len(parts))
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
-	for b, part := range parts {
+	for i, part := range parts {
 		wg.Add(1)
-		go func(b int, part BatchSpec) {
+		go func(i int, part BatchSpec) {
 			defer wg.Done()
-			shardStart := time.Now()
-			results[b], errs[b] = s.inner.RunBatch(runCtx, part)
-			if sp != nil {
-				c := sp.ChildAt(fmt.Sprintf("shard-%d", b), shardStart, time.Since(shardStart))
-				c.Set("requests", len(part.Requests))
-				if errs[b] == nil {
-					c.Set("jctSeconds", results[b].Metrics.JCT)
-				}
-			}
-			if errs[b] != nil {
+			results[i], errs[i] = run(runCtx, i, part)
+			if errs[i] != nil {
 				cancel() // fail fast: peers stop between engine steps
 			}
-		}(b, part)
+		}(i, part)
 	}
 	wg.Wait()
 	var firstErr error
@@ -150,7 +188,7 @@ func (s *Sharded) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, er
 		if firstErr == nil {
 			firstErr = err
 		}
-		// A failing shard cancels its peers, so the peers report
+		// A failing part cancels its peers, so the peers report
 		// context.Canceled even though they did not cause the failure.
 		// Surface the root cause: the first error that is NOT a
 		// cancellation wins; plain ctx.Err()/Canceled only survives when
@@ -166,13 +204,9 @@ func (s *Sharded) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, er
 		}
 		return BatchResult{}, firstErr
 	}
-
-	s.shardedBatches.Add(1)
-	s.shardRuns.Add(int64(len(parts)))
 	sizes := make([]int, len(parts))
-	for b, part := range parts {
-		sizes[b] = len(part.Requests)
-		s.shardJCTMicros.Add(int64(results[b].Metrics.JCT * 1e6))
+	for i, part := range parts {
+		sizes[i] = len(part.Requests)
 	}
 	return MergeBatchResults(results, sizes), nil
 }

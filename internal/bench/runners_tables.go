@@ -107,7 +107,7 @@ func hitRateRows(cfg Config, setup modelSetup) ([][]string, error) {
 		}
 		hr := map[query.Policy]float64{}
 		for _, p := range []query.Policy{query.CacheOriginal, query.CacheGGR} {
-			res, err := query.RunContext(cfg.context(), spec, tbl, cfg.queryConfig(p, setup.model, setup.cluster))
+			res, err := query.RunContext(cfg.ctx, spec, tbl, cfg.queryConfig(p, setup.model, setup.cluster))
 			if err != nil {
 				return nil, err
 			}
@@ -366,7 +366,7 @@ func runTable7(cfg Config) (*Report, error) {
 		}
 		res := map[query.Policy]out{}
 		for _, p := range []query.Policy{query.CacheOriginal, query.CacheGGR} {
-			r, err := query.RunContext(cfg.context(), spec, tbl, cfg.queryConfig(p, llmsim.Llama32_1B, llmsim.SingleL4))
+			r, err := query.RunContext(cfg.ctx, spec, tbl, cfg.queryConfig(p, llmsim.Llama32_1B, llmsim.SingleL4))
 			if err != nil {
 				return nil, err
 			}

@@ -429,7 +429,8 @@ func (rt *Router) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend
 	// Assign parts to the least-loaded target first (live in-flight plus
 	// what this batch already assigned).
 	assigned := make(map[*worker]int, len(targets))
-	pick := func() *worker {
+	firsts := make([]*worker, len(parts))
+	for i := range parts {
 		best := targets[0]
 		bestLoad := int(best.inflight.Load()) + assigned[best]
 		for _, w := range targets[1:] {
@@ -438,54 +439,11 @@ func (rt *Router) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend
 			}
 		}
 		assigned[best]++
-		return best
+		firsts[i] = best
 	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]backend.BatchResult, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		first := pick()
-		wg.Add(1)
-		go func(i int, part backend.BatchSpec, first *worker) {
-			defer wg.Done()
-			results[i], errs[i] = rt.runPart(runCtx, part, first, cands)
-			if errs[i] != nil {
-				cancel() // fail fast: peer parts stop between engine steps
-			}
-		}(i, part, first)
-	}
-	wg.Wait()
-
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		// Prefer the root cause over peers' fail-fast cancellations (same
-		// contract as backend.Sharded).
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(firstErr, ctxErr) {
-			return backend.BatchResult{}, ctxErr
-		}
-		return backend.BatchResult{}, firstErr
-	}
-
-	sizes := make([]int, len(parts))
-	for i, part := range parts {
-		sizes[i] = len(part.Requests)
-	}
-	return backend.MergeBatchResults(results, sizes), nil
+	return backend.RunParts(ctx, parts, func(ctx context.Context, i int, part backend.BatchSpec) (backend.BatchResult, error) {
+		return rt.runPart(ctx, part, firsts[i], cands)
+	})
 }
 
 // runPart serves one part, failing over along the candidate list. first is

@@ -2,10 +2,11 @@ package obs
 
 import (
 	"hash/fnv"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
+
+	"repro/internal/lru"
 )
 
 // rollupSampleCap bounds the per-key JCT reservoir the p99 is computed
@@ -39,17 +40,14 @@ type StageObservation struct {
 // recurring stage that first appears after the store filled is still
 // learned (the bound keeps /v1/metrics small).
 type Rollups struct {
-	mu    sync.Mutex
-	limit int
-	clock uint64             // guarded by mu; ticks once per observation
-	m     map[string]*rollup // guarded by mu; keyed by full StageKey
+	mu sync.Mutex
+	m  *lru.Map[string, *rollup] // guarded by mu; keyed by full StageKey
 }
 
 // rollup fields are owned by the enclosing Rollups' mutex — the struct has
 // no lock of its own; all access goes through Rollups methods.
 type rollup struct {
 	id            string // shortID of the key, hashed once at insert
-	lastSeen      uint64 // Rollups.clock at the latest observation
 	name, dataset string
 
 	count           int64
@@ -73,10 +71,7 @@ type rollup struct {
 // NewRollups returns a store bounded to limit distinct stage keys
 // (minimum 1).
 func NewRollups(limit int) *Rollups {
-	if limit < 1 {
-		limit = 1
-	}
-	return &Rollups{limit: limit, m: make(map[string]*rollup)}
+	return &Rollups{m: lru.New[string, *rollup](limit)}
 }
 
 // Observe folds one stage execution into its key's rollup.
@@ -125,38 +120,18 @@ func (r *Rollups) ObserveCache(stageKey string, hits, misses, inflightDeduped, r
 	ru.rowsDeduped += rowsDeduped
 }
 
-// getLocked resolves key's rollup, creating it on first sight (evicting the
-// least recently observed key when the store is full), and stamps it as the
-// most recently observed.
+// getLocked resolves key's rollup as the most recently observed one,
+// creating it on first sight (which, at a full store, evicts the least
+// recently observed key).
 //
 //llmqlint:holds mu
 func (r *Rollups) getLocked(key string) *rollup {
-	r.clock++
-	ru := r.m[key]
-	if ru == nil {
-		if len(r.m) >= r.limit {
-			r.evictOldestLocked()
-		}
+	ru, ok := r.m.Get(key)
+	if !ok {
 		ru = &rollup{id: shortID(key)}
-		r.m[key] = ru
+		r.m.Put(key, ru)
 	}
-	ru.lastSeen = r.clock
 	return ru
-}
-
-// evictOldestLocked drops the least recently observed key. The scan is
-// O(limit), paid only by a never-seen stage arriving at a full store.
-//
-//llmqlint:holds mu
-func (r *Rollups) evictOldestLocked() {
-	var oldest string
-	seen := uint64(math.MaxUint64)
-	for key, ru := range r.m {
-		if ru.lastSeen < seen {
-			oldest, seen = key, ru.lastSeen
-		}
-	}
-	delete(r.m, oldest)
 }
 
 // StageRollup is the exported per-StageKey aggregate merged into
@@ -195,11 +170,11 @@ func (r *Rollups) Snapshot() map[string]StageRollup {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.m) == 0 {
+	if r.m.Len() == 0 {
 		return nil
 	}
-	out := make(map[string]StageRollup, len(r.m))
-	for _, ru := range r.m {
+	out := make(map[string]StageRollup, r.m.Len())
+	for _, ru := range r.m.All() {
 		sr := StageRollup{
 			Name:            ru.name,
 			Dataset:         ru.dataset,

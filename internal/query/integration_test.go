@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datagen"
@@ -30,7 +31,7 @@ func runAny(t *testing.T, spec Spec, cfg Config) *Result {
 		}
 		tbl = d.Table
 	}
-	res, err := Run(spec, tbl, cfg)
+	res, err := RunContext(context.Background(), spec, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -105,7 +106,7 @@ func TestRunFilterQueryAllPolicies(t *testing.T) {
 	spec, _ := ByName("movies-filter")
 	var jcts []float64
 	for _, p := range Policies {
-		res, err := Run(spec, d.Table, cfgFor(p))
+		res, err := RunContext(context.Background(), spec, d.Table, cfgFor(p))
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -141,11 +142,11 @@ func TestGGRImprovesHitRate(t *testing.T) {
 	cfg := func(p Policy) Config {
 		return Config{Policy: p, Model: llmsim.Llama3_8B, Cluster: smallGPU}
 	}
-	orig, err := Run(spec, d.Table, cfg(CacheOriginal))
+	orig, err := RunContext(context.Background(), spec, d.Table, cfg(CacheOriginal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ggr, err := Run(spec, d.Table, cfg(CacheGGR))
+	ggr, err := RunContext(context.Background(), spec, d.Table, cfg(CacheGGR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestGGRImprovesHitRate(t *testing.T) {
 func TestAggregationQuery(t *testing.T) {
 	d := datagen.Products(genOpt)
 	spec, _ := ByName("products-agg")
-	res, err := Run(spec, d.Table, cfgFor(CacheGGR))
+	res, err := RunContext(context.Background(), spec, d.Table, cfgFor(CacheGGR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestAggregationQuery(t *testing.T) {
 func TestMultiLLMQuery(t *testing.T) {
 	d := datagen.Movies(genOpt)
 	spec, _ := ByName("movies-multi")
-	res, err := Run(spec, d.Table, cfgFor(CacheGGR))
+	res, err := RunContext(context.Background(), spec, d.Table, cfgFor(CacheGGR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestMultiLLMQuery(t *testing.T) {
 func TestProjectionOutputsFreeText(t *testing.T) {
 	d := datagen.Beer(genOpt)
 	spec, _ := ByName("beer-projection")
-	res, err := Run(spec, d.Table, cfgFor(CacheOriginal))
+	res, err := RunContext(context.Background(), spec, d.Table, cfgFor(CacheOriginal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,11 @@ func topicTag(topic string) string {
 func TestRAGQueryEndToEnd(t *testing.T) {
 	d := datagen.FEVER(genOpt)
 	spec, _ := ByName("fever-rag")
-	res, err := RunRAG(spec, d, cfgFor(CacheGGR))
+	tbl, err := BuildRAGTable(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunContext(context.Background(), spec, tbl, cfgFor(CacheGGR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +272,7 @@ func TestRAGQueryEndToEnd(t *testing.T) {
 			t.Fatalf("row %d: invalid RAG answer %q", i, out)
 		}
 	}
-	orig, err := RunRAG(spec, d, cfgFor(CacheOriginal))
+	orig, err := RunContext(context.Background(), spec, tbl, cfgFor(CacheOriginal))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,19 +281,11 @@ func TestRAGQueryEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRunRAGRejectsNonRAGSpec(t *testing.T) {
-	d := datagen.FEVER(genOpt)
-	spec, _ := ByName("movies-filter")
-	if _, err := RunRAG(spec, d, cfgFor(CacheGGR)); err == nil {
-		t.Error("non-RAG spec accepted")
-	}
-}
-
 func TestEmptyTableStage(t *testing.T) {
 	d := datagen.Movies(genOpt)
 	spec, _ := ByName("movies-filter")
 	empty := d.Table.Head(0)
-	res, err := RunStage(spec, empty, cfgFor(CacheGGR))
+	res, err := RunStageContext(context.Background(), spec, empty, cfgFor(CacheGGR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +298,7 @@ func TestUnknownPolicyRejected(t *testing.T) {
 	d := datagen.Movies(genOpt)
 	spec, _ := ByName("movies-filter")
 	cfg := cfgFor(Policy("bogus"))
-	if _, err := Run(spec, d.Table, cfg); err == nil {
+	if _, err := RunContext(context.Background(), spec, d.Table, cfg); err == nil {
 		t.Error("bogus policy accepted")
 	}
 }
@@ -330,11 +327,11 @@ func TestAnswersConsistentAcrossPolicies(t *testing.T) {
 	// position coefficient the answers must be identical across schedules.
 	d := datagen.BIRD(genOpt) // 8B BIRD coefficient is 0.00
 	spec, _ := ByName("bird-filter")
-	a, err := Run(spec, d.Table, cfgFor(CacheOriginal))
+	a, err := RunContext(context.Background(), spec, d.Table, cfgFor(CacheOriginal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spec, d.Table, cfgFor(CacheGGR))
+	b, err := RunContext(context.Background(), spec, d.Table, cfgFor(CacheGGR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +346,7 @@ func TestAnswersConsistentAcrossPolicies(t *testing.T) {
 func TestBestFixedPolicyRuns(t *testing.T) {
 	d := datagen.Movies(genOpt)
 	spec, _ := ByName("movies-filter")
-	res, err := Run(spec, d.Table, cfgFor(CacheBestFixed))
+	res, err := RunContext(context.Background(), spec, d.Table, cfgFor(CacheBestFixed))
 	if err != nil {
 		t.Fatal(err)
 	}

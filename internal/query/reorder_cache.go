@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/table"
 	"repro/internal/tokenizer"
 )
@@ -71,7 +72,7 @@ func reorderKeyFor(stageKey string, tbl *table.Table) reorderKey {
 // copied: every consumer treats a core.Schedule as immutable.
 type ReorderCache struct {
 	mu  sync.Mutex
-	lru *lruMap[reorderKey, reorderEntry] // guarded by mu
+	lru *lru.Map[reorderKey, reorderEntry] // guarded by mu
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -89,7 +90,7 @@ func NewReorderCache(capacity int) *ReorderCache {
 	if capacity <= 0 {
 		capacity = DefaultReorderCacheCapacity
 	}
-	return &ReorderCache{lru: newLRUMap[reorderKey, reorderEntry](capacity)}
+	return &ReorderCache{lru: lru.New[reorderKey, reorderEntry](capacity)}
 }
 
 // ReorderStats is the cache's accounting: Hits and Misses count lookups,
@@ -110,13 +111,13 @@ func (c *ReorderCache) Stats() ReorderStats {
 func (c *ReorderCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.len()
+	return c.lru.Len()
 }
 
 func (c *ReorderCache) lookup(key reorderKey) (*core.Schedule, int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ent, ok := c.lru.get(key); ok {
+	if ent, ok := c.lru.Get(key); ok {
 		c.hits.Add(1)
 		return ent.sched, ent.phc, true
 	}
@@ -128,8 +129,8 @@ func (c *ReorderCache) store(key reorderKey, sched *core.Schedule, phc int64) {
 	c.solves.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// put keeps an existing entry when a concurrent solve won the race.
-	c.lru.put(key, reorderEntry{sched: sched, phc: phc})
+	// A concurrent solve that won the race stored an equal schedule.
+	c.lru.Put(key, reorderEntry{sched: sched, phc: phc})
 }
 
 // PromptCache memoizes prompt tokenization over one long-lived tokenizer.
@@ -148,7 +149,7 @@ func (c *ReorderCache) store(key reorderKey, sched *core.Schedule, phc int64) {
 type PromptCache struct {
 	tok *tokenizer.Tokenizer
 	mu  sync.Mutex
-	lru *lruMap[promptPiece, []tokenizer.Token] // guarded by mu
+	lru *lru.Map[promptPiece, []tokenizer.Token] // guarded by mu
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -162,7 +163,7 @@ func NewPromptCache(capacity int) *PromptCache {
 	}
 	return &PromptCache{
 		tok: tokenizer.New(),
-		lru: newLRUMap[promptPiece, []tokenizer.Token](capacity),
+		lru: lru.New[promptPiece, []tokenizer.Token](capacity),
 	}
 }
 
@@ -170,7 +171,7 @@ func NewPromptCache(capacity int) *PromptCache {
 // shared: callers must not modify it.
 func (p *PromptCache) encode(piece promptPiece) []tokenizer.Token {
 	p.mu.Lock()
-	if toks, ok := p.lru.get(piece); ok {
+	if toks, ok := p.lru.Get(piece); ok {
 		p.mu.Unlock()
 		p.hits.Add(1)
 		return toks
@@ -183,7 +184,7 @@ func (p *PromptCache) encode(piece promptPiece) []tokenizer.Token {
 	p.misses.Add(1)
 
 	p.mu.Lock()
-	p.lru.put(piece, toks)
+	p.lru.Put(piece, toks)
 	p.mu.Unlock()
 	return toks
 }
@@ -196,5 +197,5 @@ func (p *PromptCache) Misses() int64 { return p.misses.Load() }
 func (p *PromptCache) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.lru.len()
+	return p.lru.Len()
 }

@@ -1,6 +1,10 @@
 package runtime
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/lru"
+)
 
 // inflight is one LLM call being computed right now. The owner resolves it
 // exactly once; subscribers select on done (against their own context) and
@@ -19,16 +23,8 @@ type inflight struct {
 type resultCache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[string]*cacheEntry // guarded by mu
-	head     *cacheEntry            // guarded by mu; most recently used
-	tail     *cacheEntry            // guarded by mu; least recently used
-	inflight map[string]*inflight   // guarded by mu
-}
-
-type cacheEntry struct {
-	key        string
-	val        string
-	prev, next *cacheEntry
+	entries  *lru.Map[string, string] // guarded by mu
+	inflight map[string]*inflight     // guarded by mu
 }
 
 // newResultCache sizes the cache; capacity <= 0 disables storing results
@@ -36,7 +32,7 @@ type cacheEntry struct {
 func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		capacity: capacity,
-		entries:  make(map[string]*cacheEntry),
+		entries:  lru.New[string, string](capacity),
 		inflight: make(map[string]*inflight),
 	}
 }
@@ -57,9 +53,8 @@ const (
 func (c *resultCache) acquire(key string) (state acquireState, val string, fl *inflight) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		c.touch(e)
-		return acquireHit, e.val, nil
+	if val, ok := c.entries.Get(key); ok {
+		return acquireHit, val, nil
 	}
 	if f, ok := c.inflight[key]; ok {
 		return acquireSubscribed, "", f
@@ -78,19 +73,7 @@ func (c *resultCache) commit(key, val string) {
 		close(f.done)
 	}
 	if c.capacity > 0 {
-		if e, ok := c.entries[key]; ok {
-			e.val = val
-			c.touch(e)
-		} else {
-			e := &cacheEntry{key: key, val: val}
-			c.entries[key] = e
-			c.pushFront(e)
-			for len(c.entries) > c.capacity {
-				lru := c.tail
-				c.unlink(lru)
-				delete(c.entries, lru.key)
-			}
-		}
+		c.entries.Put(key, val)
 	}
 	c.mu.Unlock()
 }
@@ -111,44 +94,5 @@ func (c *resultCache) fail(key string, err error) {
 func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// --- intrusive LRU list (mu held) ---------------------------------------
-
-//llmqlint:holds mu
-func (c *resultCache) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-//llmqlint:holds mu
-func (c *resultCache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-//llmqlint:holds mu
-func (c *resultCache) touch(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
+	return c.entries.Len()
 }

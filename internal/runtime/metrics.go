@@ -3,7 +3,6 @@ package runtime
 import (
 	"sync/atomic"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -134,8 +133,9 @@ type Totals struct {
 
 // Metrics is a point-in-time snapshot of the runtime's whole accounting:
 // the fixed-size Totals plus the breakdowns whose size grows with served
-// history (Stages) or with the fleet (Clients, QueueWait, Cluster). Totals is
-// embedded, so the JSON object stays flat. GET /v1/metrics serves it.
+// history (Stages) or with the fleet (Clients, QueueWait). Totals is
+// embedded, so the JSON object stays flat. GET /v1/metrics serves it, with
+// the router's section appended when one is attached (server.Metrics).
 type Metrics struct {
 	Totals
 
@@ -155,11 +155,6 @@ type Metrics struct {
 	// and latencies a future planner re-ranks cascades with. Nil until an
 	// LLM stage has executed.
 	Stages map[string]obs.StageRollup `json:"stages,omitempty"`
-
-	// Cluster is the distributed tier's fleet accounting — per-worker
-	// batches/retries/errors/markdowns, ring moves, hot-stage replications —
-	// present only when the serving backend is a cluster.Router.
-	Cluster *cluster.Metrics `json:"cluster,omitempty"`
 }
 
 // ClientMetrics is one client's slice of the fleet accounting.

@@ -78,7 +78,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/cluster"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/sqlfront"
@@ -301,7 +301,7 @@ type Runtime struct {
 	waitBatch       waitHist
 
 	planMu sync.Mutex
-	plans  map[string]*sqlfront.Prepared // guarded by planMu
+	plans  *lru.Map[string, *sqlfront.Prepared] // guarded by planMu
 
 	quotaMu sync.Mutex
 	quotas  map[ClientID]*quotaBucket // guarded by quotaMu
@@ -397,7 +397,7 @@ func New(db *sqlfront.DB, cfg Config) *Runtime {
 		cfg:     cfg,
 		queue:   newFairQueue(cfg.queueDepth(), cfg.interactiveWeight(), cfg.batchWeight(), cfg.FIFOAdmission),
 		cache:   newResultCache(cfg.cacheCapacity()),
-		plans:   make(map[string]*sqlfront.Prepared),
+		plans:   lru.New[string, *sqlfront.Prepared](cfg.planCacheCapacity()),
 		quotas:  make(map[ClientID]*quotaBucket),
 		clients: make(map[ClientID]*clientCounters),
 		rollups: obs.NewRollups(rollupLimit),
@@ -436,22 +436,16 @@ func (rt *Runtime) Totals() Totals {
 	if rt.prompts != nil {
 		t.PromptCacheHits, t.PromptCacheMisses = rt.prompts.Hits(), rt.prompts.Misses()
 	}
-	if sh, ok := unwrapBackend(rt.servingBackend()).(*backend.Sharded); ok {
-		s := sh.Stats()
-		t.ShardedBatches, t.ShardRuns, t.ShardJCTSeconds = s.ShardedBatches, s.ShardRuns, s.ShardJCTSeconds
-	}
+	s := backend.ShardStatsOf(rt.servingBackend())
+	t.ShardedBatches, t.ShardRuns, t.ShardJCTSeconds = s.ShardedBatches, s.ShardRuns, s.ShardJCTSeconds
 	return t
 }
 
 // Metrics snapshots the whole accounting: Totals plus the per-client,
-// per-class, per-stage and per-worker breakdowns, whose size (and the locks
-// they are read under) grow with served history and fleet size.
+// per-class and per-stage breakdowns, whose size (and the locks they are
+// read under) grow with served history and fleet size.
 func (rt *Runtime) Metrics() Metrics {
 	m := Metrics{Totals: rt.Totals()}
-	if cr, ok := unwrapBackend(rt.servingBackend()).(*cluster.Router); ok {
-		cm := cr.Metrics()
-		m.Cluster = &cm
-	}
 	rt.clientMu.Lock()
 	if len(rt.clients) > 0 {
 		m.Clients = make(map[ClientID]ClientMetrics, len(rt.clients))
@@ -533,26 +527,13 @@ func (rt *Runtime) quotaFor(client ClientID) *quotaBucket {
 	return b
 }
 
-// servingBackend resolves the backend statements actually run on, mirroring
-// the worker's override order: Config.Backend wins over Exec's embedded one.
+// servingBackend resolves the backend statements run on: Config.Backend
+// wins over Exec's embedded one.
 func (rt *Runtime) servingBackend() backend.Backend {
 	if rt.cfg.Backend != nil {
 		return rt.cfg.Backend
 	}
 	return rt.cfg.Exec.Backend
-}
-
-// unwrapBackend strips decorator backends (e.g. a faults.Backend chaos
-// wrapper) so metrics folding that dispatches on the serving backend's
-// concrete type still finds it.
-func unwrapBackend(be backend.Backend) backend.Backend {
-	for {
-		u, ok := be.(interface{ Unwrap() backend.Backend })
-		if !ok {
-			return be
-		}
-		be = u.Unwrap()
-	}
 }
 
 // CachedResults reports the result cache's current entry count.
@@ -653,12 +634,10 @@ func (rt *Runtime) Close() {
 
 // prepared resolves sql through the plan cache, reporting whether it was a
 // cache hit (the trace's prepare span). The cache is bounded: past
-// capacity an arbitrary entry is evicted — a plan is cheap to rebuild, so
-// the bound (not the replacement policy) is what matters here.
+// capacity the least recently used statement text is evicted.
 func (rt *Runtime) prepared(sql string) (*sqlfront.Prepared, bool, error) {
-	limit := rt.cfg.planCacheCapacity()
 	rt.planMu.Lock()
-	p, ok := rt.plans[sql]
+	p, ok := rt.plans.Get(sql)
 	rt.planMu.Unlock()
 	if ok {
 		rt.c.planCacheHits.Add(1)
@@ -668,20 +647,14 @@ func (rt *Runtime) prepared(sql string) (*sqlfront.Prepared, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if limit <= 0 {
+	if rt.cfg.planCacheCapacity() <= 0 {
 		rt.c.planCacheMisses.Add(1)
 		return p, false, nil
 	}
 	rt.planMu.Lock()
-	prev, lostRace := rt.plans[sql]
+	prev, lostRace := rt.plans.Get(sql)
 	if !lostRace {
-		for len(rt.plans) >= limit {
-			for k := range rt.plans {
-				delete(rt.plans, k)
-				break
-			}
-		}
-		rt.plans[sql] = p
+		rt.plans.Put(sql, p)
 	}
 	rt.planMu.Unlock()
 	if lostRace {
@@ -779,9 +752,7 @@ func (rt *Runtime) worker() {
 		if j.opts.Policy != "" {
 			cfg.Policy = j.opts.Policy
 		}
-		if rt.cfg.Backend != nil {
-			cfg.Backend = rt.cfg.Backend
-		}
+		cfg.Backend = rt.servingBackend()
 		if cfg.ReorderCache == nil {
 			cfg.ReorderCache = rt.reorder
 		}

@@ -246,7 +246,7 @@ func TestPlanCacheBounded(t *testing.T) {
 		}
 	}
 	rt.planMu.Lock()
-	n := len(rt.plans)
+	n := rt.plans.Len()
 	rt.planMu.Unlock()
 	if n > 2 {
 		t.Errorf("plan cache holds %d entries, capacity 2", n)

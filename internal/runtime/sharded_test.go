@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -87,6 +88,31 @@ func TestShardedBeatsUnsharded(t *testing.T) {
 	t.Logf("JCT: unsharded %.2fs, sharded %.2fs (%d sub-runs over %d batches); hit tokens %d -> %d",
 		baseM.TotalJCT, shardM.TotalJCT, shardM.ShardRuns, shardM.ShardedBatches,
 		baseM.MatchedTokens, shardM.MatchedTokens)
+}
+
+// spanLikeBackend is the shape of a foreign decorator (perf's span
+// recorder, a chaos wrapper): RunBatch, Close and Unwrap, nothing else.
+type spanLikeBackend struct{ inner backend.Backend }
+
+func (s spanLikeBackend) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend.BatchResult, error) {
+	return s.inner.RunBatch(ctx, spec)
+}
+func (s spanLikeBackend) Close() error            { return s.inner.Close() }
+func (s spanLikeBackend) Unwrap() backend.Backend { return s.inner }
+
+// TestShardStatsSeenThroughUnwrap: the runtime names no backend
+// implementation, yet a Sharded under decorators still reports its counters
+// in Totals — found through the Unwrap protocol alone.
+func TestShardStatsSeenThroughUnwrap(t *testing.T) {
+	sh, err := backend.NewSharded(backend.NewSim(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	m, _ := runHotWorkload(t, spanLikeBackend{spanLikeBackend{sh}}, 48)
+	if got, want := m.ShardRuns, sh.Stats().ShardRuns; got == 0 || got != want {
+		t.Errorf("Totals().ShardRuns = %d through two decorators, Sharded counted %d", got, want)
+	}
 }
 
 // TestShardedOverPersistentPool composes the two tentpole pieces: a Sharded

@@ -157,7 +157,8 @@ func TestMetricsEndpointShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer router.Close()
-	h, _ := sqlHandlerWith(t, runtime.Config{Workers: 2, Backend: router})
+	_, rt := sqlHandlerWith(t, runtime.Config{Workers: 2, Backend: router})
+	h := NewWithConfig(Config{Runtime: rt, Cluster: router})
 
 	sqlBody := post(t, h, "/v1/sql", adhocStatement(0))
 	if sqlBody.Code != http.StatusOK {
@@ -167,7 +168,7 @@ func TestMetricsEndpointShape(t *testing.T) {
 	if got := objectKeys(t, metrics.Body.Bytes()); !reflect.DeepEqual(got, metricsKeys) {
 		t.Errorf("GET /v1/metrics keys\n got %q\nwant %q", got, metricsKeys)
 	}
-	m := decode[runtime.Metrics](t, metrics)
+	m := decode[Metrics](t, metrics)
 	if len(m.Stages) != 1 || len(m.Clients) != 1 || len(m.QueueWait) != 1 || m.Cluster == nil || len(m.Cluster.Workers) != 1 {
 		t.Errorf("breakdowns not populated: stages=%d clients=%d queueWait=%d cluster=%+v",
 			len(m.Stages), len(m.Clients), len(m.QueueWait), m.Cluster)

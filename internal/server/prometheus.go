@@ -10,14 +10,14 @@ import (
 	"repro/internal/runtime"
 )
 
-// renderPrometheus serializes a runtime metrics snapshot in the Prometheus
+// renderPrometheus serializes a metrics snapshot in the Prometheus
 // text exposition format (version 0.0.4), hand-rolled so the server carries
 // no client-library dependency. Every metric family appears with exactly one
 // HELP and one TYPE line; per-client and per-class series are labeled rows
 // under one family; the admission-wait histograms are converted from the
 // runtime's exclusive buckets to Prometheus's cumulative le-buckets. Map
 // iteration orders are sorted, so the output is deterministic.
-func renderPrometheus(m runtime.Metrics) string {
+func renderPrometheus(m Metrics) string {
 	var b strings.Builder
 	w := promWriter{b: &b}
 
@@ -74,8 +74,8 @@ func renderPrometheus(m runtime.Metrics) string {
 	w.family("llmq_prompt_cache_misses_total", "counter", "Prompt pieces tokenized afresh.")
 	w.row("llmq_prompt_cache_misses_total", "", float64(m.PromptCacheMisses))
 
-	// Distributed-tier families, present only when the serving backend is a
-	// cluster.Router.
+	// Distributed-tier families, present only when a cluster.Router is
+	// attached to the server.
 	if m.Cluster != nil {
 		c := m.Cluster
 		addrs := make([]string, 0, len(c.Workers))
@@ -206,7 +206,7 @@ func renderPrometheus(m runtime.Metrics) string {
 		stageRows := func(name, typ, help string, get func(r runtime.Metrics, id string) float64) {
 			w.family(name, typ, help)
 			for _, id := range ids {
-				w.row(name, labels("stage", id, "name", m.Stages[id].Name), get(m, id))
+				w.row(name, labels("stage", id, "name", m.Stages[id].Name), get(m.Metrics, id))
 			}
 		}
 		stageRows("llmq_stage_executions_total", "counter", "Stage executions per stage key.",

@@ -3,7 +3,7 @@
 // analytics systems and serving platforms"): an analytics engine POSTs the
 // rows and fields an LLM operator is about to send, and receives the
 // cache-maximizing request schedule plus the expected savings. With a
-// serving runtime attached (NewWithRuntime), the service additionally
+// serving runtime attached (Config.Runtime), the service additionally
 // executes whole LLM-SQL statements over its registered tables on POST
 // /v1/sql — concurrent requests share the runtime's result cache and
 // cross-query batcher, so a fleet of dashboard clients costs far fewer
@@ -191,17 +191,9 @@ type Config struct {
 	// Cluster, when non-nil, serves the GET/POST /v1/cluster/workers fleet
 	// admin endpoint: list the live worker set and join/remove workers on
 	// the running router (live ring rebalance). Without it that endpoint
-	// responds 503.
+	// responds 503. The router's accounting is also the "cluster" section of
+	// GET /v1/metrics.
 	Cluster *cluster.Router
-}
-
-// New builds the stateless service mux (reorder/estimate/simulate only);
-// /v1/sql responds 503 until a runtime is attached via NewWithRuntime.
-func New() http.Handler { return NewWithConfig(Config{}) }
-
-// NewWithRuntime builds the full service mux over rt with no access log.
-func NewWithRuntime(rt *runtime.Runtime) http.Handler {
-	return NewWithConfig(Config{Runtime: rt})
 }
 
 // NewWithConfig builds the full service mux. cfg.Runtime, when non-nil,
@@ -332,13 +324,6 @@ type SQLRequest struct {
 	DeadlineMs int64 `json:"deadlineMs,omitempty"`
 	// Options is the execution-options envelope.
 	Options *SQLOptions `json:"options,omitempty"`
-
-	// Naive and Policy at the top level are deprecated in favor of the
-	// options envelope. Both forms are accepted for one release; using the
-	// top-level fields adds a "deprecated" warning list to the response,
-	// and the envelope wins when both are present.
-	Naive  *bool  `json:"naive,omitempty"`
-	Policy string `json:"policy,omitempty"`
 }
 
 // SQLResponse carries the result relation, the statement's own serving
@@ -362,7 +347,8 @@ type SQLResponse struct {
 	LLMCalls int     `json:"llmCalls"`
 	Stages   int     `json:"stages"`
 	// Deprecated warns, per deprecated request field used, what to use
-	// instead. Absent when the request used only current fields.
+	// instead (docs/API.md, deprecation policy). Absent when the request used
+	// only current fields — always, today: no field is in its window.
 	Deprecated []string `json:"deprecated,omitempty"`
 	// Trace is the statement's span tree, present only when the request set
 	// options.trace. See docs/API.md for the schema.
@@ -398,23 +384,10 @@ func handleSQL(cfg Config, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := runtime.Options{Client: runtime.ClientID(req.Client), Class: class}
-	var deprecated []string
 	if req.Options != nil {
 		opts.Naive = req.Options.Naive
 		opts.Policy = query.Policy(req.Options.Policy)
 		opts.Trace = req.Options.Trace
-	}
-	if req.Naive != nil {
-		deprecated = append(deprecated, `top-level "naive" is deprecated: use options.naive`)
-		if req.Options == nil {
-			opts.Naive = *req.Naive
-		}
-	}
-	if req.Policy != "" {
-		deprecated = append(deprecated, `top-level "policy" is deprecated: use options.policy`)
-		if req.Options == nil {
-			opts.Policy = query.Policy(req.Policy)
-		}
 	}
 	// The statement is scoped to the request: a client that disconnects (or
 	// times out) cancels its statement instead of leaving it running. A
@@ -434,17 +407,16 @@ func handleSQL(cfg Config, w http.ResponseWriter, r *http.Request) {
 		code = writeExecError(w, err)
 	} else {
 		resp := SQLResponse{
-			Columns:    res.Columns,
-			Rows:       res.Rows,
-			Client:     string(normalizeClient(req.Client)),
-			Class:      string(class),
-			JCT:        res.JCT,
-			HitRate:    res.HitRate,
-			SolverMs:   res.SolverSeconds * 1000,
-			LLMCalls:   res.LLMCalls,
-			Stages:     res.Stages,
-			Deprecated: deprecated,
-			Runtime:    rt.Totals(),
+			Columns:  res.Columns,
+			Rows:     res.Rows,
+			Client:   string(normalizeClient(req.Client)),
+			Class:    string(class),
+			JCT:      res.JCT,
+			HitRate:  res.HitRate,
+			SolverMs: res.SolverSeconds * 1000,
+			LLMCalls: res.LLMCalls,
+			Stages:   res.Stages,
+			Runtime:  rt.Totals(),
 		}
 		if opts.Trace {
 			resp.Trace = h.Trace()
@@ -472,10 +444,10 @@ func normalizeClient(c string) runtime.ClientID {
 	return runtime.ClientID(c)
 }
 
-// writeExecError maps a statement-execution error onto the envelope: quota
-// breaches become 429 with a retry horizon, context deaths keep their
-// cancellation statuses, everything else is an execution failure. It returns
-// the error code it wrote (the access log's outcome field).
+// writeExecError maps a statement's or a worker batch's execution error onto
+// the envelope: quota breaches become 429 with a retry horizon, context
+// deaths keep their cancellation statuses, everything else is an execution
+// failure. It returns the error code it wrote (the access logs' outcome).
 func writeExecError(w http.ResponseWriter, err error) string {
 	var qe *runtime.QuotaError
 	switch {
@@ -512,6 +484,27 @@ func handleHealth(cfg Config, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+}
+
+// Metrics is the GET /v1/metrics body: the runtime's whole accounting plus,
+// when a router is attached to the server, the fleet's — per-worker
+// batches/retries/errors/markdowns, ring moves, hot-stage replications,
+// hedges. Embedding keeps the JSON object flat.
+type Metrics struct {
+	runtime.Metrics
+	Cluster *cluster.Metrics `json:"cluster,omitempty"`
+}
+
+// Metrics snapshots cfg.Runtime (which must be non-nil) and cfg.Cluster: the
+// one source of /v1/metrics JSON, its Prometheus form and llmqserve's
+// debug listener.
+func (cfg Config) Metrics() Metrics {
+	m := Metrics{Metrics: cfg.Runtime.Metrics()}
+	if cfg.Cluster != nil {
+		cm := cfg.Cluster.Metrics()
+		m.Cluster = &cm
+	}
+	return m
 }
 
 // handleMetrics serves GET /v1/metrics: the fleet-wide runtime accounting,
@@ -555,10 +548,10 @@ func handleMetrics(cfg Config, w http.ResponseWriter, r *http.Request) {
 	if prom {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write([]byte(renderPrometheus(rt.Metrics())))
+		_, _ = w.Write([]byte(renderPrometheus(cfg.Metrics())))
 		return
 	}
-	writeJSON(w, http.StatusOK, rt.Metrics())
+	writeJSON(w, http.StatusOK, cfg.Metrics())
 }
 
 // TracesResponse is the GET /v1/traces body: retained statement traces,

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"testing"
 
 	"repro/internal/runtime"
@@ -49,7 +48,7 @@ func sampleTable() TableJSON {
 }
 
 func TestHealth(t *testing.T) {
-	h := New()
+	h := NewWithConfig(Config{})
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -59,7 +58,7 @@ func TestHealth(t *testing.T) {
 }
 
 func TestReorderEndpoint(t *testing.T) {
-	rec := post(t, New(), "/v1/reorder", ReorderRequest{Table: sampleTable()})
+	rec := post(t, NewWithConfig(Config{}), "/v1/reorder", ReorderRequest{Table: sampleTable()})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -87,12 +86,12 @@ func TestReorderEndpoint(t *testing.T) {
 
 func TestReorderAlgorithms(t *testing.T) {
 	for _, alg := range []string{"ggr", "ophr", "bestfixed"} {
-		rec := post(t, New(), "/v1/reorder", ReorderRequest{Table: sampleTable(), Algorithm: alg})
+		rec := post(t, NewWithConfig(Config{}), "/v1/reorder", ReorderRequest{Table: sampleTable(), Algorithm: alg})
 		if rec.Code != http.StatusOK {
 			t.Errorf("%s: status %d: %s", alg, rec.Code, rec.Body.String())
 		}
 	}
-	rec := post(t, New(), "/v1/reorder", ReorderRequest{Table: sampleTable(), Algorithm: "bogus"})
+	rec := post(t, NewWithConfig(Config{}), "/v1/reorder", ReorderRequest{Table: sampleTable(), Algorithm: "bogus"})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bogus algorithm: status %d", rec.Code)
 	}
@@ -106,7 +105,7 @@ func TestReorderValidation(t *testing.T) {
 		{Columns: []string{"a"}, Rows: [][]string{{"1", "2"}}}, // ragged
 	}
 	for i, tj := range cases {
-		rec := post(t, New(), "/v1/reorder", ReorderRequest{Table: tj})
+		rec := post(t, NewWithConfig(Config{}), "/v1/reorder", ReorderRequest{Table: tj})
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("case %d: status %d", i, rec.Code)
 		}
@@ -116,7 +115,7 @@ func TestReorderValidation(t *testing.T) {
 func TestReorderMethodGuard(t *testing.T) {
 	req := httptest.NewRequest(http.MethodGet, "/v1/reorder", nil)
 	rec := httptest.NewRecorder()
-	New().ServeHTTP(rec, req)
+	NewWithConfig(Config{}).ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET allowed: %d", rec.Code)
 	}
@@ -124,7 +123,7 @@ func TestReorderMethodGuard(t *testing.T) {
 
 func TestEstimateEndpoint(t *testing.T) {
 	for _, provider := range []string{"openai", "anthropic", "gemini"} {
-		rec := post(t, New(), "/v1/estimate", EstimateRequest{
+		rec := post(t, NewWithConfig(Config{}), "/v1/estimate", EstimateRequest{
 			Provider: provider, HitOriginal: 0.1, HitGGR: 0.8,
 		})
 		if rec.Code != http.StatusOK {
@@ -138,18 +137,18 @@ func TestEstimateEndpoint(t *testing.T) {
 }
 
 func TestEstimateValidation(t *testing.T) {
-	rec := post(t, New(), "/v1/estimate", EstimateRequest{Provider: "nope", HitOriginal: 0.1, HitGGR: 0.8})
+	rec := post(t, NewWithConfig(Config{}), "/v1/estimate", EstimateRequest{Provider: "nope", HitOriginal: 0.1, HitGGR: 0.8})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("unknown provider: %d", rec.Code)
 	}
-	rec = post(t, New(), "/v1/estimate", EstimateRequest{Provider: "openai", HitOriginal: -1, HitGGR: 2})
+	rec = post(t, NewWithConfig(Config{}), "/v1/estimate", EstimateRequest{Provider: "openai", HitOriginal: -1, HitGGR: 2})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("out-of-range rates: %d", rec.Code)
 	}
 }
 
 func TestSimulateEndpoint(t *testing.T) {
-	h := New()
+	h := NewWithConfig(Config{})
 	run := func(policy string) SimulateResponse {
 		rec := post(t, h, "/v1/simulate", SimulateRequest{
 			Table: sampleTable(), Prompt: "Summarize the product", Policy: policy,
@@ -173,7 +172,7 @@ func TestSimulateEndpoint(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	h := New()
+	h := NewWithConfig(Config{})
 	rec := post(t, h, "/v1/simulate", SimulateRequest{Table: sampleTable()})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("missing prompt: %d", rec.Code)
@@ -192,12 +191,22 @@ func TestSimulateValidation(t *testing.T) {
 }
 
 func TestRejectsUnknownFields(t *testing.T) {
-	req := httptest.NewRequest(http.MethodPost, "/v1/estimate",
-		bytes.NewReader([]byte(`{"provider":"openai","hitOriginal":0.1,"hitGGR":0.5,"bogus":1}`)))
-	rec := httptest.NewRecorder()
-	New().ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown field accepted: %d", rec.Code)
+	h, _ := sqlHandler(t)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/estimate", `{"provider":"openai","hitOriginal":0.1,"hitGGR":0.5,"bogus":1}`},
+		// The pre-envelope /v1/sql spellings, retired after their deprecation
+		// window: rejected loudly, not half-honoured.
+		{"/v1/sql", `{"sql":"SELECT ticket_id FROM tickets","naive":true}`},
+		{"/v1/sql", `{"sql":"SELECT ticket_id FROM tickets","policy":"no-cache"}`},
+	} {
+		req := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader([]byte(tc.body)))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s: unknown field accepted: %d", tc.path, tc.body, rec.Code)
+		} else if code := decode[ErrorResponse](t, rec).Error.Code; code != ErrCodeInvalidRequest {
+			t.Errorf("%s %s: error code %q, want %q", tc.path, tc.body, code, ErrCodeInvalidRequest)
+		}
 	}
 }
 
@@ -221,7 +230,7 @@ func sqlHandlerWith(t testing.TB, cfg runtime.Config) (http.Handler, *runtime.Ru
 	db.Register("tickets", tbl)
 	rt := runtime.New(db, cfg)
 	t.Cleanup(rt.Close)
-	return NewWithRuntime(rt), rt
+	return NewWithConfig(Config{Runtime: rt}), rt
 }
 
 func TestSQLEndpoint(t *testing.T) {
@@ -277,45 +286,6 @@ func TestSQLEndpointNaiveToggle(t *testing.T) {
 	}
 	if len(naive.Deprecated) != 0 || len(planned.Deprecated) != 0 {
 		t.Errorf("options envelope flagged as deprecated: %v %v", naive.Deprecated, planned.Deprecated)
-	}
-}
-
-// TestSQLEndpointLegacyBody: a pre-envelope request body — top-level naive
-// and policy, no options object — still executes identically, and the
-// response carries deprecation warnings naming the replacement fields.
-func TestSQLEndpointLegacyBody(t *testing.T) {
-	h, _ := sqlHandler(t)
-	stmt := `SELECT ticket_id, LLM('Summarize.', request) AS s FROM tickets
-	         WHERE LLM('Summarize.', request) <> 'x' AND region = 'amer'`
-	raw := `{"sql": ` + strconv.Quote(stmt) + `, "naive": true, "policy": "no-cache"}`
-	req := httptest.NewRequest(http.MethodPost, "/v1/sql", bytes.NewReader([]byte(raw)))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("legacy body rejected: %d: %s", rec.Code, rec.Body.String())
-	}
-	legacy := decode[SQLResponse](t, rec)
-	if len(legacy.Deprecated) != 2 {
-		t.Errorf("deprecated warnings = %v, want one each for naive and policy", legacy.Deprecated)
-	}
-	enveloped := decode[SQLResponse](t, post(t, h, "/v1/sql", SQLRequest{
-		SQL: stmt, Options: &SQLOptions{Naive: true, Policy: "no-cache"},
-	}))
-	if len(legacy.Rows) != len(enveloped.Rows) || legacy.Stages != enveloped.Stages {
-		t.Errorf("legacy body executed differently: %d rows/%d stages vs %d rows/%d stages",
-			len(legacy.Rows), legacy.Stages, len(enveloped.Rows), enveloped.Stages)
-	}
-	// When both forms are present, the envelope wins.
-	raw = `{"sql": ` + strconv.Quote(stmt) + `, "naive": true, "options": {"policy": "no-cache"}}`
-	req = httptest.NewRequest(http.MethodPost, "/v1/sql", bytes.NewReader([]byte(raw)))
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	both := decode[SQLResponse](t, rec)
-	if both.Stages != enveloped.Stages-1 {
-		t.Errorf("envelope should win over top-level naive: stages = %d, want planned %d", both.Stages, enveloped.Stages-1)
-	}
-	if len(both.Deprecated) != 1 {
-		t.Errorf("deprecated warnings = %v, want one for naive", both.Deprecated)
 	}
 }
 
@@ -378,7 +348,7 @@ func TestSQLEndpointQuota(t *testing.T) {
 		},
 	})
 	t.Cleanup(rt.Close)
-	h := NewWithRuntime(rt)
+	h := NewWithConfig(Config{Runtime: rt})
 
 	stmt := `SELECT ticket_id, LLM('Is this urgent?', request) AS urgent FROM tickets`
 	if rec := post(t, h, "/v1/sql", SQLRequest{SQL: stmt, Client: "miser"}); rec.Code != http.StatusOK {
@@ -413,7 +383,7 @@ func TestSQLEndpointErrors(t *testing.T) {
 	if rec := post(t, h, "/v1/sql", SQLRequest{SQL: "SELECT nope FROM tickets"}); rec.Code != http.StatusUnprocessableEntity {
 		t.Errorf("unknown column: %d", rec.Code)
 	}
-	if rec := post(t, New(), "/v1/sql", SQLRequest{SQL: "SELECT a FROM t"}); rec.Code != http.StatusServiceUnavailable {
+	if rec := post(t, NewWithConfig(Config{}), "/v1/sql", SQLRequest{SQL: "SELECT a FROM t"}); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("no runtime: %d", rec.Code)
 	}
 }
@@ -480,7 +450,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	req = httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
 	rec = httptest.NewRecorder()
-	New().ServeHTTP(rec, req)
+	NewWithConfig(Config{}).ServeHTTP(rec, req)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("GET /v1/metrics without runtime: %d, want 503", rec.Code)
 	}
@@ -500,7 +470,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"sql missing", post(t, h, "/v1/sql", SQLRequest{}), http.StatusBadRequest, ErrCodeInvalidRequest},
 		{"sql bad class", post(t, h, "/v1/sql", SQLRequest{SQL: "SELECT region FROM tickets", Class: "nope"}), http.StatusBadRequest, ErrCodeInvalidRequest},
 		{"sql exec failure", post(t, h, "/v1/sql", SQLRequest{SQL: "SELECT nope FROM tickets"}), http.StatusUnprocessableEntity, ErrCodeExecutionFailed},
-		{"sql no runtime", post(t, New(), "/v1/sql", SQLRequest{SQL: "SELECT a FROM t"}), http.StatusServiceUnavailable, ErrCodeUnavailable},
+		{"sql no runtime", post(t, NewWithConfig(Config{}), "/v1/sql", SQLRequest{SQL: "SELECT a FROM t"}), http.StatusServiceUnavailable, ErrCodeUnavailable},
 		{"reorder bad table", post(t, h, "/v1/reorder", ReorderRequest{}), http.StatusBadRequest, ErrCodeInvalidRequest},
 		{"reorder bad algorithm", post(t, h, "/v1/reorder", ReorderRequest{Table: sampleTable(), Algorithm: "bogus"}), http.StatusBadRequest, ErrCodeInvalidRequest},
 		{"estimate bad provider", post(t, h, "/v1/estimate", EstimateRequest{Provider: "nope"}), http.StatusBadRequest, ErrCodeInvalidRequest},

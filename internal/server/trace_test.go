@@ -25,7 +25,7 @@ func slowHandler(t *testing.T) http.Handler {
 	rt := runtime.New(db, runtime.Config{Workers: 2,
 		SlowQueryThreshold: time.Nanosecond, TraceRingSize: 4})
 	t.Cleanup(rt.Close)
-	return NewWithRuntime(rt)
+	return NewWithConfig(Config{Runtime: rt})
 }
 
 // TestSQLTraceOption pins the options.trace round trip: the response carries
@@ -92,7 +92,7 @@ func TestTracesEndpoint(t *testing.T) {
 
 	// Without a runtime the endpoint reports unavailable, like /v1/sql.
 	rec = httptest.NewRecorder()
-	New().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces", nil))
+	NewWithConfig(Config{}).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("no-runtime /v1/traces = %d, want 503", rec.Code)
 	}

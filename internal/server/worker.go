@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -56,13 +55,10 @@ func (wk *Worker) SetDraining(v bool) { wk.draining.Store(v) }
 // Draining reports the drain flag.
 func (wk *Worker) Draining() bool { return wk.draining.Load() }
 
-// record accounts one served batch to its originating tenant.
+// record accounts one served batch to its originating (normalized) tenant.
 func (wk *Worker) record(client string, rows int) {
 	wk.batches.Add(1)
 	wk.rows.Add(int64(rows))
-	if client == "" {
-		client = "anon"
-	}
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
 	c := wk.clients[client]
@@ -168,29 +164,16 @@ func handleBatch(cfg Config, w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	res, err := wk.be.RunBatch(ctx, spec)
+	client := string(normalizeClient(wb.Client))
 	code := "ok"
-	switch {
-	case err == nil:
-		wk.record(wb.Client, len(spec.Requests))
+	if err == nil {
+		wk.record(client, len(spec.Requests))
 		writeJSON(w, http.StatusOK, backend.WireResult{Metrics: res.Metrics, ModelCalls: res.ModelCalls})
-	case errors.Is(err, context.Canceled):
+	} else {
 		wk.errors.Add(1)
-		code = ErrCodeCanceled
-		writeError(w, 499, ErrCodeCanceled, err) // client closed request (nginx convention)
-	case errors.Is(err, context.DeadlineExceeded):
-		wk.errors.Add(1)
-		code = ErrCodeDeadlineExceeded
-		writeError(w, http.StatusGatewayTimeout, ErrCodeDeadlineExceeded, err)
-	default:
-		wk.errors.Add(1)
-		code = ErrCodeExecutionFailed
-		writeError(w, http.StatusUnprocessableEntity, ErrCodeExecutionFailed, err)
+		code = writeExecError(w, err)
 	}
 	if wk.log != nil {
-		client := wb.Client
-		if client == "" {
-			client = "anon"
-		}
 		wk.log.Info("batch",
 			"client", client,
 			"class", wb.Class,

@@ -124,7 +124,7 @@ func TestWorkerBatchRejections(t *testing.T) {
 
 func TestWorkerBatchWithoutWorker(t *testing.T) {
 	// A plain (non -worker) server refuses /v1/batch with 503.
-	rec := post(t, New(), "/v1/batch", wireBatch("", "", 1))
+	rec := post(t, NewWithConfig(Config{}), "/v1/batch", wireBatch("", "", 1))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("status = %d, want 503", rec.Code)
 	}

@@ -162,17 +162,11 @@ func (db *DB) ExecContext(ctx context.Context, src string, cfg ExecConfig) (*Res
 	return db.ExecParsedContext(ctx, q, cfg)
 }
 
-// ExecParsed is Exec for an already-parsed statement (callers that inspect
-// the AST first, e.g. llmq.ExecSQL, avoid parsing twice). Binding resolves
-// q's column references in place, so q is consumed: executing it again
-// requires a fresh Parse (or a Prepared statement, which keeps the bound
-// form and both plans for repeated execution).
-func (db *DB) ExecParsed(q *Query, cfg ExecConfig) (*Result, error) {
-	//llmqlint:detached -- no-cancellation convenience wrapper over ExecParsedContext
-	return db.ExecParsedContext(context.Background(), q, cfg)
-}
-
-// ExecParsedContext is ExecParsed honoring ctx.
+// ExecParsedContext is ExecContext for an already-parsed statement (callers
+// that inspect the AST first, e.g. llmq.ExecSQL, avoid parsing twice).
+// Binding resolves q's column references in place, so q is consumed:
+// executing it again requires a fresh Parse (or a Prepared statement, which
+// keeps the bound form and both plans for repeated execution).
 func (db *DB) ExecParsedContext(ctx context.Context, q *Query, cfg ExecConfig) (*Result, error) {
 	st, err := db.prepareParsed(q)
 	if err != nil {

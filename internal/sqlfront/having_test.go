@@ -1,6 +1,7 @@
 package sqlfront
 
 import (
+	"context"
 	"reflect"
 	"strconv"
 	"testing"
@@ -244,12 +245,12 @@ func TestPreparedReusesAcrossConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := p.Exec(ExecConfig{})
+	first, err := p.ExecContext(context.Background(), ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := p.Exec(ExecConfig{Config: query.Config{Policy: query.CacheOriginal}})
+		again, err := p.ExecContext(context.Background(), ExecConfig{Config: query.Config{Policy: query.CacheOriginal}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestPreparedReusesAcrossConfigs(t *testing.T) {
 			t.Fatalf("run %d: %v != %v", i, again.Rows, first.Rows)
 		}
 	}
-	naive, err := p.Exec(ExecConfig{Naive: true})
+	naive, err := p.ExecContext(context.Background(), ExecConfig{Naive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestPreparedTracksReregistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Exec(ExecConfig{})
+	res, err := p.ExecContext(context.Background(), ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestPreparedTracksReregistration(t *testing.T) {
 		t.Fatalf("count = %v", res.Rows)
 	}
 	db.Register("t", tableFromRows(t, []string{"a"}, [][]string{{"x"}, {"y"}, {"z"}}))
-	res, err = p.Exec(ExecConfig{})
+	res, err = p.ExecContext(context.Background(), ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,19 +40,12 @@ func (db *DB) Prepare(src string) (*Prepared, error) {
 // SQL returns the statement text the handle was prepared from.
 func (p *Prepared) SQL() string { return p.src }
 
-// Exec runs the prepared statement. cfg.Naive selects the cached naive plan
-// instead of the optimized one; both were built at Prepare time, so the
-// toggle costs nothing. When the registry changed since preparation the
-// statement is re-prepared first (a changed FROM table may have a new
-// schema, making the cached binding invalid). Exec is ExecContext without
-// cancellation.
-func (p *Prepared) Exec(cfg ExecConfig) (*Result, error) {
-	//llmqlint:detached -- no-cancellation convenience wrapper over ExecContext
-	return p.ExecContext(context.Background(), cfg)
-}
-
-// ExecContext is Exec honoring ctx: cancellation is checked before every
-// LLM stage and between engine steps within one.
+// ExecContext runs the prepared statement. cfg.Naive selects the cached
+// naive plan instead of the optimized one; both were built at Prepare time,
+// so the toggle costs nothing. When the registry changed since preparation
+// the statement is re-prepared first (a changed FROM table may have a new
+// schema, making the cached binding invalid). Cancellation is checked before
+// every LLM stage and between engine steps within one.
 func (p *Prepared) ExecContext(ctx context.Context, cfg ExecConfig) (*Result, error) {
 	p.mu.Lock()
 	st := p.st

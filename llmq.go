@@ -189,7 +189,8 @@ func QueryByName(name string) (QuerySpec, error) { return query.ByName(name) }
 // RunQuery executes a benchmark query over t under cfg (model, cluster, and
 // scheduling policy) on the serving simulator.
 func RunQuery(spec QuerySpec, t *Table, cfg QueryConfig) (*QueryResult, error) {
-	return query.Run(spec, t, cfg)
+	//llmqlint:detached -- no-cancellation convenience wrapper over RunQueryContext
+	return RunQueryContext(context.Background(), spec, t, cfg)
 }
 
 // RunQueryContext is RunQuery honoring ctx: cancellation is checked before
@@ -456,7 +457,8 @@ func Experiments() []string { return bench.Experiments() }
 
 // RunExperiment regenerates one of the paper's tables or figures.
 func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentReport, error) {
-	return bench.Run(id, cfg)
+	//llmqlint:detached -- no-cancellation convenience wrapper over RunExperimentContext
+	return RunExperimentContext(context.Background(), id, cfg)
 }
 
 // RunExperimentContext is RunExperiment honoring ctx: a canceled context
