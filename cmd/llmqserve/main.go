@@ -140,7 +140,7 @@ func main() {
 		workerMode  = flag.Bool("worker", false, "run as a cluster worker: serve POST /v1/batch against the local -backend (no tables or runtime needed)")
 		clusterW    = flag.String("cluster-workers", "", "comma-separated worker addresses for -backend remote (the cluster router)")
 		faultSpec   = flag.String("faults", "", "chaos fault-injection spec (see docs/API.md): on a -worker it corrupts/aborts/delays served responses; with -backend remote it faults router→worker traffic")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "with -backend remote: hedge a batch to the next ring node after this long without an answer (0 = adaptive p99, negative disables)")
+		hedgeAfter  = flag.Duration("hedge-after", 0, "with -backend remote: hedge a batch to the next ring node after this long without an answer (0 = adaptive: the slowest of the last 128 successful batches; negative disables)")
 	)
 	flag.Parse()
 

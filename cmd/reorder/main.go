@@ -63,33 +63,21 @@ func main() {
 		}
 	}
 
-	lenOf := func(v string) int { return tokenizer.Count(v) }
-	var res *core.Result
-	switch *algorithm {
-	case "ggr":
-		res = core.GGR(t, core.DefaultGGROptions(lenOf))
-	case "ggr-exhaustive":
-		res = core.GGR(t, core.ExhaustiveGGROptions(lenOf))
-	case "ophr":
-		res, err = core.OPHR(t, core.OPHROptions{LenOf: lenOf})
-		if err != nil {
-			fatal(err)
-		}
-	case "bestfixed":
-		s := core.BestFixed(t, lenOf)
-		res = &core.Result{Schedule: s, PHC: core.PHC(s, lenOf)}
-	default:
-		fatal(fmt.Errorf("unknown algorithm %q", *algorithm))
+	// "ggr-exhaustive" is this command's spelling of the Exhaustive option.
+	solver, exhaustive := *algorithm, false
+	if solver == "ggr-exhaustive" {
+		solver, exhaustive = "ggr", true
 	}
-	if err := core.Verify(t, res.Schedule); err != nil {
+	res, err := core.Solve(t, solver, core.SolveOptions{LenOf: tokenizer.Count, Exhaustive: exhaustive})
+	if err != nil {
 		fatal(err)
 	}
 
 	orig := core.Original(t)
 	fmt.Fprintf(os.Stderr, "rows=%d cols=%d\n", t.NumRows(), t.NumCols())
-	fmt.Fprintf(os.Stderr, "PHC:      original=%d  %s=%d\n", core.PHC(orig, lenOf), *algorithm, res.PHC)
+	fmt.Fprintf(os.Stderr, "PHC:      original=%d  %s=%d\n", core.PHC(orig, tokenizer.Count), *algorithm, res.PHC)
 	fmt.Fprintf(os.Stderr, "hit rate: original=%.1f%%  %s=%.1f%%\n",
-		100*core.Hits(orig, lenOf).Rate(), *algorithm, 100*core.Hits(res.Schedule, lenOf).Rate())
+		100*core.Hits(orig, tokenizer.Count).Rate(), *algorithm, 100*core.Hits(res.Schedule, tokenizer.Count).Rate())
 	if *statsOnly {
 		return
 	}

@@ -30,16 +30,9 @@ type RetryBudget struct {
 }
 
 // NewRetryBudget builds a budget depositing ratio tokens per first attempt
-// with a bucket cap of burst tokens. Non-positive arguments take the
-// defaults (ratio 0.2, burst 10). The bucket starts full so startup
+// with a bucket cap of burst tokens. The bucket starts full so startup
 // turbulence can be retried through.
 func NewRetryBudget(ratio float64, burst int) *RetryBudget {
-	if ratio <= 0 {
-		ratio = 0.2
-	}
-	if burst <= 0 {
-		burst = 10
-	}
 	return &RetryBudget{ratio: ratio, burst: float64(burst), tokens: float64(burst)}
 }
 

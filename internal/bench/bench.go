@@ -2,7 +2,8 @@
 // of the paper's evaluation (the registry below is the index), plus ablation
 // benches for the design choices. Every runner returns a Report whose rows
 // mirror the paper's presentation, so `cmd/llmqbench -exp fig3a` regenerates
-// the corresponding artifact.
+// the corresponding artifact. All runners schedule in one length unit,
+// tokenizer.Count: PHC in tokens, matching what the KV cache stores.
 package bench
 
 import (
@@ -16,12 +17,7 @@ import (
 	"repro/internal/llmsim"
 	"repro/internal/query"
 	"repro/internal/table"
-	"repro/internal/tokenizer"
 )
-
-// tokenLen is the scheduling length unit shared by all runners: PHC in
-// tokens, matching what the KV cache stores.
-func tokenLen(v string) int { return tokenizer.Count(v) }
 
 // poolBlocks sizes the engine's KV pool for a run. At full scale the cost
 // model's derivation is used untouched (returns 0 = no override); at
@@ -310,7 +306,6 @@ func inputTable(name string, cfg Config) (*table.Table, error) {
 // --- small format helpers ---------------------------------------------------
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
-func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 func ratio(a, b float64) string {
 	if b == 0 {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/llmsim"
 	"repro/internal/query"
+	"repro/internal/tokenizer"
 )
 
 // runAblationFD isolates the functional-dependency inference (Sec. 4.2.1):
@@ -25,7 +26,7 @@ func runAblationFD(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		run := func(useFDs bool) (int64, float64) {
-			opt := core.DefaultGGROptions(tokenLen)
+			opt := core.DefaultGGROptions(tokenizer.Count)
 			opt.UseFDs = useFDs
 			start := time.Now()
 			res := core.GGR(d.Table, opt)
@@ -61,7 +62,7 @@ func runAblationDepth(cfg Config) (*Report, error) {
 	for _, depth := range []struct{ row, col int }{
 		{1, 1}, {2, 1}, {4, 2}, {8, 4}, {16, 8},
 	} {
-		opt := core.DefaultGGROptions(tokenLen)
+		opt := core.DefaultGGROptions(tokenizer.Count)
 		opt.MaxRowDepth = depth.row
 		opt.MaxColDepth = depth.col
 		start := time.Now()
@@ -73,7 +74,7 @@ func runAblationDepth(cfg Config) (*Report, error) {
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprint(depth.row), fmt.Sprint(depth.col),
 			fmt.Sprint(res.PHC),
-			pct(core.Hits(res.Schedule, tokenLen).Rate()),
+			pct(core.Hits(res.Schedule, tokenizer.Count).Rate()),
 			fmt.Sprintf("%.3f", elapsed),
 		})
 	}
@@ -97,7 +98,7 @@ func runAblationBlock(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched := core.GGR(tbl, core.DefaultGGROptions(tokenLen)).Schedule
+	sched := core.GGR(tbl, core.DefaultGGROptions(tokenizer.Count)).Schedule
 	cap16 := cfg.poolBlocks(llmsim.Llama3_8B, llmsim.SingleL4) // blocks of 16 tokens
 	for _, bs := range []int{8, 16, 32, 64, 128} {
 		capacity := int64(0)
@@ -146,9 +147,9 @@ func runAblationFixed(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		orig := core.Hits(core.Original(tbl), tokenLen).Rate()
-		fixed := core.Hits(core.BestFixed(tbl, tokenLen), tokenLen).Rate()
-		ggr := core.Hits(core.GGR(tbl, core.DefaultGGROptions(tokenLen)).Schedule, tokenLen).Rate()
+		orig := core.Hits(core.Original(tbl), tokenizer.Count).Rate()
+		fixed := core.Hits(core.BestFixed(tbl, tokenizer.Count), tokenizer.Count).Rate()
+		ggr := core.Hits(core.GGR(tbl, core.DefaultGGROptions(tokenizer.Count)).Schedule, tokenizer.Count).Rate()
 		rep.Rows = append(rep.Rows, []string{
 			ds, pct(orig), pct(fixed), pct(ggr),
 			fmt.Sprintf("%+.1f pts", 100*(ggr-fixed)),

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/llmsim"
 	"repro/internal/query"
+	"repro/internal/tokenizer"
 )
 
 func init() {
@@ -52,7 +53,7 @@ func runAblationOnline(cfg Config) (*Report, error) {
 			return outcome{hit: m.HitRate(), jct: m.JCT}, nil
 		}
 		orig := core.Original(tbl)
-		ggr := core.GGR(tbl, core.DefaultGGROptions(tokenLen)).Schedule
+		ggr := core.GGR(tbl, core.DefaultGGROptions(tokenizer.Count)).Schedule
 
 		fifo, err := run(orig, llmsim.FIFO)
 		if err != nil {
@@ -109,14 +110,14 @@ func runAblationWindow(cfg Config) (*Report, error) {
 			w = 1
 		}
 		start := time.Now()
-		res := core.GGRWindowed(tbl, core.DefaultGGROptions(tokenLen), w)
+		res := core.GGRWindowed(tbl, core.DefaultGGROptions(tokenizer.Count), w)
 		elapsed := time.Since(start).Seconds()
 		if err := core.Verify(tbl, res.Schedule); err != nil {
 			return nil, err
 		}
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprint(w),
-			pct(core.Hits(res.Schedule, tokenLen).Rate()),
+			pct(core.Hits(res.Schedule, tokenizer.Count).Rate()),
 			fmt.Sprint(res.PHC),
 			fmt.Sprintf("%.3f", elapsed),
 		})

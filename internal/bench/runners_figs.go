@@ -9,6 +9,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/query"
 	"repro/internal/table"
+	"repro/internal/tokenizer"
 )
 
 // runFig1a reproduces the Fig. 1a case study: a table whose first field is
@@ -264,7 +265,7 @@ func runFig6(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			ggrSched := core.GGR(tbl, core.DefaultGGROptions(tokenLen)).Schedule
+			ggrSched := core.GGR(tbl, core.DefaultGGROptions(tokenizer.Count)).Schedule
 			ggrMed, err := scheduleAccuracy(spec, tbl, ggrSched, prof, cfg)
 			if err != nil {
 				return nil, err

@@ -150,7 +150,7 @@ func runTable3(cfg Config) (*Report, error) {
 
 	schedules := map[string]*core.Schedule{
 		"Original": core.Original(tbl),
-		"GGR":      core.GGR(tbl, core.DefaultGGROptions(tokenLen)).Schedule,
+		"GGR":      core.GGR(tbl, core.DefaultGGROptions(tokenizer.Count)).Schedule,
 	}
 	spec, err := query.ForDataset("FEVER", query.RAGQA)
 	if err != nil {
@@ -257,7 +257,7 @@ func runTable5(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		start := time.Now()
-		res := core.GGR(tbl, core.DefaultGGROptions(tokenLen))
+		res := core.GGR(tbl, core.DefaultGGROptions(tokenizer.Count))
 		elapsed := time.Since(start)
 		if err := core.Verify(tbl, res.Schedule); err != nil {
 			return nil, err
@@ -313,7 +313,7 @@ func table6Row(ds string, tbl *table.Table, cfg Config) ([]string, error) {
 		}
 		sample := tbl.Head(n)
 		start := time.Now()
-		opt, err := core.OPHR(sample, core.OPHROptions{LenOf: tokenLen, MaxNodes: cfg.ophrBudget()})
+		opt, err := core.OPHR(sample, core.OPHROptions{LenOf: tokenizer.Count, MaxNodes: cfg.ophrBudget()})
 		optTime := time.Since(start)
 		if errors.Is(err, core.ErrBudget) {
 			continue // sample too large for the budget; try smaller
@@ -322,11 +322,11 @@ func table6Row(ds string, tbl *table.Table, cfg Config) ([]string, error) {
 			return nil, err
 		}
 		start = time.Now()
-		greedy := core.GGR(sample, core.ExhaustiveGGROptions(tokenLen))
+		greedy := core.GGR(sample, core.ExhaustiveGGROptions(tokenizer.Count))
 		ggrTime := time.Since(start)
 
-		optPHR := core.Hits(opt.Schedule, tokenLen).Rate()
-		ggrPHR := core.Hits(greedy.Schedule, tokenLen).Rate()
+		optPHR := core.Hits(opt.Schedule, tokenizer.Count).Rate()
+		ggrPHR := core.Hits(greedy.Schedule, tokenizer.Count).Rate()
 		return []string{
 			fmt.Sprintf("%s-%d", ds, n),
 			pct(optPHR), pct(ggrPHR),

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // Result summarizes a bootstrap distribution.
@@ -29,26 +31,26 @@ func Means(values []float64, reps int, seed int64) (Result, error) {
 	}
 	r := rand.New(rand.NewSource(seed))
 	n := len(values)
-	stats := make([]float64, reps)
+	means := make([]float64, reps)
 	for rep := 0; rep < reps; rep++ {
 		var sum float64
 		for i := 0; i < n; i++ {
 			sum += values[r.Intn(n)]
 		}
-		stats[rep] = sum / float64(n)
+		means[rep] = sum / float64(n)
 	}
-	sort.Float64s(stats)
+	sort.Float64s(means)
 	var mean float64
-	for _, s := range stats {
+	for _, s := range means {
 		mean += s
 	}
 	mean /= float64(reps)
 	return Result{
 		Reps:   reps,
 		Mean:   mean,
-		Median: percentile(stats, 0.50),
-		P5:     percentile(stats, 0.05),
-		P95:    percentile(stats, 0.95),
+		Median: stats.Quantile(means, 0.50),
+		P5:     stats.Quantile(means, 0.05),
+		P95:    stats.Quantile(means, 0.95),
 	}, nil
 }
 
@@ -61,13 +63,4 @@ func Accuracy(correct []bool, reps int, seed int64) (Result, error) {
 		}
 	}
 	return Means(vals, reps, seed)
-}
-
-// percentile reads the p-quantile from a sorted slice (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // BreakerState names a circuit breaker's position.
@@ -45,32 +47,44 @@ type breaker struct {
 	cfg breakerConfig
 
 	mu       sync.Mutex
-	state    BreakerState // guarded by mu
-	failures int          // consecutive failures; guarded by mu
-	outcomes []bool       // rolling window, true = failure; guarded by mu
-	next     int          // next outcome slot (ring index); guarded by mu
-	openedAt time.Time    // when the circuit last opened; guarded by mu
-	probing  bool         // half-open probe in flight; guarded by mu
-	opens    int64        // closed/half-open → open transitions; guarded by mu
+	state    BreakerState       // guarded by mu
+	failures int                // consecutive failures; guarded by mu
+	outcomes stats.Window[bool] // rolling window, true = failure; guarded by mu
+	openedAt time.Time          // when the circuit last opened; guarded by mu
+	probing  bool               // half-open probe in flight; guarded by mu
+	opens    int64              // closed/half-open → open transitions; guarded by mu
 }
 
+// What a breakerConfig's zero fields resolve to — the only values a Router
+// runs with (it sets threshold, from Config.MarkdownAfter, and nothing else).
+const (
+	// breakerWindow / breakerMinSamples / breakerErrorRate: half of the
+	// last 20 sends failing opens the circuit, and never on fewer than 10
+	// outcomes, so one bad batch on a quiet worker is left to threshold.
+	breakerWindow     = 20
+	breakerMinSamples = 10
+	breakerErrorRate  = 0.5
+	// breakerCooldown is how long an opened circuit blocks before one
+	// half-open probe batch is admitted. Health probes are never blocked
+	// and a healthy answer closes the circuit early, so it only has to be
+	// shorter than the 2 s health sweep for traffic to find a recovery first.
+	breakerCooldown = time.Second
+)
+
 func newBreaker(cfg breakerConfig) *breaker {
-	if cfg.threshold <= 0 {
-		cfg.threshold = 2
-	}
 	if cfg.window <= 0 {
-		cfg.window = 20
+		cfg.window = breakerWindow
 	}
 	if cfg.minSamples <= 0 {
-		cfg.minSamples = 10
+		cfg.minSamples = breakerMinSamples
 	}
 	if cfg.errorRate <= 0 || cfg.errorRate > 1 {
-		cfg.errorRate = 0.5
+		cfg.errorRate = breakerErrorRate
 	}
 	if cfg.cooldown <= 0 {
-		cfg.cooldown = time.Second
+		cfg.cooldown = breakerCooldown
 	}
-	return &breaker{cfg: cfg, state: BreakerClosed}
+	return &breaker{cfg: cfg, state: BreakerClosed, outcomes: stats.NewWindow[bool](cfg.window)}
 }
 
 // allow reports whether a batch may be dispatched to the worker right now.
@@ -112,12 +126,7 @@ func (b *breaker) record(failed bool, weight int) bool {
 	defer b.mu.Unlock()
 	// Rolling window: one slot per call (not per weight unit), so the rate
 	// reflects observed events.
-	if len(b.outcomes) < b.cfg.window {
-		b.outcomes = append(b.outcomes, failed)
-	} else {
-		b.outcomes[b.next] = failed
-		b.next = (b.next + 1) % b.cfg.window
-	}
+	b.outcomes.Add(failed)
 	if !failed {
 		b.failures = 0
 		b.probing = false
@@ -125,8 +134,7 @@ func (b *breaker) record(failed bool, weight int) bool {
 			b.state = BreakerClosed
 			// A recovered worker starts with a clean slate: stale window
 			// failures from before the outage must not instantly re-open.
-			b.outcomes = b.outcomes[:0]
-			b.next = 0
+			b.outcomes.Reset()
 		}
 		return false
 	}
@@ -149,16 +157,16 @@ func (b *breaker) record(failed bool, weight int) bool {
 //
 //llmqlint:holds mu
 func (b *breaker) rateTrippedLocked() bool {
-	if len(b.outcomes) < b.cfg.minSamples {
+	if b.outcomes.Len() < b.cfg.minSamples {
 		return false
 	}
 	fails := 0
-	for _, f := range b.outcomes {
+	for f := range b.outcomes.All() {
 		if f {
 			fails++
 		}
 	}
-	return float64(fails)/float64(len(b.outcomes)) >= b.cfg.errorRate
+	return float64(fails)/float64(b.outcomes.Len()) >= b.cfg.errorRate
 }
 
 // snapshot returns the current state and the open-transition count.

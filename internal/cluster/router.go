@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // Config sizes a Router.
@@ -23,50 +24,27 @@ type Config struct {
 	// Capacity is a worker's nominal concurrent-batch budget, the unit the
 	// fan-out and hot-replication decisions are made in (default 4).
 	Capacity int
-	// ReplicateWatermark is the in-flight batch count at which a stage's
-	// primary counts as saturated and the batch also considers the next
-	// ring node (default: Capacity).
-	ReplicateWatermark int
 	// HealthInterval is the period between health sweeps (default 2s;
 	// negative disables the health loop — worker circuits are then only
 	// opened by failed batches and never close without traffic).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one health probe (default 500ms).
-	HealthTimeout time.Duration
 	// MarkdownAfter is the circuit breaker's consecutive-failure threshold:
 	// how many consecutive probe failures open a worker's circuit (default
 	// 2; a failed batch counts MarkdownAfter at once, since it already
 	// survived the remote backend's own retries).
 	MarkdownAfter int
-	// BreakerCooldown is how long an opened circuit blocks before one
-	// half-open probe batch is admitted (default 1s). Health probes are
-	// never blocked, and a healthy probe answer closes the circuit early.
-	BreakerCooldown time.Duration
-	// BreakerWindow / BreakerMinSamples / BreakerErrorRate open the circuit
-	// on failure rate: with at least BreakerMinSamples outcomes in a
-	// rolling window of BreakerWindow, a failure fraction at or above
-	// BreakerErrorRate opens the circuit even without a consecutive streak
-	// (defaults 20 / 10 / 0.5).
-	BreakerWindow     int
-	BreakerMinSamples int
-	BreakerErrorRate  float64
 	// HedgeAfter controls hedged batch sends: after this long without an
 	// answer, the same part is also dispatched to the next admitted ring
 	// node and the first answer wins (the loser is canceled; only the
 	// winner's result is merged, so accounting never double-charges). Zero
-	// derives the delay from the router's observed p99 batch latency;
-	// negative disables hedging.
+	// is adaptive — the slowest of the last 128 successful batches; negative
+	// disables hedging.
 	HedgeAfter time.Duration
 	// MaxRetries / RetryBackoff configure each worker's backend.Remote
 	// (see backend.RemoteConfig); failover to the next ring node happens
 	// only after a worker exhausts these.
 	MaxRetries   int
 	RetryBackoff time.Duration
-	// RetryBudgetRatio / RetryBudgetBurst size the retry budget shared by
-	// every worker's Remote (see backend.RetryBudget; defaults 0.2 / 10).
-	// RetryBudgetBurst < 0 disables the budget.
-	RetryBudgetRatio float64
-	RetryBudgetBurst int
 	// HTTPClient is shared by batch dispatch and health probes; nil builds
 	// a default client. Chaos runs mount a faults.RoundTripper here.
 	HTTPClient *http.Client
@@ -79,25 +57,11 @@ func (c Config) capacity() int {
 	return 4
 }
 
-func (c Config) replicateWatermark() int {
-	if c.ReplicateWatermark > 0 {
-		return c.ReplicateWatermark
-	}
-	return c.capacity()
-}
-
 func (c Config) healthInterval() time.Duration {
 	if c.HealthInterval != 0 {
 		return c.HealthInterval
 	}
 	return 2 * time.Second
-}
-
-func (c Config) healthTimeout() time.Duration {
-	if c.HealthTimeout > 0 {
-		return c.HealthTimeout
-	}
-	return 500 * time.Millisecond
 }
 
 func (c Config) markdownAfter() int {
@@ -107,15 +71,19 @@ func (c Config) markdownAfter() int {
 	return 2
 }
 
-func (c Config) breaker() breakerConfig {
-	return breakerConfig{
-		threshold:  c.markdownAfter(),
-		window:     c.BreakerWindow,
-		minSamples: c.BreakerMinSamples,
-		errorRate:  c.BreakerErrorRate,
-		cooldown:   c.BreakerCooldown,
-	}
-}
+// healthTimeout bounds one health probe. A sweep probes the workers one
+// after another, so it stays well under the default 2 s sweep period: a
+// few hung workers cannot push one sweep into the next.
+const healthTimeout = 500 * time.Millisecond
+
+// retryBudgetRatio / retryBudgetBurst size the retry budget shared by every
+// worker's Remote (see backend.RetryBudget): retries stay under a fifth of
+// real traffic in steady state, and a cold or quiet router can still retry
+// through a burst of ten faults.
+const (
+	retryBudgetRatio = 0.2
+	retryBudgetBurst = 10
+)
 
 // defaultHedgeDelay is the adaptive hedge delay before any latency samples
 // exist — deliberately conservative so a cold router does not hedge its
@@ -147,7 +115,7 @@ func (w *worker) isDown() bool { return w.cb.isOpen() }
 //     open fails over to the next distinct ring node (counted as a ring
 //     move), so a broken worker's stages land deterministically on its
 //     successor.
-//  2. If the primary is saturated (in-flight ≥ ReplicateWatermark) the next
+//  2. If the primary is saturated (in-flight ≥ its capacity) the next
 //     ring node joins as a replica target (counted as a hot replication):
 //     the stage's prefix warms on a second node, trading one extra warm-up
 //     for parallelism — the dynamic version of backend.Sharded's static
@@ -190,9 +158,8 @@ type Router struct {
 	rebalanceJoins  atomic.Int64
 	rebalanceLeaves atomic.Int64
 
-	latMu   sync.Mutex
-	lats    []time.Duration // successful-batch latency reservoir; guarded by latMu
-	latNext int             // next reservoir slot; guarded by latMu
+	latMu sync.Mutex
+	lats  stats.Window[time.Duration] // latencies of the last successful batches; guarded by latMu
 
 	closed   atomic.Bool
 	stopOnce sync.Once
@@ -203,8 +170,8 @@ type Router struct {
 
 var _ backend.Backend = (*Router)(nil)
 
-// latencyWindow is the reservoir size the adaptive hedge delay derives its
-// p99 from.
+// latencyWindow is how many successful batches the adaptive hedge delay
+// looks back over.
 const latencyWindow = 128
 
 // NewRouter builds the router and starts its health loop.
@@ -217,10 +184,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	var budget *backend.RetryBudget
-	if cfg.RetryBudgetBurst >= 0 {
-		budget = backend.NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst)
-	}
+	budget := backend.NewRetryBudget(retryBudgetRatio, retryBudgetBurst)
 	workers := make(map[string]*worker, len(cfg.Workers))
 	for _, addr := range cfg.Workers {
 		w, err := newWorker(cfg, hc, budget, addr)
@@ -229,7 +193,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		}
 		workers[addr] = w
 	}
-	rt := &Router{cfg: cfg, hc: hc, budget: budget, ring: rg, workers: workers, stop: make(chan struct{})}
+	rt := &Router{cfg: cfg, hc: hc, budget: budget, ring: rg, workers: workers, stop: make(chan struct{}),
+		lats: stats.NewWindow[time.Duration](latencyWindow)}
 	if cfg.healthInterval() > 0 {
 		rt.loopDone.Add(1)
 		go rt.healthLoop(hc)
@@ -258,7 +223,7 @@ func newWorker(cfg Config, hc *http.Client, budget *backend.RetryBudget, addr st
 		healthURL: strings.TrimRight(base, "/") + "/healthz",
 		remote:    rem,
 		capacity:  cfg.capacity(),
-		cb:        newBreaker(cfg.breaker()),
+		cb:        newBreaker(breakerConfig{threshold: cfg.markdownAfter()}),
 	}, nil
 }
 
@@ -392,7 +357,9 @@ func (rt *Router) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend
 		rt.ringMoves.Add(1)
 	}
 	targets := []*worker{primary}
-	if primary.inflight.Load() >= int64(rt.cfg.replicateWatermark()) && len(cands) > 1 {
+	// The replication watermark is the capacity itself: a primary already
+	// running its nominal budget of batches has no spare slot to fan into.
+	if primary.inflight.Load() >= int64(primary.capacity) && len(cands) > 1 {
 		targets = append(targets, cands[1])
 		rt.hotReplications.Add(1)
 	}
@@ -594,7 +561,7 @@ func (rt *Router) hedgeDelay(ctx context.Context) (time.Duration, bool) {
 		return 0, false
 	}
 	if d == 0 {
-		if d = rt.latencyP99(); d == 0 {
+		if d = rt.slowestRecent(); d == 0 {
 			d = defaultHedgeDelay
 		}
 	}
@@ -615,7 +582,9 @@ func (rt *Router) send(ctx context.Context, part backend.BatchSpec, w *worker) (
 	res, err := w.remote.RunBatch(ctx, part)
 	w.inflight.Add(-1)
 	if err == nil {
-		rt.observeLatency(time.Since(start))
+		rt.latMu.Lock()
+		rt.lats.Add(time.Since(start))
+		rt.latMu.Unlock()
 		w.cb.record(false, 1)
 		return res, nil
 	}
@@ -628,34 +597,17 @@ func (rt *Router) send(ctx context.Context, part backend.BatchSpec, w *worker) (
 	return backend.BatchResult{}, err
 }
 
-// observeLatency folds one successful batch latency into the reservoir the
-// adaptive hedge delay derives its p99 from.
-func (rt *Router) observeLatency(d time.Duration) {
+// slowestRecent is the adaptive hedge delay: the slowest of the last
+// latencyWindow successful batches (0 with none yet) — a part is hedged
+// only once it has run longer than anything recently seen to succeed.
+func (rt *Router) slowestRecent() time.Duration {
 	rt.latMu.Lock()
 	defer rt.latMu.Unlock()
-	if len(rt.lats) < latencyWindow {
-		rt.lats = append(rt.lats, d)
-		return
+	var slowest time.Duration
+	for d := range rt.lats.All() {
+		slowest = max(slowest, d)
 	}
-	rt.lats[rt.latNext] = d
-	rt.latNext = (rt.latNext + 1) % latencyWindow
-}
-
-// latencyP99 reports the reservoir's p99 batch latency (0 with no samples).
-func (rt *Router) latencyP99() time.Duration {
-	rt.latMu.Lock()
-	defer rt.latMu.Unlock()
-	if len(rt.lats) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(rt.lats))
-	copy(sorted, rt.lats)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := (len(sorted)*99 + 99) / 100
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return slowest
 }
 
 // snapshotWorkers copies the live worker set for lock-free iteration.
@@ -694,8 +646,8 @@ func (rt *Router) healthLoop(hc *http.Client) {
 func (rt *Router) probe(hc *http.Client, w *worker) {
 	// The health loop outlives any one batch; its probes are detached from
 	// request contexts by design.
-	//llmqlint:detached -- background health loop, bounded by HealthTimeout
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.healthTimeout())
+	//llmqlint:detached -- background health loop, bounded by healthTimeout
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.healthURL, nil)
 	if err != nil {

@@ -289,10 +289,9 @@ func TestClusterHotStageReplication(t *testing.T) {
 	defer srvB.Close()
 
 	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:            []string{srvA.URL, srvB.URL},
-		Capacity:           1,
-		ReplicateWatermark: 1,
-		HealthInterval:     -1,
+		Workers:        []string{srvA.URL, srvB.URL},
+		Capacity:       1,
+		HealthInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

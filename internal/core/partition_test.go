@@ -1,164 +1,9 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/table"
 )
-
-// schedulesUnderTest produces a spread of schedule shapes for the partition
-// properties: GGR over entity tables (grouped prefixes), the identity
-// schedule (groups are runs of equal first cells), and best-fixed ordering.
-func schedulesUnderTest(t *testing.T, r *rand.Rand) []*Schedule {
-	t.Helper()
-	var out []*Schedule
-	for trial := 0; trial < 12; trial++ {
-		tb := entityTable(r, 2+r.Intn(50), 1+r.Intn(8))
-		out = append(out,
-			GGR(tb, GGROptions{LenOf: table.CharLen, UseFDs: true}).Schedule,
-			Original(tb),
-			BestFixed(tb, table.CharLen),
-		)
-	}
-	return out
-}
-
-// groupOf maps every source row of s to the index of its top-level group.
-func groupOf(s *Schedule) map[int]int {
-	starts := GroupStarts(s)
-	bySource := make(map[int]int, len(s.Rows))
-	g := -1
-	for i, row := range s.Rows {
-		if g+1 < len(starts) && starts[g+1] == i {
-			g++
-		}
-		bySource[row.Source] = g
-	}
-	return bySource
-}
-
-// TestPartitionScheduleProperties is the satellite property suite: shard
-// concatenation is a permutation of the input, groups are never split, token
-// imbalance stays within the greedy bound, cuts never lose hit tokens, and
-// n=1 is the identity.
-func TestPartitionScheduleProperties(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	for _, s := range schedulesUnderTest(t, r) {
-		groups := groupOf(s)
-		for _, n := range []int{1, 2, 3, 4, 8, 64} {
-			shards, stats := PartitionScheduleStats(s, n, table.CharLen)
-
-			if n == 1 {
-				if len(shards) != 1 || shards[0] != s {
-					t.Fatalf("n=1 must return the schedule itself, got %d shards", len(shards))
-				}
-			}
-			if len(shards) > n || len(shards) != stats.Shards {
-				t.Fatalf("n=%d: %d shards (stats says %d)", n, len(shards), stats.Shards)
-			}
-			if stats.Groups != len(GroupStarts(s)) {
-				t.Fatalf("stats.Groups = %d, GroupStarts found %d", stats.Groups, len(GroupStarts(s)))
-			}
-			if len(shards) > stats.Groups {
-				t.Fatalf("n=%d: %d shards exceed %d groups (a group was split)", n, len(shards), stats.Groups)
-			}
-
-			// Permutation: every source row appears exactly once across shards.
-			seen := make(map[int]bool, len(s.Rows))
-			total := 0
-			for _, shard := range shards {
-				total += len(shard.Rows)
-				for _, row := range shard.Rows {
-					if seen[row.Source] {
-						t.Fatalf("n=%d: source %d scheduled in two shards", n, row.Source)
-					}
-					seen[row.Source] = true
-				}
-			}
-			if total != len(s.Rows) {
-				t.Fatalf("n=%d: shards hold %d rows, schedule has %d", n, total, len(s.Rows))
-			}
-
-			// Shards keep schedule order (groups in ascending index, rows in
-			// schedule order within them) with cells untouched.
-			for si, shard := range shards {
-				lastIdx := -1
-				for _, row := range shard.Rows {
-					idx := sourceIndex(s, row.Source)
-					if idx <= lastIdx {
-						t.Fatalf("n=%d shard %d: schedule order not preserved", n, si)
-					}
-					lastIdx = idx
-					if !reflect.DeepEqual(row.Cells, s.Rows[idx].Cells) {
-						t.Fatalf("n=%d shard %d: cells of source %d changed", n, si, row.Source)
-					}
-				}
-			}
-			// Groups never split: all rows of one group share a shard.
-			assign := make(map[int]int) // group -> shard
-			for si, shard := range shards {
-				for _, row := range shard.Rows {
-					g := groups[row.Source]
-					if prev, ok := assign[g]; ok && prev != si {
-						t.Fatalf("n=%d: group %d split across shards %d and %d", n, g, prev, si)
-					}
-					assign[g] = si
-				}
-			}
-
-			// Greedy balance bound: max shard load <= total/shards + max
-			// group weight.
-			if len(shards) > 1 {
-				var totalTok, maxShard int64
-				for _, w := range stats.ShardTokens {
-					totalTok += w
-					if w > maxShard {
-						maxShard = w
-					}
-				}
-				maxGroup := maxGroupTokens(s, table.CharLen)
-				bound := totalTok/int64(len(shards)) + maxGroup
-				if maxShard > bound {
-					t.Fatalf("n=%d: max shard %d tokens exceeds greedy bound %d (total %d, max group %d)",
-						n, maxShard, bound, totalTok, maxGroup)
-				}
-			}
-
-			// Prefix coherence: cutting at group boundaries never forfeits
-			// adjacent-row hit tokens.
-			if stats.LostHitTokens > 0 {
-				t.Fatalf("n=%d: cuts lost %d hit tokens; group-boundary cuts must be free",
-					n, stats.LostHitTokens)
-			}
-		}
-	}
-}
-
-func sourceIndex(s *Schedule, source int) int {
-	for i, row := range s.Rows {
-		if row.Source == source {
-			return i
-		}
-	}
-	return -1
-}
-
-func maxGroupTokens(s *Schedule, lenOf table.LenFunc) int64 {
-	starts := GroupStarts(s)
-	var max int64
-	for g, start := range starts {
-		end := len(s.Rows)
-		if g+1 < len(starts) {
-			end = starts[g+1]
-		}
-		if w := scheduleTokens(s.Rows[start:end], lenOf); w > max {
-			max = w
-		}
-	}
-	return max
-}
 
 // TestGroupStartsBoundaries pins the boundary definition on a hand-built
 // schedule: a new group exactly where the first cell changes.

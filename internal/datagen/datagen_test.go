@@ -263,7 +263,7 @@ func TestStatsFavorEntityColumns(t *testing.T) {
 	// Sanity for the solver: on Movies, the stats score of movieinfo (long,
 	// repeated) must dominate reviewcontent (long, unique).
 	d := Movies(small)
-	s := table.ComputeStats(d.Table, func(v string) int { return tokenizer.Count(v) })
+	s := table.ComputeStats(d.Table, tokenizer.Count)
 	if s.Score("movieinfo") <= s.Score("reviewcontent") {
 		t.Errorf("movieinfo score %.1f not above reviewcontent %.1f",
 			s.Score("movieinfo"), s.Score("reviewcontent"))

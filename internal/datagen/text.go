@@ -158,16 +158,6 @@ func newZipf(r *rand.Rand, s float64, n int) *rand.Zipf {
 	return rand.NewZipf(r, s, 1.0, uint64(n-1))
 }
 
-// shuffled returns a random permutation of [0, n).
-func shuffled(r *rand.Rand, n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // fmtRating renders a bounded numeric score like "17/20".
 func fmtRating(r *rand.Rand, maxVal int) string {
 	return fmt.Sprintf("%d/%d", 1+r.Intn(maxVal), maxVal)

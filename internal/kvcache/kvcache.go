@@ -146,9 +146,6 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// BlockSize returns the configured tokens-per-block.
-func (c *Cache) BlockSize() int { return c.cfg.BlockSize }
-
 // UsedBlocks returns total blocks currently allocated.
 func (c *Cache) UsedBlocks() int64 { return c.used }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/kvcache"
+	"repro/internal/stats"
 	"repro/internal/tokenizer"
 )
 
@@ -317,9 +318,9 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 		}
 		m.MeanLatency = sum / float64(len(latencies))
 		sort.Float64s(latencies)
-		m.P50Latency = latencies[len(latencies)*50/100]
-		m.P95Latency = latencies[min(len(latencies)*95/100, len(latencies)-1)]
-		m.P99Latency = latencies[min(len(latencies)*99/100, len(latencies)-1)]
+		m.P50Latency = stats.Quantile(latencies, 0.50)
+		m.P95Latency = stats.Quantile(latencies, 0.95)
+		m.P99Latency = stats.Quantile(latencies, 0.99)
 	}
 	m.Cache = e.cache.Stats()
 	if err := tr.Err(); err != nil {
@@ -344,13 +345,3 @@ func (e *Engine) pickCacheAware(waiting []*Request) int {
 	}
 	return best
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Cache exposes the engine's cache for inspection in tests.
-func (e *Engine) Cache() *kvcache.Cache { return e.cache }

@@ -110,8 +110,11 @@ func TestRingEvictsFIFO(t *testing.T) {
 		}
 	}
 
-	if NewRing(0).buf == nil || len(NewRing(0).buf) != 1 {
-		t.Error("NewRing(0) did not clamp capacity to 1")
+	one := NewRing(0)
+	one.Add(&Trace{SQL: "a"})
+	one.Add(&Trace{SQL: "b"})
+	if snap := one.Snapshot(); len(snap) != 1 || snap[0].SQL != "b" {
+		t.Errorf("NewRing(0) did not clamp capacity to 1: retained %d traces", len(snap))
 	}
 	var nilRing *Ring
 	nilRing.Add(&Trace{})
@@ -237,25 +240,5 @@ func TestRollupsEvictLeastRecentlyObserved(t *testing.T) {
 	}
 	if counts["early"] != 6 {
 		t.Errorf("early recurring key count = %d, want 6 (never evicted)", counts["early"])
-	}
-}
-
-// TestPercentile pins nearest-rank semantics on the JCT reservoir.
-func TestPercentile(t *testing.T) {
-	var s []float64
-	for i := 1; i <= 100; i++ {
-		s = append(s, float64(i))
-	}
-	if got := percentile(s, 0.99); got != 99 {
-		t.Errorf("p99 of 1..100 = %g, want 99", got)
-	}
-	if got := percentile(s, 1); got != 100 {
-		t.Errorf("p100 = %g, want 100", got)
-	}
-	if got := percentile([]float64{7}, 0.5); got != 7 {
-		t.Errorf("p50 of one sample = %g, want 7", got)
-	}
-	if got := percentile(nil, 0.99); got != 0 {
-		t.Errorf("p99 of empty = %g, want 0", got)
 	}
 }

@@ -2,11 +2,12 @@ package obs
 
 import (
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
 	"repro/internal/lru"
+	"repro/internal/stats"
 )
 
 // rollupSampleCap bounds the per-key JCT reservoir the p99 is computed
@@ -64,8 +65,7 @@ type rollup struct {
 	inflightDeduped int64
 	rowsDeduped     int64
 
-	samples    []float64 // circular JCT reservoir for the p99
-	sampleNext int
+	samples stats.Window[float64] // JCT reservoir for the p99
 }
 
 // NewRollups returns a store bounded to limit distinct stage keys
@@ -96,12 +96,7 @@ func (r *Rollups) Observe(ob StageObservation) {
 		ru.filteredRows += int64(ob.Rows)
 		ru.filteredRowsOut += int64(ob.RowsOut)
 	}
-	if len(ru.samples) < rollupSampleCap {
-		ru.samples = append(ru.samples, ob.JCTSeconds)
-	} else {
-		ru.samples[ru.sampleNext] = ob.JCTSeconds
-		ru.sampleNext = (ru.sampleNext + 1) % rollupSampleCap
-	}
+	ru.samples.Add(ob.JCTSeconds)
 }
 
 // ObserveCache folds one stage execution's result-cache outcomes into its
@@ -128,7 +123,7 @@ func (r *Rollups) ObserveCache(stageKey string, hits, misses, inflightDeduped, r
 func (r *Rollups) getLocked(key string) *rollup {
 	ru, ok := r.m.Get(key)
 	if !ok {
-		ru = &rollup{id: shortID(key)}
+		ru = &rollup{id: shortID(key), samples: stats.NewWindow[float64](rollupSampleCap)}
 		r.m.Put(key, ru)
 	}
 	return ru
@@ -186,7 +181,7 @@ func (r *Rollups) Snapshot() map[string]StageRollup {
 			JCTSeconds:      ru.jctSeconds,
 			SolverSeconds:   ru.solverSeconds,
 			MeanJCTSeconds:  0,
-			P99JCTSeconds:   percentile(ru.samples, 0.99),
+			P99JCTSeconds:   stats.Quantile(slices.Sorted(ru.samples.All()), 0.99),
 			Selectivity:     -1,
 			CacheHitRate:    0,
 			CacheHits:       ru.cacheHits,
@@ -206,25 +201,6 @@ func (r *Rollups) Snapshot() map[string]StageRollup {
 		out[ru.id] = sr
 	}
 	return out
-}
-
-// percentile returns the p-quantile (0 < p <= 1) of samples by
-// nearest-rank on a sorted copy; 0 when empty.
-func percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	idx := int(p*float64(len(s))+0.999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }
 
 // shortID is the display key: FNV-64a of the full stage fingerprint in

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Trace is one completed statement's identity plus rendered span tree: the
@@ -22,18 +25,13 @@ type Trace struct {
 // Ring is the bounded FIFO buffer behind GET /v1/traces: once full, every
 // Add evicts the oldest retained trace.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []*Trace // guarded by mu; circular, next points at the eviction slot
-	next  int      // guarded by mu
-	count int      // guarded by mu
+	mu  sync.Mutex
+	buf stats.Window[*Trace] // guarded by mu
 }
 
 // NewRing returns a ring retaining up to capacity traces (minimum 1).
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]*Trace, capacity)}
+	return &Ring{buf: stats.NewWindow[*Trace](capacity)}
 }
 
 // Add retains t, evicting the oldest trace when the ring is full. Nil
@@ -43,11 +41,7 @@ func (r *Ring) Add(t *Trace) {
 		return
 	}
 	r.mu.Lock()
-	r.buf[r.next] = t
-	r.next = (r.next + 1) % len(r.buf)
-	if r.count < len(r.buf) {
-		r.count++
-	}
+	r.buf.Add(t)
 	r.mu.Unlock()
 }
 
@@ -58,11 +52,7 @@ func (r *Ring) Snapshot() []*Trace {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*Trace, 0, r.count)
-	for i := 1; i <= r.count; i++ {
-		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
-	}
-	return out
+	return slices.AppendSeq(make([]*Trace, 0, r.buf.Len()), r.buf.All())
 }
 
 // Len reports how many traces are retained.
@@ -72,5 +62,5 @@ func (r *Ring) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.count
+	return r.buf.Len()
 }

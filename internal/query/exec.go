@@ -95,10 +95,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// tokenLen is the LenFunc used for scheduling objectives: PHC in token units
-// aligns the solver with what the KV cache stores.
-func tokenLen(v string) int { return tokenizer.Count(v) }
-
 // StageResult reports one LLM invocation stage.
 //
 // Counting fields are conserved accounting: the llmqlint accounting
@@ -324,7 +320,9 @@ func KeyFieldRelPos(cells []core.Cell, field string) float64 {
 // buildSchedule computes the request ordering for the policy, timing the
 // solver. GGR solves consult cfg.ReorderCache (keyed by stageKey plus the
 // table's content hash) when one is attached, so a batch window identical to
-// an earlier one skips the solve entirely.
+// an earlier one skips the solve entirely. Every objective is measured with
+// tokenizer.Count: PHC in token units aligns the solver with what the KV
+// cache stores.
 func buildSchedule(tbl *table.Table, cfg Config, stageKey string) (*core.Schedule, int64, time.Duration, error) {
 	start := time.Now()
 	var sched *core.Schedule
@@ -332,9 +330,9 @@ func buildSchedule(tbl *table.Table, cfg Config, stageKey string) (*core.Schedul
 	case NoCache, CacheOriginal:
 		sched = core.Original(tbl)
 	case CacheBestFixed:
-		sched = core.BestFixed(tbl, tokenLen)
+		sched = core.BestFixed(tbl, tokenizer.Count)
 	case CacheGGR, "":
-		opt := core.DefaultGGROptions(tokenLen)
+		opt := core.DefaultGGROptions(tokenizer.Count)
 		if cfg.GGR != nil {
 			opt = *cfg.GGR
 		}
@@ -353,7 +351,7 @@ func buildSchedule(tbl *table.Table, cfg Config, stageKey string) (*core.Schedul
 		return nil, 0, 0, fmt.Errorf("query: unknown policy %q", cfg.Policy)
 	}
 	elapsed := time.Since(start)
-	return sched, core.PHC(sched, tokenLen), elapsed, nil
+	return sched, core.PHC(sched, tokenizer.Count), elapsed, nil
 }
 
 // RunContext executes a complete benchmark query over its input table. For

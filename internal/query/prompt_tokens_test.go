@@ -79,7 +79,7 @@ func TestPromptTokensMatchWholeRowWalk(t *testing.T) {
 // schedule, where per-row field orders differ and values repeat.
 func TestPromptTokensOnSolvedSchedule(t *testing.T) {
 	tbl := cacheTestTable(60, "")
-	sched := core.GGR(tbl, core.DefaultGGROptions(tokenLen)).Schedule
+	sched := core.GGR(tbl, core.DefaultGGROptions(tokenizer.Count)).Schedule
 	checkPromptTokens(t, "Summarize the text.", sched)
 }
 

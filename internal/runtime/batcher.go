@@ -14,7 +14,7 @@ import (
 // batcher coalesces pending LLM calls from concurrent statements into shared
 // engine runs. Submissions are grouped by stage fingerprint (same prompt,
 // schema, answer alphabet, and serving config — see stageFingerprint); a
-// group stays open for its batch window, or until it reaches MaxBatchRows,
+// group stays open for its batch window, or until it reaches maxBatchRows,
 // then flushes as one GGR-reordered stage over the union of its members'
 // rows. Rows from different statements that share the prompt prefix are
 // therefore scheduled next to each other, so the prefix cache hits across
@@ -34,6 +34,11 @@ type batcher struct {
 	mu     sync.Mutex
 	groups map[string]*group // guarded by mu
 }
+
+// maxBatchRows flushes a group early once it holds this many rows: the cap
+// bounds one engine run's memory and solver time however long a batch-class
+// window stays open.
+const maxBatchRows = 4096
 
 // member is one statement's contribution to a group: the rows of its stage
 // table it needs computed. The flush closes done and fills outputs (aligned
@@ -135,7 +140,7 @@ func (b *batcher) submit(ctx context.Context, fp string, spec query.Spec, tbl *t
 	}
 	g.members = append(g.members, m)
 	g.rows += len(rows)
-	full := b.rt.cfg.maxBatchRows() > 0 && g.rows >= b.rt.cfg.maxBatchRows()
+	full := g.rows >= maxBatchRows
 	b.mu.Unlock()
 	if shortened {
 		b.rt.c.batchWindowsShortened.Add(1)

@@ -1,9 +1,7 @@
 package runtime
 
 import (
-	"encoding/json"
 	"flag"
-	"os"
 	"testing"
 	"time"
 
@@ -20,11 +18,6 @@ var benchBackend = flag.String("backend", "sim", "serving backend for the multi-
 // benchShards selects the fan-out width for BenchmarkShardedServing; the
 // bench always compares against an unsharded run of the same workload.
 var benchShards = flag.Int("shards", 4, "shard count for the sharded serving bench")
-
-// servingBaseline, when set, writes a BENCH_serving.json perf baseline
-// (JCT, model calls, hit tokens at shards 1 and N) to the given path so
-// future changes have a trajectory to compare against.
-var servingBaseline = flag.String("serving-baseline", "", "path to write the serving perf baseline JSON ('' disables)")
 
 // benchBackendFor resolves the flag into a fresh backend and reports
 // whether the persistent comparison should run.
@@ -146,19 +139,8 @@ func BenchmarkMultiClientServing(b *testing.B) {
 	}
 }
 
-// shardPoint is one row of the BENCH_serving.json baseline.
-type shardPoint struct {
-	Shards        int     `json:"shards"`
-	JCTSeconds    float64 `json:"jctSeconds"`
-	ModelCalls    int64   `json:"modelCalls"`
-	HitTokens     int64   `json:"hitTokens"`
-	PromptTokens  int64   `json:"promptTokens"`
-	ReorderSolves int64   `json:"reorderSolves"`
-}
-
-// runShardPoint serves the hot-stage workload once at the given fan-out and
-// reports the fleet metrics as a baseline row.
-func runShardPoint(b *testing.B, shards, rows int) (shardPoint, Metrics) {
+// runShardPoint serves the hot-stage workload once at the given fan-out.
+func runShardPoint(b *testing.B, shards, rows int) Metrics {
 	var be backend.Backend = backend.NewSim()
 	if shards > 1 {
 		sh, err := backend.NewSharded(be, shards)
@@ -169,14 +151,7 @@ func runShardPoint(b *testing.B, shards, rows int) (shardPoint, Metrics) {
 	}
 	defer be.Close()
 	m, _ := runHotWorkload(b, be, rows)
-	return shardPoint{
-		Shards:        shards,
-		JCTSeconds:    m.TotalJCT,
-		ModelCalls:    m.LLMCalls,
-		HitTokens:     m.MatchedTokens,
-		PromptTokens:  m.PromptTokens,
-		ReorderSolves: m.ReorderSolves,
-	}, m
+	return m
 }
 
 // BenchmarkShardedServing is the data-parallel acceptance artifact: the
@@ -184,42 +159,26 @@ func runShardPoint(b *testing.B, shards, rows int) (shardPoint, Metrics) {
 // one stage fingerprint) served at -shards (default 4) versus unsharded.
 // The sharded run's total virtual JCT must be strictly below the unsharded
 // run's, with prefix hit tokens at >= 90% — asserted on every run,
-// including the 1x CI smoke. With -serving-baseline the comparison is also
-// written out as BENCH_serving.json for the perf trajectory.
+// including the 1x CI smoke.
 func BenchmarkShardedServing(b *testing.B) {
 	const rows = 72
-	var one, many shardPoint
+	var one, many Metrics
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		one, _ = runShardPoint(b, 1, rows)
-		many, _ = runShardPoint(b, *benchShards, rows)
+		one = runShardPoint(b, 1, rows)
+		many = runShardPoint(b, *benchShards, rows)
 	}
-	if many.JCTSeconds >= one.JCTSeconds {
+	if many.TotalJCT >= one.TotalJCT {
 		b.Fatalf("shards=%d JCT %.2fs, want strictly below shards=1 JCT %.2fs",
-			*benchShards, many.JCTSeconds, one.JCTSeconds)
+			*benchShards, many.TotalJCT, one.TotalJCT)
 	}
-	if min := one.HitTokens * 9 / 10; many.HitTokens < min {
+	if min := one.MatchedTokens * 9 / 10; many.MatchedTokens < min {
 		b.Fatalf("shards=%d hit tokens %d, want >= 90%% of shards=1's %d",
-			*benchShards, many.HitTokens, one.HitTokens)
+			*benchShards, many.MatchedTokens, one.MatchedTokens)
 	}
-	b.ReportMetric(one.JCTSeconds, "jct-1shard-s/op")
-	b.ReportMetric(many.JCTSeconds, "jct-Nshard-s/op")
-	b.ReportMetric(float64(many.HitTokens), "hit-tok/op")
-	if *servingBaseline != "" {
-		out, err := json.MarshalIndent(struct {
-			Workload string       `json:"workload"`
-			Rows     int          `json:"rows"`
-			Points   []shardPoint `json:"points"`
-		}{Workload: "hot-stage 4-client coalesced batch", Rows: rows,
-			Points: []shardPoint{one, many}}, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(*servingBaseline, append(out, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("serving baseline written to %s", *servingBaseline)
-	}
+	b.ReportMetric(one.TotalJCT, "jct-1shard-s/op")
+	b.ReportMetric(many.TotalJCT, "jct-Nshard-s/op")
+	b.ReportMetric(float64(many.MatchedTokens), "hit-tok/op")
 }
 
 // BenchmarkReorderCacheServing pins the amortized planning cost: two

@@ -153,13 +153,6 @@ func (q *fairQueue) close() {
 	q.mu.Unlock()
 }
 
-// len reports queued statements (tests and backpressure introspection).
-func (q *fairQueue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
-}
-
 //llmqlint:holds mu
 func (q *fairQueue) enqueueLocked(j *job) {
 	if q.fifo {

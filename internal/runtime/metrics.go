@@ -27,7 +27,6 @@ type counters struct {
 	coalescedRuns   atomic.Int64
 	coalescedRows   atomic.Int64
 	llmCalls        atomic.Int64
-	directStages    atomic.Int64
 	jctMicros       atomic.Int64
 	solverMicros    atomic.Int64
 	promptTokens    atomic.Int64
@@ -79,9 +78,6 @@ type Totals struct {
 	// LLMCalls counts rows actually sent to the serving engine — the number
 	// the result cache and both dedup layers exist to minimize.
 	LLMCalls int64 `json:"llmCalls"`
-	// DirectStages counts stages executed outside the cache/batch path
-	// (specs without content row keys cannot be cached).
-	DirectStages int64 `json:"directStages"`
 
 	// ReorderCacheHits / ReorderCacheMisses count GGR reorder-cache lookups
 	// by the stage scheduler; ReorderSolves the solver runs actually
@@ -217,7 +213,6 @@ func (c *counters) snapshot() Totals {
 		CoalescedRuns:       c.coalescedRuns.Load(),
 		CoalescedRows:       c.coalescedRows.Load(),
 		LLMCalls:            c.llmCalls.Load(),
-		DirectStages:        c.directStages.Load(),
 		TotalJCT:            float64(c.jctMicros.Load()) / 1e6,
 		TotalSolverSeconds:  float64(c.solverMicros.Load()) / 1e6,
 		PromptTokens:        c.promptTokens.Load(),

@@ -107,13 +107,6 @@ type Config struct {
 	// statement deadline (context deadline) closer than the window always
 	// closes the batch in time.
 	BatchClassWindow time.Duration
-	// InteractiveWeight and BatchWeight are the admission scheduler's DRR
-	// quantums per class (defaults 4 and 1): of every 5 admission slots
-	// under contention, interactive flows get 4. Each distinct (client,
-	// class) pair is its own flow, so no tenant — and no tenant's batch
-	// backlog — can starve another's interactive traffic.
-	InteractiveWeight int
-	BatchWeight       int
 	// FIFOAdmission reverts the admission scheduler to PR 3's anonymous
 	// single FIFO — the A/B baseline for the QoS acceptance test, in the
 	// Naive tradition.
@@ -124,9 +117,6 @@ type Config struct {
 	// *QuotaError carrying the retry horizon.
 	DefaultQuota Quota
 	ClientQuotas map[ClientID]Quota
-	// MaxBatchRows flushes a batch early once it holds this many rows
-	// (default 4096; negative disables the cap).
-	MaxBatchRows int
 	// CacheCapacity bounds the result cache in entries, evicted LRU
 	// (default 65536; negative disables result caching — inflight dedup
 	// still collapses concurrent identical calls).
@@ -137,8 +127,8 @@ type Config struct {
 	// keeps an open /v1/sql endpoint from growing memory without limit.
 	PlanCacheCapacity int
 	// Exec is the base execution config statements run under (policy,
-	// model, out-token defaults). Per-statement Options override Naive and
-	// Policy; StageRunner is always the runtime's own.
+	// model). Per-statement Options override Naive and Policy; StageRunner
+	// is always the runtime's own.
 	Exec sqlfront.ExecConfig
 	// Backend is the serving target every engine run goes to. Nil keeps
 	// Exec.Backend (and the package default — one confined engine per
@@ -209,27 +199,6 @@ func (c Config) windowFor(class Class) time.Duration {
 	return 10 * w
 }
 
-func (c Config) interactiveWeight() int {
-	if c.InteractiveWeight > 0 {
-		return c.InteractiveWeight
-	}
-	return 4
-}
-
-func (c Config) batchWeight() int {
-	if c.BatchWeight > 0 {
-		return c.BatchWeight
-	}
-	return 1
-}
-
-func (c Config) maxBatchRows() int {
-	if c.MaxBatchRows != 0 {
-		return c.MaxBatchRows
-	}
-	return 4096
-}
-
 func (c Config) cacheCapacity() int {
 	if c.CacheCapacity != 0 {
 		return c.CacheCapacity
@@ -256,6 +225,16 @@ func (c Config) traceRingSize() int {
 // prompt per statement) fills it, and the least recently observed keys age
 // out, so /v1/metrics stays bounded.
 const rollupLimit = 512
+
+// interactiveWeight and batchWeight are the admission scheduler's DRR
+// quantums per class: of every 5 admission slots under contention,
+// interactive flows get 4. Each distinct (client, class) pair is its own
+// flow, so no tenant — and no tenant's batch backlog — can starve another's
+// interactive traffic.
+const (
+	interactiveWeight = 4
+	batchWeight       = 1
+)
 
 // Options tunes one statement's execution.
 type Options struct {
@@ -395,7 +374,7 @@ func New(db *sqlfront.DB, cfg Config) *Runtime {
 	rt := &Runtime{
 		db:      db,
 		cfg:     cfg,
-		queue:   newFairQueue(cfg.queueDepth(), cfg.interactiveWeight(), cfg.batchWeight(), cfg.FIFOAdmission),
+		queue:   newFairQueue(cfg.queueDepth(), interactiveWeight, batchWeight, cfg.FIFOAdmission),
 		cache:   newResultCache(cfg.cacheCapacity()),
 		plans:   lru.New[string, *sqlfront.Prepared](cfg.planCacheCapacity()),
 		quotas:  make(map[ClientID]*quotaBucket),

@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/query"
 	"repro/internal/sqlfront"
 	"repro/internal/table"
 )
@@ -307,5 +309,22 @@ func TestErrorStatement(t *testing.T) {
 	if m := rt.Metrics(); m.StatementsFailed != 0 {
 		// Both failures happen at prepare time, before admission.
 		t.Errorf("failed statements = %d, want 0 (prepare-time errors)", m.StatementsFailed)
+	}
+}
+
+// TestRunStageRejectsPositionalRows: a stage whose rows carry no
+// content-derived keys cannot be cached soundly, so RunStage refuses it —
+// before any counter moves or any engine runs.
+func TestRunStageRejectsPositionalRows(t *testing.T) {
+	rt := New(newDB(4), Config{Workers: 1})
+	defer rt.Close()
+	before := rt.Totals()
+	spec := query.Spec{Name: "positional", Type: query.Projection, UserPrompt: "Summarize.", OutTokens: 8}
+	st, err := rt.RunStage(context.Background(), spec, ticketsTable(4), query.Config{})
+	if err == nil || st != nil {
+		t.Fatalf("RunStage without RowKeys = (%v, %v), want an error", st, err)
+	}
+	if after := rt.Totals(); !reflect.DeepEqual(before, after) {
+		t.Errorf("a rejected stage moved counters:\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -29,10 +30,10 @@ import (
 // when the run lands, so subscribed statements still complete and nothing
 // stays reserved forever.
 //
-// Specs without content-derived row keys (Spec.RowKeys == nil) bypass the
-// cache and batcher: a positional row identity says nothing about the row's
-// content, so exact-match caching would be unsound. The LLM-SQL executor
-// always content-keys its stages.
+// Specs without content-derived row keys (Spec.RowKeys == nil) are
+// rejected: a positional row identity says nothing about the row's content,
+// so exact-match caching would be unsound. The LLM-SQL executor always
+// content-keys its stages.
 func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Table, qcfg query.Config) (*query.StageResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -42,29 +43,7 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 		return &query.StageResult{Spec: spec}, nil
 	}
 	if spec.RowKeys == nil {
-		rt.c.directStages.Add(1)
-		st, err := query.RunStageContext(ctx, spec, tbl, qcfg)
-		if err != nil {
-			return nil, err
-		}
-		rt.c.batches.Add(1)
-		rt.c.llmCalls.Add(int64(st.ModelCalls))
-		rt.c.jctMicros.Add(int64(st.Metrics.JCT * 1e6))
-		rt.c.solverMicros.Add(int64(st.SolverSeconds * 1e6))
-		rt.c.promptTokens.Add(st.Metrics.PromptTokens)
-		rt.c.matchedTokens.Add(st.Metrics.MatchedTokens)
-		rt.c.prefilledTokens.Add(st.Metrics.PrefilledTokens)
-		if si := stmtInfoFrom(ctx); si != nil {
-			si.calls += int64(st.ModelCalls)
-			si.tokens += st.Metrics.PromptTokens
-		}
-		// Charge the trace exactly what the statement was charged: same
-		// numbers, same place — that identity is the conservation invariant.
-		if sp := obs.FromContext(ctx); sp != nil {
-			sp.Set("direct", true)
-			sp.Charge(int64(st.ModelCalls), st.Metrics.PromptTokens, st.Metrics.JCT)
-		}
-		return st, nil
+		return nil, errors.New("runtime: stage spec has no content-derived row keys")
 	}
 
 	fp := query.StageKey(spec, tbl.Columns(), qcfg)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/backend"
@@ -23,14 +24,14 @@ var metricsKeys = []string{
 	"statementsSubmitted", "statementsDone", "statementsFailed", "statementsCanceled",
 	"abandonedResolved", "planCacheHits", "planCacheMisses", "cacheHits", "cacheMisses",
 	"inflightDeduped", "rowsDeduped", "batches", "coalescedRuns", "coalescedRows", "llmCalls",
-	"directStages", "reorderCacheHits", "reorderCacheMisses", "reorderSolves",
+	"reorderCacheHits", "reorderCacheMisses", "reorderSolves",
 	"promptCacheHits", "promptCacheMisses", "shardedBatches", "shardRuns", "shardJctSeconds",
 	"totalJctSeconds", "totalSolverSeconds", "promptTokens", "matchedTokens",
 	"prefilledTokens", "quotaRejections", "batchWindowsShortened",
 	"clients", "queueWait", "stages", "cluster",
 }
 
-const totalsKeys = 31
+const totalsKeys = 30
 
 // objectKeys returns a JSON object's keys in document order.
 func objectKeys(t testing.TB, body []byte) []string {
@@ -198,4 +199,69 @@ func BenchmarkHandleSQLCold(b *testing.B) {
 		respBytes += int64(rec.Body.Len())
 	}
 	b.ReportMetric(float64(respBytes)/float64(b.N), "respBytes/op")
+}
+
+// TestClusterWorkersEndpoint walks the fleet admin endpoint through every
+// answer it has, in order, against one live router over httptest workers.
+func TestClusterWorkersEndpoint(t *testing.T) {
+	newWorker := func() string {
+		srv := httptest.NewServer(NewWithConfig(Config{Worker: NewWorker(backend.NewSim(), nil)}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	a, b := newWorker(), newWorker()
+	router, err := cluster.NewRouter(cluster.Config{Workers: []string{a}, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	h := NewWithConfig(Config{Cluster: router})
+	do := func(h http.Handler, method string, body any) *httptest.ResponseRecorder {
+		raw, _ := json.Marshal(body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, "/v1/cluster/workers", bytes.NewReader(raw)))
+		return rec
+	}
+	sorted := func(addrs ...string) []string { sort.Strings(addrs); return addrs }
+
+	for _, tc := range []struct {
+		name    string
+		h       http.Handler
+		method  string
+		body    any
+		status  int
+		code    string   // error envelope code, "" on success
+		workers []string // fleet after the call, on success
+	}{
+		{"no router attached", NewWithConfig(Config{}), http.MethodGet, nil, http.StatusServiceUnavailable, ErrCodeUnavailable, nil},
+		{"list", h, http.MethodGet, nil, http.StatusOK, "", sorted(a)},
+		{"remove the last worker", h, http.MethodPost, ClusterWorkersRequest{Op: "remove", Addr: a}, http.StatusBadRequest, ErrCodeInvalidRequest, nil},
+		{"add", h, http.MethodPost, ClusterWorkersRequest{Op: "add", Addr: b}, http.StatusOK, "", sorted(a, b)},
+		{"add a present worker", h, http.MethodPost, ClusterWorkersRequest{Op: "add", Addr: b}, http.StatusBadRequest, ErrCodeInvalidRequest, nil},
+		{"unknown op", h, http.MethodPost, ClusterWorkersRequest{Op: "drain", Addr: b}, http.StatusBadRequest, ErrCodeInvalidRequest, nil},
+		{"empty addr", h, http.MethodPost, ClusterWorkersRequest{Op: "add"}, http.StatusBadRequest, ErrCodeInvalidRequest, nil},
+		{"unknown field", h, http.MethodPost, map[string]string{"op": "add", "address": b}, http.StatusBadRequest, ErrCodeInvalidRequest, nil},
+		{"remove", h, http.MethodPost, ClusterWorkersRequest{Op: "remove", Addr: a}, http.StatusOK, "", sorted(b)},
+		{"remove an absent worker", h, http.MethodPost, ClusterWorkersRequest{Op: "remove", Addr: a}, http.StatusBadRequest, ErrCodeInvalidRequest, nil},
+		{"wrong method", h, http.MethodPut, ClusterWorkersRequest{Op: "add", Addr: a}, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, nil},
+		{"list after the changes", h, http.MethodGet, nil, http.StatusOK, "", sorted(b)},
+	} {
+		rec := do(tc.h, tc.method, tc.body)
+		if rec.Code != tc.status {
+			t.Errorf("%s: status = %d, want %d (body %s)", tc.name, rec.Code, tc.status, rec.Body)
+			continue
+		}
+		if tc.code != "" {
+			if env := decode[ErrorResponse](t, rec); env.Error.Code != tc.code || env.Error.Message == "" {
+				t.Errorf("%s: envelope = %+v, want code %q with a message", tc.name, env.Error, tc.code)
+			}
+			continue
+		}
+		if got := decode[ClusterWorkersResponse](t, rec).Workers; !reflect.DeepEqual(got, tc.workers) {
+			t.Errorf("%s: workers = %v, want %v", tc.name, got, tc.workers)
+		}
+	}
+	if got := router.Workers(); !reflect.DeepEqual(got, sorted(b)) {
+		t.Errorf("router fleet = %v, want %v", got, sorted(b))
+	}
 }

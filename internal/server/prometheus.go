@@ -58,8 +58,6 @@ func renderPrometheus(m Metrics) string {
 	w.row("llmq_coalesced_rows_total", "", float64(m.CoalescedRows))
 	w.family("llmq_llm_calls_total", "counter", "Rows actually sent to a serving engine.")
 	w.row("llmq_llm_calls_total", "", float64(m.LLMCalls))
-	w.family("llmq_direct_stages_total", "counter", "Stages executed outside the cache/batch path.")
-	w.row("llmq_direct_stages_total", "", float64(m.DirectStages))
 	w.family("llmq_batch_windows_shortened_total", "counter", "Batch windows whose close was pulled forward by a nearer-horizon joiner.")
 	w.row("llmq_batch_windows_shortened_total", "", float64(m.BatchWindowsShortened))
 

@@ -122,15 +122,12 @@ type ReorderRequest struct {
 
 // ReorderResponse carries the schedule in serving order.
 type ReorderResponse struct {
-	// Order lists source row indices in serving order; FieldOrders the
-	// per-row field permutation (column names) aligned with Order.
-	Order       [][2]interface{} `json:"-"`
-	Rows        []ScheduledRow   `json:"rows"`
-	PHC         int64            `json:"phc"`
-	HitRate     float64          `json:"hitRate"`
-	SolverMs    float64          `json:"solverMs"`
-	RowCount    int              `json:"rowCount"`
-	ColumnCount int              `json:"columnCount"`
+	Rows        []ScheduledRow `json:"rows"`
+	PHC         int64          `json:"phc"`
+	HitRate     float64        `json:"hitRate"`
+	SolverMs    float64        `json:"solverMs"`
+	RowCount    int            `json:"rowCount"`
+	ColumnCount int            `json:"columnCount"`
 }
 
 // ScheduledRow is one request of the schedule.
@@ -284,7 +281,7 @@ func handleClusterWorkers(cfg Config, w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, ClusterWorkersResponse{Workers: cfg.Cluster.Workers()})
 	default:
-		writeError(w, http.StatusMethodNotAllowed, ErrCodeInvalidRequest,
+		writeError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed,
 			fmt.Errorf("method %s not allowed", r.Method))
 	}
 }
@@ -588,37 +585,23 @@ func handleReorder(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err)
 		return
 	}
-	lenOf := func(v string) int { return tokenizer.Count(v) }
 	start := time.Now()
-	var res *core.Result
-	switch req.Algorithm {
-	case "", "ggr":
-		opt := core.DefaultGGROptions(lenOf)
-		if req.Exhaustive {
-			opt = core.ExhaustiveGGROptions(lenOf)
-		}
-		res = core.GGR(t, opt)
-	case "ophr":
-		res, err = core.OPHR(t, core.OPHROptions{LenOf: lenOf})
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, ErrCodeExecutionFailed, err)
-			return
-		}
-	case "bestfixed":
-		s := core.BestFixed(t, lenOf)
-		res = &core.Result{Schedule: s, PHC: core.PHC(s, lenOf)}
-	default:
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, fmt.Errorf("unknown algorithm %q", req.Algorithm))
+	res, err := core.Solve(t, req.Algorithm, core.SolveOptions{LenOf: tokenizer.Count, Exhaustive: req.Exhaustive})
+	switch {
+	case errors.Is(err, core.ErrUnknownAlgorithm):
+		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err)
 		return
-	}
-	solver := time.Since(start)
-	if err := core.Verify(t, res.Schedule); err != nil {
+	case errors.Is(err, core.ErrBudget):
+		writeError(w, http.StatusUnprocessableEntity, ErrCodeExecutionFailed, err)
+		return
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, ErrCodeInternal, err)
 		return
 	}
+	solver := time.Since(start)
 	out := ReorderResponse{
 		PHC:         res.PHC,
-		HitRate:     core.Hits(res.Schedule, lenOf).Rate(),
+		HitRate:     core.Hits(res.Schedule, tokenizer.Count).Rate(),
 		SolverMs:    float64(solver.Microseconds()) / 1000,
 		RowCount:    t.NumRows(),
 		ColumnCount: t.NumCols(),

@@ -63,15 +63,10 @@ func (db *DB) Tables() []string {
 	return names
 }
 
-// ExecConfig extends the query execution config with output-length defaults
-// for ad-hoc statements (benchmark specs carry their own).
+// ExecConfig extends the query execution config with the planner toggle and
+// the serving runtime's hooks.
 type ExecConfig struct {
 	query.Config
-	// FilterOutTokens / ProjectionOutTokens / AggOutTokens default to
-	// 2 / 40 / 2 — the regimes of Table 1.
-	FilterOutTokens     int
-	ProjectionOutTokens int
-	AggOutTokens        int
 	// Naive disables the logical planner's optimizations: no predicate
 	// pushdown (below or above the join), one LLM stage per call occurrence
 	// instead of per distinct call, occurrence order instead of cost-based
@@ -103,26 +98,14 @@ type ExecConfig struct {
 	StageObserver func(obs.StageObservation)
 }
 
-func (c ExecConfig) filterOut() int {
-	if c.FilterOutTokens > 0 {
-		return c.FilterOutTokens
-	}
-	return 2
-}
-
-func (c ExecConfig) projOut() int {
-	if c.ProjectionOutTokens > 0 {
-		return c.ProjectionOutTokens
-	}
-	return 40
-}
-
-func (c ExecConfig) aggOut() int {
-	if c.AggOutTokens > 0 {
-		return c.AggOutTokens
-	}
-	return 2
-}
+// Output lengths of ad-hoc statements' stages, in tokens — the regimes of
+// Table 1 (benchmark specs carry their own): a filter answers with one
+// choice, an aggregate with one score, a projection with a sentence.
+const (
+	filterOut = 2
+	projOut   = 40
+	aggOut    = 2
+)
 
 // Result is an executed statement's output relation plus serving statistics.
 type Result struct {
@@ -390,7 +373,7 @@ func (db *DB) execPlan(ctx context.Context, st *preparedState, cfg ExecConfig) (
 	}
 	for _, st := range pre {
 		lastRec = nil
-		outs, err := runPlannedStage(st, sc.datasetName(), working, cfg, runStage)
+		outs, err := runPlannedStage(st, sc.datasetName(), working, runStage)
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +397,7 @@ func (db *DB) execPlan(ctx context.Context, st *preparedState, cfg ExecConfig) (
 	// 5. Remaining stages (SELECT projections, aggregate arguments) over
 	// surviving rows only.
 	for _, st := range pl.PostStages {
-		outs, err := runPlannedStage(st, sc.datasetName(), working, cfg, runStage)
+		outs, err := runPlannedStage(st, sc.datasetName(), working, runStage)
 		if err != nil {
 			return nil, err
 		}
@@ -462,7 +445,7 @@ func (sc *scope) datasetName() string {
 
 // runPlannedStage projects the stage's fields, fills in the serving spec for
 // its type, and runs it on the simulator, returning per-row outputs.
-func runPlannedStage(st PlannedStage, dataset string, working *table.Table, cfg ExecConfig,
+func runPlannedStage(st PlannedStage, dataset string, working *table.Table,
 	runStage func(query.Spec, *table.Table) (*query.StageResult, error)) ([]string, error) {
 
 	proj, err := projectCall(working, st.Call)
@@ -484,17 +467,17 @@ func runPlannedStage(st PlannedStage, dataset string, working *table.Table, cfg 
 	}
 	switch st.Type {
 	case query.Filter:
-		spec.OutTokens = cfg.filterOut()
+		spec.OutTokens = filterOut
 		spec.Choices, spec.TruthHidden = filterChoices(proj, st.Call.Prompt, st.Literals)
 	case query.Aggregation:
-		spec.OutTokens = cfg.aggOut()
+		spec.OutTokens = aggOut
 		truthCol := "score"
 		if _, ok := proj.Hidden("score"); !ok {
 			truthCol = synthesizeScores(proj, st.Call.Prompt)
 		}
 		spec.TruthHidden = truthCol
 	default:
-		spec.OutTokens = cfg.projOut()
+		spec.OutTokens = projOut
 	}
 	stRes, err := runStage(spec, proj)
 	if err != nil {

@@ -106,14 +106,9 @@ func (t *Tokenizer) Decode(tokens []Token) string {
 	return sb.String()
 }
 
-// Count reports the number of tokens Encode would produce for text without
-// touching the vocabulary. It is the hot path for PHC length computations.
-func (t *Tokenizer) Count(text string) int {
-	return Count(text)
-}
-
-// Count reports the number of tokens the splitter produces for text. It is a
-// pure function of the text and needs no tokenizer state.
+// Count reports the number of tokens Encode would produce for text. It is a
+// pure function of the text and needs no tokenizer state — the hot path for
+// PHC length computations.
 func Count(text string) int {
 	n := 0
 	for i := 0; i < len(text); {

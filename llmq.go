@@ -105,35 +105,16 @@ type ReorderOptions struct {
 // is verified to preserve query semantics (every row exactly once, each
 // row's cells a permutation of the original) before it is returned.
 func Reorder(t *Table, opt ReorderOptions) (*ReorderResult, error) {
-	lenOf := table.LenFunc(TokenLen)
+	lenOf := table.LenFunc(tokenizer.Count)
 	if opt.CharLengths {
 		lenOf = table.CharLen
 	}
-	var res *core.Result
-	switch opt.Algorithm {
-	case GGR, "":
-		o := core.DefaultGGROptions(lenOf)
-		if opt.Exhaustive {
-			o = core.ExhaustiveGGROptions(lenOf)
-		}
-		o.UseFDs = !opt.DisableFDs
-		res = core.GGR(t, o)
-	case OPHR:
-		var err error
-		res, err = core.OPHR(t, core.OPHROptions{LenOf: lenOf, MaxNodes: opt.OPHRNodeBudget})
-		if err != nil {
-			return nil, err
-		}
-	case BestFixed:
-		s := core.BestFixed(t, lenOf)
-		res = &core.Result{Schedule: s, PHC: core.PHC(s, lenOf), Estimate: core.PHC(s, lenOf)}
-	default:
-		return nil, fmt.Errorf("llmq: unknown algorithm %q", opt.Algorithm)
-	}
-	if err := core.Verify(t, res.Schedule); err != nil {
-		return nil, fmt.Errorf("llmq: internal error, schedule failed verification: %w", err)
-	}
-	return res, nil
+	return core.Solve(t, string(opt.Algorithm), core.SolveOptions{
+		LenOf:          lenOf,
+		Exhaustive:     opt.Exhaustive,
+		DisableFDs:     opt.DisableFDs,
+		OPHRNodeBudget: opt.OPHRNodeBudget,
+	})
 }
 
 // PHC computes the prefix hit count (Eq. 1–2 of the paper) of a schedule in
@@ -243,7 +224,9 @@ func EstimateSavings(book PriceBook, hitRateBefore, hitRateAfter float64) float6
 // --- LLM-SQL -------------------------------------------------------------------
 
 // SQLDB is a registry of named tables for LLM-SQL statements; SQLResult an
-// executed statement's relation plus serving statistics.
+// executed statement's relation plus serving statistics. SQLConfig carries
+// the serving config and the Naive toggle; stage output lengths are fixed at
+// Table 1's regimes (sqlfront's filterOut / projOut / aggOut: 2 / 40 / 2).
 type (
 	SQLDB     = sqlfront.DB
 	SQLConfig = sqlfront.ExecConfig
@@ -332,7 +315,11 @@ type (
 	// RemoteBackend serves batches on a cluster worker over POST /v1/batch;
 	// ClusterRouter consistent-hashes stage fingerprints across a worker
 	// fleet (stage-affine placement, capacity-driven fan-out, health-checked
-	// failover). Both implement Backend; see internal/cluster.
+	// failover). Both implement Backend; see internal/cluster. ClusterConfig
+	// sizes what deployments vary; the probe timeout, the breaker's window /
+	// rate / cooldown and the retry budget are constants there (healthTimeout,
+	// breakerWindow …, retryBudgetRatio / retryBudgetBurst), and a primary
+	// replicates once its in-flight batches reach Capacity.
 	RemoteBackend       = backend.Remote
 	RemoteBackendConfig = backend.RemoteConfig
 	ClusterRouter       = cluster.Router
@@ -386,7 +373,9 @@ func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluste
 // batches; an exact-match result cache plus inflight dedup keep repeated
 // statements from paying for the same model call twice; and Prepare/Execute
 // handles skip parse and planning on every rerun. See internal/runtime for
-// the architecture.
+// the architecture. RuntimeConfig sizes what deployments vary; the DRR
+// quantums (interactiveWeight : batchWeight = 4 : 1) and the 4096-row batch
+// cap (maxBatchRows) are constants there.
 type (
 	Runtime        = runtime.Runtime
 	RuntimeConfig  = runtime.Config

@@ -1,11 +1,19 @@
 package llmq
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
 )
 
 func TestReorderFacade(t *testing.T) {
@@ -28,6 +36,28 @@ func TestReorderFacade(t *testing.T) {
 	}
 }
 
+// fig1Tables are the paper's two case-study shapes (Sec. 3.2), small enough
+// for OPHR: 1a has a unique first field before constant ones, 1b one group
+// per field on disjoint row ranges.
+func fig1Tables() map[string]*Table {
+	a := NewTable("f0", "f1", "f2", "f3")
+	for i := 0; i < 5; i++ {
+		a.MustAppendRow(fmt.Sprintf("u%d", i), "B", "C", "D")
+	}
+	b := NewTable("f0", "f1", "f2")
+	for g := 0; g < 3; g++ {
+		for i := 0; i < 2; i++ {
+			cells := []string{fmt.Sprintf("p%d%d", g, i), fmt.Sprintf("q%d%d", g, i), fmt.Sprintf("r%d%d", g, i)}
+			cells[g] = string(rune('G' + g))
+			b.MustAppendRow(cells...)
+		}
+	}
+	return map[string]*Table{"fig1a": a, "fig1b": b}
+}
+
+// TestReorderAlgorithms holds the three doors to core.Solve to one answer:
+// on every table and algorithm, the library, POST /v1/reorder and
+// `reorder -stats-only` report the same PHC.
 func TestReorderAlgorithms(t *testing.T) {
 	tb := NewTable("a", "b")
 	tb.MustAppendRow("x", "1")
@@ -44,6 +74,49 @@ func TestReorderAlgorithms(t *testing.T) {
 	}
 	if _, err := Reorder(tb, ReorderOptions{Algorithm: "nope"}); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+
+	bin := filepath.Join(t.TempDir(), "reorder")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/reorder").CombinedOutput(); err != nil {
+		t.Fatalf("build cmd/reorder: %v\n%s", err, out)
+	}
+	h := server.NewWithConfig(server.Config{})
+	for name, tb := range fig1Tables() {
+		var csv strings.Builder
+		if err := tb.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		tj := server.TableJSON{Columns: tb.Columns()}
+		for r := 0; r < tb.NumRows(); r++ {
+			tj.Rows = append(tj.Rows, tb.Row(r))
+		}
+		for _, alg := range []Algorithm{GGR, OPHR, BestFixed} {
+			lib, err := Reorder(tb, ReorderOptions{Algorithm: alg})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, alg, err)
+			}
+
+			body, _ := json.Marshal(server.ReorderRequest{Table: tj, Algorithm: string(alg)})
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reorder", bytes.NewReader(body)))
+			var resp server.ReorderResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("%s/%s: /v1/reorder status %d (%v): %s", name, alg, rec.Code, err, rec.Body)
+			}
+			if resp.PHC != lib.PHC {
+				t.Errorf("%s/%s: /v1/reorder PHC %d, llmq.Reorder %d", name, alg, resp.PHC, lib.PHC)
+			}
+
+			cmd := exec.Command(bin, "-algorithm", string(alg), "-stats-only")
+			cmd.Stdin = strings.NewReader(csv.String())
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s/%s: reorder -stats-only: %v\n%s", name, alg, err, out)
+			}
+			if want := fmt.Sprintf("%s=%d\n", alg, lib.PHC); !strings.Contains(string(out), want) {
+				t.Errorf("%s/%s: reorder -stats-only printed\n%swant a PHC line ending %q", name, alg, out, want)
+			}
+		}
 	}
 }
 
