@@ -51,6 +51,6 @@ func BenchmarkBlockHashes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blockHashes(p, 16)
+		BlockHashes(p, 16)
 	}
 }

@@ -8,10 +8,44 @@
 // The cache accounts two benefits of prefix reuse, both of which the paper's
 // end-to-end numbers depend on: matched tokens skip prefill computation, and
 // shared blocks free KV memory, allowing larger batches.
+//
+// # Cost
+//
+// Bookkeeping is paid per new block, not per attempt per token.
+//
+// Chain reuse. A block's identity is a hash chained over every token before
+// it (BlockHashes), so a prompt's chain depends only on the prompt and can
+// be computed once, outside the cache: AcquireHashed and MatchLenHashed take
+// the chain, and a caller that retries a rejected prompt — the serving
+// engine re-offers a blocked queue head every step — hashes it once, not once
+// per attempt. A prompt that follows another in a prefix-sorted schedule
+// needs even less: BlockHashesAfter copies the predecessor's chain over the
+// blocks their common prefix covers and resumes hashing there. Acquire and
+// MatchLen hash from scratch and call the same entry points.
+//
+// A rejected attempt allocates nothing: the matched path is walked into a
+// scratch slice the Cache owns and copied into the Lease only on success.
+//
+// Node recycling. An evicted trie node goes onto the Cache's free list and
+// the next inserted block reuses it; only when the list is empty does a node
+// come from a slab, and slabs start small and double, so a short-lived cache
+// of a few dozen blocks does not pay for a large one's arena. Recycling must
+// be safe against the eviction heap, whose entries are (node, lastUse
+// snapshot) pairs that are dropped lazily when stale rather than removed: an
+// entry left over from a node's previous life must never pass for a valid
+// one of its next. It cannot, because of one invariant — a recycled node's
+// lastUse is strictly above the seq of every entry in the heap at the moment
+// it is recycled. The clock only moves forward, a node is recycled inside an
+// Acquire that advanced the clock on entry and stamps the node with the new
+// value, and everything pushed since that advance is an eviction-exposed
+// parent, unpinned and therefore stamped by an earlier operation. From then
+// on lastUse only grows, so `seq != lastUse` rejects the old entry whenever
+// it surfaces. (In fact a node's stale entries all sort before its valid
+// one, so the heap has popped them by the time the node is evicted; the
+// invariant is what makes recycling safe without leaning on that.)
 package kvcache
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/tokenizer"
@@ -133,6 +167,11 @@ type Cache struct {
 	clock int64
 	stats Stats
 	evict evictHeap
+
+	walk    []*node // scratch: the matched path of the Acquire in progress
+	free    *node   // evicted nodes awaiting reuse, linked through parent
+	slab    []node  // unused tail of the newest node slab
+	slabbed int     // nodes allocated in slabs so far
 }
 
 // New returns an empty cache. BlockSize defaults to 16.
@@ -161,9 +200,18 @@ func (c *Cache) MatchLen(tokens []tokenizer.Token) int {
 	if c.cfg.Disabled {
 		return 0
 	}
+	return c.MatchLenHashed(BlockHashes(tokens, c.cfg.BlockSize))
+}
+
+// MatchLenHashed is MatchLen for a prompt whose chain — BlockHashes over the
+// cache's block size — the caller already holds.
+func (c *Cache) MatchLenHashed(hashes []uint64) int {
+	if c.cfg.Disabled {
+		return 0
+	}
 	n := 0
 	cur := c.root
-	for _, h := range blockHashes(tokens, c.cfg.BlockSize) {
+	for _, h := range hashes {
 		next := cur.child(h)
 		if next == nil {
 			break
@@ -180,9 +228,20 @@ func (c *Cache) MatchLen(tokens []tokenizer.Token) int {
 // the pool cannot hold the request even after evicting every unpinned block;
 // the caller should retry after other requests release memory.
 func (c *Cache) Acquire(tokens []tokenizer.Token, reserveTokens int) (*Lease, bool) {
+	var hashes []uint64
+	if !c.cfg.Disabled {
+		hashes = BlockHashes(tokens, c.cfg.BlockSize)
+	}
+	return c.AcquireHashed(hashes, len(tokens), reserveTokens)
+}
+
+// AcquireHashed is Acquire for a prompt of the given length whose chain —
+// BlockHashes over the cache's block size — the caller already holds, so a
+// retried prompt is hashed once rather than once per attempt. A disabled
+// cache ignores hashes. A rejected attempt allocates nothing.
+func (c *Cache) AcquireHashed(hashes []uint64, prompt, reserveTokens int) (*Lease, bool) {
 	c.clock++
 	bs := int64(c.cfg.BlockSize)
-	prompt := len(tokens)
 
 	if c.cfg.Disabled {
 		need := ceilDiv(int64(prompt)+int64(reserveTokens), bs)
@@ -195,13 +254,14 @@ func (c *Cache) Acquire(tokens []tokenizer.Token, reserveTokens int) (*Lease, bo
 		return &Lease{Prompt: prompt, privBlocks: need}, true
 	}
 
-	hashes := blockHashes(tokens, c.cfg.BlockSize)
+	if len(hashes) != prompt/c.cfg.BlockSize {
+		panic(fmt.Sprintf("kvcache: %d block hashes for a %d-token prompt at block size %d", len(hashes), prompt, c.cfg.BlockSize))
+	}
 
 	// Walk the existing prefix, pinning it immediately: the eviction pass
 	// below must never reclaim blocks this request is about to reuse.
-	var path []*node
+	walk := c.walk[:0]
 	cur := c.root
-	matchedBlocks := 0
 	for _, h := range hashes {
 		next := cur.child(h)
 		if next == nil {
@@ -210,17 +270,17 @@ func (c *Cache) Acquire(tokens []tokenizer.Token, reserveTokens int) (*Lease, bo
 		cur = next
 		next.refs++
 		next.lastUse = c.clock
-		path = append(path, next)
-		matchedBlocks++
+		walk = append(walk, next)
 	}
+	c.walk = walk
 
-	newShared := int64(len(hashes) - matchedBlocks)
+	newShared := int64(len(hashes) - len(walk))
 	tailTokens := int64(prompt) - int64(len(hashes))*bs
 	priv := ceilDiv(tailTokens+int64(reserveTokens), bs)
 	if !c.ensure(newShared + priv) {
 		// Undo the pins taken during the walk.
-		for i := len(path) - 1; i >= 0; i-- {
-			n := path[i]
+		for i := len(walk) - 1; i >= 0; i-- {
+			n := walk[i]
 			n.refs--
 			if n.refs == 0 && n.leaf() {
 				c.pushEvictable(n)
@@ -230,8 +290,10 @@ func (c *Cache) Acquire(tokens []tokenizer.Token, reserveTokens int) (*Lease, bo
 		return nil, false
 	}
 
-	for _, h := range hashes[matchedBlocks:] {
-		next := &node{hash: h, parent: cur, refs: 1, lastUse: c.clock}
+	path := make([]*node, len(walk), len(hashes))
+	copy(path, walk)
+	for _, h := range hashes[len(walk):] {
+		next := c.newNode(node{hash: h, parent: cur, refs: 1, lastUse: c.clock})
 		cur.addChild(next)
 		cur = next
 		path = append(path, next)
@@ -240,7 +302,7 @@ func (c *Cache) Acquire(tokens []tokenizer.Token, reserveTokens int) (*Lease, bo
 	c.used += newShared + priv
 	c.stats.InsertedBlocks += newShared
 
-	matched := matchedBlocks * c.cfg.BlockSize
+	matched := len(walk) * c.cfg.BlockSize
 	if matched > prompt {
 		matched = prompt
 	}
@@ -294,8 +356,8 @@ func (c *Cache) ensure(need int64) bool {
 // every transition back to the evictable state (Release reaching zero refs,
 // or a child eviction exposing a parent leaf) pushes a fresh entry.
 func (c *Cache) evictOne() bool {
-	for c.evict.Len() > 0 {
-		e := heap.Pop(&c.evict).(evictEntry)
+	for len(c.evict) > 0 {
+		e := c.evict.pop()
 		n := e.n
 		if n.dead || n.refs > 0 || !n.leaf() || e.seq != n.lastUse {
 			continue
@@ -308,13 +370,33 @@ func (c *Cache) evictOne() bool {
 		if p := n.parent; p != c.root && p.refs == 0 && p.leaf() {
 			c.pushEvictable(p)
 		}
+		n.parent, c.free = c.free, n
 		return true
 	}
 	return false
 }
 
 func (c *Cache) pushEvictable(n *node) {
-	heap.Push(&c.evict, evictEntry{n: n, seq: n.lastUse})
+	c.evict.push(evictEntry{n: n, seq: n.lastUse})
+}
+
+// newNode stores v in the most recently evicted node if there is one (see
+// the package doc for why reuse is safe against the eviction heap), else in
+// the next node of a slab. Slabs double from 8 up to 1024 nodes, so the arena
+// tracks the trie's size at either end of the scale.
+func (c *Cache) newNode(v node) *node {
+	n := c.free
+	if n != nil {
+		c.free = n.parent
+	} else {
+		if len(c.slab) == 0 {
+			c.slab = make([]node, min(max(8, c.slabbed), 1024))
+			c.slabbed += len(c.slab)
+		}
+		n, c.slab = &c.slab[0], c.slab[1:]
+	}
+	*n = v
+	return n
 }
 
 // Grow reserves additional private blocks mid-flight (for generation beyond
@@ -378,14 +460,31 @@ func (c *Cache) CheckInvariants() error {
 	return nil
 }
 
-// blockHashes chains FNV-1a over full blocks so a block's identity covers
-// its entire prefix, exactly like vLLM's hash-based prefix caching.
-func blockHashes(tokens []tokenizer.Token, blockSize int) []uint64 {
-	n := len(tokens) / blockSize
-	out := make([]uint64, n)
+// BlockHashes chains FNV-1a over full blocks so a block's identity covers
+// its entire prefix, exactly like vLLM's hash-based prefix caching. Element b
+// identifies tokens[:(b+1)*blockSize]; a trailing partial block has none.
+func BlockHashes(tokens []tokenizer.Token, blockSize int) []uint64 {
+	return BlockHashesAfter(nil, nil, tokens, blockSize)
+}
+
+// BlockHashesAfter is BlockHashes(tokens, blockSize) computed from a
+// predecessor: given prev and its chain prevHashes, the blocks lying wholly
+// inside the two prompts' common prefix are copied and hashing resumes at
+// the first block that is not. A prefix-sorted schedule makes that most of
+// every prompt. With no predecessor (nil, nil) it hashes from the start.
+func BlockHashesAfter(prev []tokenizer.Token, prevHashes []uint64, tokens []tokenizer.Token, blockSize int) []uint64 {
+	shared := 0
+	for shared < len(prev) && shared < len(tokens) && prev[shared] == tokens[shared] {
+		shared++
+	}
+	out := make([]uint64, len(tokens)/blockSize)
+	b := copy(out, prevHashes[:min(shared/blockSize, len(prevHashes))])
 	var h uint64 = 1469598103934665603 // FNV offset basis
+	if b > 0 {
+		h = out[b-1]
+	}
 	const prime = 1099511628211
-	for b := 0; b < n; b++ {
+	for ; b < len(out); b++ {
 		for _, t := range tokens[b*blockSize : (b+1)*blockSize] {
 			h ^= uint64(uint32(t))
 			h *= prime
@@ -408,18 +507,45 @@ type evictEntry struct {
 	seq int64
 }
 
-// evictHeap is a min-heap on the snapshotted last-use time.
+// evictHeap is a min-heap on the snapshotted last-use time. push and pop
+// sift exactly as container/heap's Push and Pop do — equal keys leave in the
+// same order, which eviction order and so every virtual metric depends on —
+// without boxing an entry into an interface per call.
 type evictHeap []evictEntry
 
-func (h evictHeap) Len() int            { return len(h) }
-func (h evictHeap) Less(i, j int) bool  { return h[i].seq < h[j].seq }
-func (h evictHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *evictHeap) Push(x interface{}) { *h = append(*h, x.(evictEntry)) }
-func (h *evictHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = evictEntry{}
-	*h = old[:n-1]
-	return x
+func (h *evictHeap) push(e evictEntry) {
+	s := append(*h, e)
+	*h = s
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent; 0 for j == 0, as in container/heap
+		if i == j || s[j].seq >= s[i].seq {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *evictHeap) pop() evictEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].seq < s[j].seq {
+			j = r
+		}
+		if s[j].seq >= s[i].seq {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	e := s[n]
+	s[n] = evictEntry{}
+	*h = s[:n]
+	return e
 }

@@ -347,11 +347,11 @@ func TestRandomizedInvariants(t *testing.T) {
 func TestBlockHashChaining(t *testing.T) {
 	// Same block content at different positions must hash differently
 	// (identity covers the whole prefix).
-	a := blockHashes(toks(1, 2, 3, 4, 1, 2, 3, 4), 4)
+	a := BlockHashes(toks(1, 2, 3, 4, 1, 2, 3, 4), 4)
 	if a[0] == a[1] {
 		t.Error("positional chaining broken: repeated block collides")
 	}
-	b := blockHashes(toks(9, 9, 9, 9, 1, 2, 3, 4), 4)
+	b := BlockHashes(toks(9, 9, 9, 9, 1, 2, 3, 4), 4)
 	if a[1] == b[1] {
 		t.Error("second block hash ignores prefix")
 	}

@@ -23,7 +23,11 @@ type Request struct {
 	StartTime float64 // admission time (s, virtual)
 	EndTime   float64 // completion time (s, virtual)
 
-	lease     *kvcache.Lease
+	lease *kvcache.Lease
+	// hashes is the prompt's block-hash chain, computed the first time the
+	// request reaches admission (hashed) and reused by every retry.
+	hashes    []uint64
+	hashed    bool
 	prefilled int
 	generated int
 	admitted  bool
@@ -176,8 +180,13 @@ func (e *Engine) Run(reqs []*Request) (Metrics, error) {
 func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metrics, error) {
 	var m Metrics
 	clock := 0.0
+	// waiting[head:] is the queue: admitting its first request advances
+	// head, and only CacheAware's mid-queue picks splice.
 	waiting := append([]*Request(nil), reqs...)
+	head := 0
 	var running []*Request
+	var prefill []PrefillWork // this step's prefill chunks
+	var emits []*Request      // the requests emitting a token this step
 	finished := 0
 	latencies := make([]float64, 0, len(reqs))
 	tr := newTracer(e.cfg.Trace)
@@ -192,6 +201,27 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 		return m, err
 	}
 
+	// chain returns r's block-hash chain, hashing on first use. Requests
+	// first reach admission in submission order — FIFO offers only the head,
+	// and CacheAware's window is a prefix of what is still waiting — so the
+	// hashed requests are always reqs[:hashedTo] and each new chain resumes
+	// from the request submitted just before it: under a prefix-sorted
+	// schedule, most of every prompt is never hashed at all. A disabled
+	// cache never reads the chain, so none is built.
+	for _, r := range reqs {
+		r.hashes, r.hashed = nil, false
+	}
+	hashedTo, prev := 0, &Request{} // prev is reqs[hashedTo-1] once there is one
+	chain := func(r *Request) []uint64 {
+		for !r.hashed && e.cfg.CacheEnabled {
+			cur := reqs[hashedTo]
+			cur.hashes = kvcache.BlockHashesAfter(prev.Prompt, prev.hashes, cur.Prompt, e.cfg.blockSize())
+			cur.hashed = true
+			hashedTo, prev = hashedTo+1, cur
+		}
+		return r.hashes
+	}
+
 	for finished < len(reqs) {
 		if interrupt != nil {
 			if err := interrupt(); err != nil {
@@ -201,10 +231,10 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 		// Admission: a request enters when a batch slot and KV memory are
 		// available. FIFO never reorders around a blocked head; CacheAware
 		// picks the best-matching waiting request within the lookahead.
-		for len(waiting) > 0 && len(running) < e.cfg.maxSeqs() {
-			idx := 0
+		for head < len(waiting) && len(running) < e.cfg.maxSeqs() {
+			idx := head
 			if e.cfg.Sched == CacheAware {
-				idx = e.pickCacheAware(waiting)
+				idx += e.pickCacheAware(waiting[head:], chain)
 			}
 			r := waiting[idx]
 			if len(r.Prompt) == 0 {
@@ -213,11 +243,15 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 			if r.OutTokens <= 0 {
 				r.OutTokens = 1 // every request emits at least one token
 			}
-			lease, ok := e.cache.Acquire(r.Prompt, r.OutTokens)
+			lease, ok := e.cache.AcquireHashed(chain(r), len(r.Prompt), r.OutTokens)
 			if !ok {
 				break
 			}
-			waiting = append(waiting[:idx], waiting[idx+1:]...)
+			if idx == head {
+				head++
+			} else {
+				waiting = append(waiting[:idx], waiting[idx+1:]...)
+			}
 			r.lease = lease
 			r.Matched = lease.Matched
 			r.prefilled = lease.Matched
@@ -230,9 +264,9 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 				Matched: r.Matched, Prompt: len(r.Prompt), UsedBlocks: e.cache.UsedBlocks()})
 		}
 		if len(running) == 0 {
-			if len(waiting) > 0 {
+			if head < len(waiting) {
 				return abort(fmt.Errorf("llmsim: request %d cannot fit in KV memory even alone (prompt %d tokens)",
-					waiting[0].ID, len(waiting[0].Prompt)))
+					waiting[head].ID, len(waiting[head].Prompt)))
 			}
 			break
 		}
@@ -246,8 +280,7 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 		// its first output token from the prefill itself, matching real
 		// prefill-produces-first-token semantics.
 		budget := e.cfg.maxTokens()
-		var prefill []PrefillWork
-		var emits []*Request
+		prefill, emits = prefill[:0], emits[:0]
 		decodeSeqs := 0
 		var decodeCtx int64
 		for _, r := range running {
@@ -332,14 +365,14 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 // pickCacheAware returns the waiting-queue index (within the lookahead
 // window) whose prompt has the longest currently-cached prefix, preferring
 // the earliest on ties so starvation is bounded by the window.
-func (e *Engine) pickCacheAware(waiting []*Request) int {
+func (e *Engine) pickCacheAware(waiting []*Request, chain func(*Request) []uint64) int {
 	window := e.cfg.lookahead()
 	if window > len(waiting) {
 		window = len(waiting)
 	}
 	best, bestMatch := 0, -1
 	for i := 0; i < window; i++ {
-		if m := e.cache.MatchLen(waiting[i].Prompt); m > bestMatch {
+		if m := e.cache.MatchLenHashed(chain(waiting[i])); m > bestMatch {
 			best, bestMatch = i, m
 		}
 	}

@@ -9,6 +9,7 @@ package pricing
 import (
 	"fmt"
 
+	"repro/internal/kvcache"
 	"repro/internal/tokenizer"
 )
 
@@ -122,16 +123,22 @@ func Simulate(b Book, prompts [][]tokenizer.Token, outTokens []int) (Usage, erro
 // seen prefix counts as cached when it reaches MinPrefix, rounded down to
 // Granularity. Every request's own prefixes become cacheable afterwards.
 // Prefixes are tracked as chained hashes of Granularity-sized blocks, the
-// same structure providers use, so memory stays proportional to distinct
-// blocks rather than tokens.
+// same structure providers use (and the one definition the KV cache uses:
+// kvcache.BlockHashes), so memory stays proportional to distinct blocks
+// rather than tokens.
 func simulateOpenAI(b Book, prompts [][]tokenizer.Token, u *Usage) {
 	gran := b.Granularity
 	if gran <= 0 {
 		gran = 1
 	}
 	seen := make(map[uint64]bool)
+	var prev []tokenizer.Token
+	var hs []uint64
 	for _, p := range prompts {
-		hs := blockHashes(p, gran)
+		// Callers price prefix-sorted schedules, so each chain resumes from
+		// the previous prompt's.
+		hs = kvcache.BlockHashesAfter(prev, hs, p, gran)
+		prev = p
 		matched := 0
 		for _, h := range hs {
 			if !seen[h] {
@@ -147,22 +154,6 @@ func simulateOpenAI(b Book, prompts [][]tokenizer.Token, u *Usage) {
 			seen[h] = true
 		}
 	}
-}
-
-// blockHashes chains a hash over gran-sized blocks so each block's identity
-// covers its whole prefix.
-func blockHashes(p []tokenizer.Token, gran int) []uint64 {
-	n := len(p) / gran
-	out := make([]uint64, n)
-	var h uint64 = 1469598103934665603
-	for b := 0; b < n; b++ {
-		for _, t := range p[b*gran : (b+1)*gran] {
-			h ^= uint64(uint32(t))
-			h *= 1099511628211
-		}
-		out[b] = h
-	}
-	return out
 }
 
 // simulateAnthropic models one explicit cache breakpoint at MinPrefix tokens

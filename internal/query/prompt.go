@@ -6,7 +6,6 @@
 package query
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 
@@ -65,9 +64,16 @@ func BuildPrompt(userPrompt string, cells []core.Cell) string {
 //
 // Each distinct piece is walked once — through cache when one is attached,
 // else through a memo and a throwaway tokenizer confined to this call — and
-// rows are assembled by copying token slices. Pieces are first encoded in
-// serialization order, so a fresh tokenizer assigns exactly the ids a
-// whole-row walk would.
+// a cell in a row's leading run of cells equal to the previous row's, which
+// is most cells of a reordered schedule, takes that row's piece without even
+// the memo lookup. Pieces are first encoded in serialization order, so a
+// fresh tokenizer assigns exactly the ids a whole-row walk would.
+//
+// Rows are assembled promptSlabRows at a time, in two passes: the first
+// collects the rows' pieces and sizes them, the second copies them into one
+// exactly-sized token slab that the rows' streams are capacity-limited
+// windows of. The pieces buffer is reused from slab to slab, so what a stage
+// allocates beyond its tokens does not grow with the stage.
 func PromptTokens(userPrompt string, sched *core.Schedule, cache *PromptCache) [][]tokenizer.Token {
 	var encode func(promptPiece) []tokenizer.Token
 	if cache != nil {
@@ -88,30 +94,61 @@ func PromptTokens(userPrompt string, sched *core.Schedule, cache *PromptCache) [
 	}
 	prefix := literal(PromptPrefix(userPrompt))
 	var open, sep, end []tokenizer.Token // encoded where the first row needs them
-	var parts [][]tokenizer.Token
+	var cells [][]tokenizer.Token        // the current slab's cell pieces, row after row
 	out := make([][]tokenizer.Token, len(sched.Rows))
-	for i, row := range sched.Rows {
-		if open == nil {
-			open = literal("{")
-		}
-		parts = append(parts[:0], prefix, open)
-		for k, c := range row.Cells {
-			if k > 0 {
-				if sep == nil {
+	for lo := 0; lo < len(sched.Rows); lo += promptSlabRows {
+		rows := sched.Rows[lo:min(lo+promptSlabRows, len(sched.Rows))]
+		cells = cells[:0]
+		total := 0
+		for i, row := range rows {
+			if open == nil {
+				open = literal("{")
+			}
+			var prev []core.Cell // the previous row's cells while this row's still equal them
+			if i > 0 {
+				prev = rows[i-1].Cells
+			}
+			prevAt := len(cells) - len(prev)
+			for k, c := range row.Cells {
+				if k > 0 && sep == nil {
 					sep = literal(", ")
 				}
-				parts = append(parts, sep)
+				var piece []tokenizer.Token
+				if k < len(prev) && prev[k] == c {
+					piece = cells[prevAt+k]
+				} else {
+					prev = nil
+					piece = encode(promptPiece{Cell: c})
+				}
+				cells = append(cells, piece)
+				total += len(piece)
 			}
-			parts = append(parts, encode(promptPiece{Cell: c}))
+			if end == nil {
+				end = literal("}")
+			}
+			total += len(prefix) + len(open) + max(0, len(row.Cells)-1)*len(sep) + len(end)
 		}
-		if end == nil {
-			end = literal("}")
+		slab, next := make([]tokenizer.Token, 0, total), cells
+		for i, row := range rows {
+			start := len(slab)
+			slab = append(append(slab, prefix...), open...)
+			for k := range row.Cells {
+				if k > 0 {
+					slab = append(slab, sep...)
+				}
+				slab, next = append(slab, next[0]...), next[1:]
+			}
+			slab = append(slab, end...)
+			out[lo+i] = slab[start:len(slab):len(slab)]
 		}
-		parts = append(parts, end)
-		out[i] = slices.Concat(parts...)
 	}
 	return out
 }
+
+// promptSlabRows is how many rows share one token slab: enough that a
+// stage's allocations are its slabs, few enough that the buffer of pieces
+// held between the two passes stays a few percent of one slab.
+const promptSlabRows = 128
 
 // promptPiece is one separately tokenized piece of a prompt, and the key it
 // is memoized under: a cell, or literal text (a stage prefix, the JSON
@@ -132,9 +169,25 @@ func (p promptPiece) text() string {
 	if p.literal {
 		return p.Value
 	}
-	buf := make([]byte, 0, len(p.Field)+len(p.Value)+8)
-	buf = strconv.AppendQuote(buf, p.Field)
-	buf = append(buf, ": "...)
-	buf = strconv.AppendQuote(buf, p.Value)
-	return string(buf)
+	var sb strings.Builder
+	sb.Grow(len(p.Field) + len(p.Value) + len(`"": ""`))
+	writeQuoted(&sb, p.Field)
+	sb.WriteString(": ")
+	writeQuoted(&sb, p.Value)
+	return sb.String()
+}
+
+// writeQuoted writes strconv.Quote(s), with a fast path for what nearly
+// every cell is: printable ASCII with nothing to escape is wrapped in quotes
+// as is.
+func writeQuoted(sb *strings.Builder, s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			sb.WriteString(strconv.Quote(s))
+			return
+		}
+	}
+	sb.WriteByte('"')
+	sb.WriteString(s)
+	sb.WriteByte('"')
 }

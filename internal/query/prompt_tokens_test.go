@@ -3,6 +3,7 @@ package query
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -36,6 +37,11 @@ func checkPromptTokens(t *testing.T, userPrompt string, sched *core.Schedule) {
 		for i := range want {
 			if !slices.Equal(got[i], want[i]) {
 				t.Fatalf("%s: row %d %q\n got %v\nwant %v", name, i, RowJSON(sched.Rows[i].Cells), got[i], want[i])
+			}
+			// Rows are windows of a shared slab: appending to one must not
+			// reach into the next.
+			if cap(got[i]) != len(got[i]) {
+				t.Fatalf("%s: row %d has %d tokens but capacity %d", name, i, len(got[i]), cap(got[i]))
 			}
 		}
 	}
@@ -76,9 +82,10 @@ func TestPromptTokensMatchWholeRowWalk(t *testing.T) {
 }
 
 // TestPromptTokensOnSolvedSchedule runs the equivalence over a real GGR
-// schedule, where per-row field orders differ and values repeat.
+// schedule, where per-row field orders differ and values repeat, long enough
+// to span several token slabs.
 func TestPromptTokensOnSolvedSchedule(t *testing.T) {
-	tbl := cacheTestTable(60, "")
+	tbl := cacheTestTable(2*promptSlabRows+60, "")
 	sched := core.GGR(tbl, core.DefaultGGROptions(tokenizer.Count)).Schedule
 	checkPromptTokens(t, "Summarize the text.", sched)
 }
@@ -98,4 +105,24 @@ func FuzzCellFragmentEncoding(f *testing.F) {
 			{Source: 4, Cells: []core.Cell{a, b}},
 		}})
 	})
+}
+
+// TestWriteQuotedMatchesStrconv: the no-escape fast path and its fallback
+// agree with strconv.Quote on every byte, alone and inside text.
+func TestWriteQuotedMatchesStrconv(t *testing.T) {
+	quoted := func(s string) string {
+		var sb strings.Builder
+		writeQuoted(&sb, s)
+		return sb.String()
+	}
+	for b := 0; b < 256; b++ {
+		for _, s := range []string{string([]byte{byte(b)}), "plain " + string([]byte{byte(b)}) + " text"} {
+			if got, want := quoted(s), strconv.Quote(s); got != want {
+				t.Errorf("byte %#02x: writeQuoted(%q) = %s, want %s", b, s, got, want)
+			}
+		}
+	}
+	if got := quoted(""); got != `""` {
+		t.Errorf("empty string quoted as %s", got)
+	}
 }

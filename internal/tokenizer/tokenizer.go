@@ -34,14 +34,14 @@ const chunk = 4
 // use. The zero value is not usable; call New.
 type Tokenizer struct {
 	mu     sync.RWMutex
-	ids    map[string]Token // guarded by mu
+	ids    map[uint64]Token // by pieceKey; guarded by mu
 	pieces []string         // guarded by mu
 }
 
 // New returns an empty tokenizer. Vocabulary entries are created on demand
 // as texts are encoded.
 func New() *Tokenizer {
-	return &Tokenizer{ids: make(map[string]Token, 4096)}
+	return &Tokenizer{ids: make(map[uint64]Token, 4096)}
 }
 
 // VocabSize reports how many distinct pieces have been interned so far.
@@ -83,13 +83,25 @@ func (t *Tokenizer) AppendEncode(dst []Token, text string) []Token {
 // internLocked returns the piece's id, assigning the next one on first
 // sight.
 func (t *Tokenizer) internLocked(p string) Token {
-	id, ok := t.ids[p]
+	key := pieceKey(p)
+	id, ok := t.ids[key]
 	if !ok {
 		id = Token(len(t.pieces))
-		t.ids[p] = id
+		t.ids[key] = id
 		t.pieces = append(t.pieces, p)
 	}
 	return id
+}
+
+// pieceKey packs a piece — at most maxPiece = 7 bytes, whichever way
+// AppendEncode cut it — and its length into one word, so the vocabulary is
+// keyed by an integer instead of hashing a string per token.
+func pieceKey(p string) uint64 {
+	key := uint64(len(p)) << 56
+	for i := 0; i < len(p); i++ {
+		key |= uint64(p[i]) << (8 * i)
+	}
+	return key
 }
 
 // Decode reconstructs the text for a token sequence produced by Encode on

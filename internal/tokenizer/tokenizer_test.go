@@ -217,3 +217,25 @@ func BenchmarkCount(b *testing.B) {
 		Count(text)
 	}
 }
+
+// TestPieceKeyTellsPiecesApart: the packed vocabulary key separates pieces
+// that differ only in length or in NUL bytes, so they keep distinct ids and
+// still decode exactly.
+func TestPieceKeyTellsPiecesApart(t *testing.T) {
+	pieces := []string{"", "a", "a\x00", "\x00a", "\x00", "\x00\x00", "abcdefg", "abcdef\x00", "\xff\xff\xff\xff\xff\xff\xff", " a", "a "}
+	seen := map[uint64]string{}
+	for _, p := range pieces {
+		if len(p) > maxPiece {
+			t.Fatalf("%q is longer than a piece", p)
+		}
+		if q, dup := seen[pieceKey(p)]; dup {
+			t.Errorf("%q and %q share key %#x", p, q, pieceKey(p))
+		}
+		seen[pieceKey(p)] = p
+	}
+	tok := New()
+	text := "a\x00\x00b\x00 a\x00c a"
+	if got := tok.Decode(tok.Encode(text)); got != text {
+		t.Errorf("round trip of %q gave %q", text, got)
+	}
+}
