@@ -65,9 +65,10 @@
 // fingerprint onto the worker ring (so persistent engines stay
 // stage-affine fleet-wide), hot stages replicate onto a second node when
 // the primary saturates, and dead or draining workers fail over to the
-// next ring node. Fan-out width is picked per batch from its group
-// structure and live worker capacity, so -shards does not compose with
-// the remote backend.
+// next ring node. The router sends each batch whole; the worker that
+// serves it cuts it at its prefix-group boundaries across its own engine
+// replicas (4 wide by default, -shards N on the worker to change it), so
+// -shards does not compose with the remote backend.
 //
 // Observability: logs are structured (log/slog; -log-format json switches
 // from text to JSON). Every /v1/sql request writes one access-log line with
@@ -132,7 +133,7 @@ func main() {
 		quotaTokB   = flag.Float64("quota-token-burst", 0, "token-quota burst capacity (default max(1, -quota-tokens))")
 		cache       = flag.Int("cache", 65536, "result cache capacity in entries (negative disables)")
 		backendName = flag.String("backend", "sim", "serving backend: sim (one engine per batch), persistent (long-lived engine replicas per stage, prefix cache survives between batches), or sharded-sim/sharded-persistent (data-parallel fan-out)")
-		shards      = flag.Int("shards", 1, "data-parallel shards per batch: >1 wraps -backend in a sharded fan-out (sharded-* backends default to 4)")
+		shards      = flag.Int("shards", 1, "data-parallel shards per batch: >1 wraps -backend in a sharded fan-out (sharded-* backends default to 4); with -worker, 1 leaves /v1/batch at the worker's own default of 4")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight requests")
 		slowQuery   = flag.Duration("slow-query", 0, "slow-query threshold: statements at least this slow are logged and their traces retained in /v1/traces (0 disables)")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")

@@ -53,12 +53,13 @@ func newRemoteConformance() backend.Backend {
 }
 
 // stubWorkerBackend is a deterministic local backend for wire-level tests:
-// its result is a pure function of the requests, and it counts the batches
+// its result is a pure function of the requests, and it counts the requests
 // that actually reached it (the conservation witness — a retried attempt
-// that never got through must not be served twice).
+// that never got through must not be served twice; requests, not batches,
+// because the worker shards a grouped batch before it gets here).
 type stubWorkerBackend struct {
-	mu      sync.Mutex
-	batches int
+	mu       sync.Mutex
+	requests int
 }
 
 func (s *stubWorkerBackend) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend.BatchResult, error) {
@@ -70,7 +71,7 @@ func (s *stubWorkerBackend) RunBatch(ctx context.Context, spec backend.BatchSpec
 		prompt += int64(len(r.Prompt))
 	}
 	s.mu.Lock()
-	s.batches++
+	s.requests += len(spec.Requests)
 	s.mu.Unlock()
 	m := llmsim.Metrics{}
 	m.JCT = 1.5
@@ -85,13 +86,13 @@ func (s *stubWorkerBackend) Close() error { return nil }
 func (s *stubWorkerBackend) served() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.batches
+	return s.requests
 }
 
 // TestRemoteRetryConservation: a worker whose first answer is a transient
 // 500 must cost exactly one retry — and the accounting must be conserved:
-// the local backend serves the batch once, and the returned result counts
-// it once.
+// the local backend serves every request once, and the returned result
+// counts it once.
 func TestRemoteRetryConservation(t *testing.T) {
 	inner := &stubWorkerBackend{}
 	wk := server.NewWorker(inner, nil)
@@ -128,8 +129,8 @@ func TestRemoteRetryConservation(t *testing.T) {
 	if got := posts.Load(); got != 2 {
 		t.Errorf("worker saw %d POSTs, want 2 (one failure + one retry)", got)
 	}
-	if got := inner.served(); got != 1 {
-		t.Errorf("local backend served %d batches, want exactly 1", got)
+	if got := inner.served(); got != len(spec.Requests) {
+		t.Errorf("local backend served %d requests, want exactly %d (each once)", got, len(spec.Requests))
 	}
 	st := rem.Stats()
 	if st.Batches != 1 || st.Retries != 1 || st.Errors != 0 {
@@ -276,7 +277,7 @@ func TestRemoteDrainingWorkerRefuses(t *testing.T) {
 		t.Fatalf("err = %v, want transient RemoteError (503)", err)
 	}
 	if got := inner.served(); got != 0 {
-		t.Errorf("draining worker served %d batches, want 0", got)
+		t.Errorf("draining worker served %d requests, want 0", got)
 	}
 	if st := rem.Stats(); st.Retries != 1 || st.Errors != 1 {
 		t.Errorf("stats = %+v, want {Retries:1 Errors:1}", st)

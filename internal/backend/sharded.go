@@ -32,7 +32,9 @@ const DefaultShards = 4
 // it independently, a per-shard cost that is constant in the batch size.
 // Groups are balanced across shards by request-token weight (core.PackGroups
 // greedy), and a batch without group annotations, with a single group, or
-// smaller than two requests passes through unsplit.
+// smaller than two requests passes through unsplit. Sub-batches keep the
+// group starts that fall inside them (see SplitByGroups): a router's half
+// of a replicated batch is cut again by the worker it lands on.
 //
 // Results merge by construction: answers are content-keyed outside the
 // engine, so sharded relations are byte-identical to unsharded ones; merged
@@ -95,20 +97,29 @@ func (s *Sharded) Stats() ShardStats {
 	}
 }
 
-// ShardStatsOf reports the accounting of the Sharded serving behind be,
-// seen through decorators that expose what they wrap as Unwrap() Backend
-// (a chaos wrapper, a tracing wrapper); zero when the chain holds none.
-func ShardStatsOf(be Backend) ShardStats {
+// ShardedOf finds the Sharded serving behind be, seen through decorators
+// that expose what they wrap as Unwrap() Backend (a chaos wrapper, a tracing
+// wrapper); nil when the chain holds none.
+func ShardedOf(be Backend) *Sharded {
 	for {
 		switch b := be.(type) {
 		case *Sharded:
-			return b.Stats()
+			return b
 		case interface{ Unwrap() Backend }:
 			be = b.Unwrap()
 		default:
-			return ShardStats{}
+			return nil
 		}
 	}
+}
+
+// ShardStatsOf reports the accounting of ShardedOf(be); zero when the chain
+// holds none.
+func ShardStatsOf(be Backend) ShardStats {
+	if s := ShardedOf(be); s != nil {
+		return s.Stats()
+	}
+	return ShardStats{}
 }
 
 // RunBatch partitions the batch along its group boundaries and serves the
@@ -213,8 +224,10 @@ func RunParts(ctx context.Context, parts []BatchSpec, run func(ctx context.Conte
 
 // SplitByGroups partitions spec at its prefix-group boundaries into at most
 // n sub-batches, balanced by request-token weight (core.PackGroups greedy).
-// Sub-batches inherit the StageKey and Engine but carry no Groups annotation
-// — they are leaves, not further splittable without prefix-hit loss. A batch
+// Sub-batches inherit the StageKey and Engine and keep the group starts that
+// fall inside them, rebased: a part is a concatenation of whole groups, so
+// those are still true cut points and the worker that serves a part can
+// shard it again. A batch
 // that should not be split (n < 2, no or single group annotation, fewer than
 // two requests) returns a single-element slice holding spec unchanged; an
 // invalid Groups annotation is an error.
@@ -232,11 +245,13 @@ func SplitByGroups(spec BatchSpec, n int) ([]BatchSpec, error) {
 	parts := make([]BatchSpec, len(bins))
 	for b, groups := range bins {
 		var reqs []*llmsim.Request
-		for _, g := range groups {
+		starts := make([]int, len(groups))
+		for i, g := range groups {
 			start, end := groupBounds(spec, g)
+			starts[i] = len(reqs)
 			reqs = append(reqs, spec.Requests[start:end]...)
 		}
-		parts[b] = BatchSpec{StageKey: spec.StageKey, Requests: reqs, Engine: spec.Engine}
+		parts[b] = BatchSpec{StageKey: spec.StageKey, Requests: reqs, Groups: starts, Engine: spec.Engine}
 	}
 	return parts, nil
 }

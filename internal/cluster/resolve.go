@@ -11,9 +11,9 @@ import (
 // name delegates to backend.ByNameShards — one source of truth, so the
 // local and distributed flag surfaces cannot drift apart.
 //
-// shards composes only with local backends: the router picks its fan-out
-// width per batch from group structure and live worker capacity, so a
-// static shard count is rejected rather than silently ignored.
+// shards composes only with local backends: the router sends whole batches
+// and each worker owns its own fan-out (server.NewWorker), so a shard count
+// on the router is rejected rather than silently ignored.
 //
 // cfg carries router tuning (hedge delay, breaker thresholds, a chaos
 // HTTPClient, ...); its Workers field is overridden by the workers
@@ -24,7 +24,7 @@ func Resolve(name string, shards int, workers []string, cfg Config) (backend.Bac
 			return nil, fmt.Errorf("cluster: backend %q needs worker addresses: pass -cluster-workers host:port,...", name)
 		}
 		if shards > 1 {
-			return nil, fmt.Errorf("cluster: -shards does not compose with backend %q: the router picks fan-out per batch from groups and live capacity", name)
+			return nil, fmt.Errorf("cluster: -shards does not compose with backend %q: a worker owns its own fan-out: set -shards on the worker", name)
 		}
 		cfg.Workers = workers
 		return NewRouter(cfg)

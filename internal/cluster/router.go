@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,98 +14,10 @@ import (
 	"repro/internal/stats"
 )
 
-// Config sizes a Router.
-type Config struct {
-	// Workers are the fleet's /v1/batch addresses ("host:port" or full
-	// URLs). At least one is required.
-	Workers []string
-	// Capacity is a worker's nominal concurrent-batch budget, the unit the
-	// fan-out and hot-replication decisions are made in (default 4).
-	Capacity int
-	// HealthInterval is the period between health sweeps (default 2s;
-	// negative disables the health loop — worker circuits are then only
-	// opened by failed batches and never close without traffic).
-	HealthInterval time.Duration
-	// MarkdownAfter is the circuit breaker's consecutive-failure threshold:
-	// how many consecutive probe failures open a worker's circuit (default
-	// 2; a failed batch counts MarkdownAfter at once, since it already
-	// survived the remote backend's own retries).
-	MarkdownAfter int
-	// HedgeAfter controls hedged batch sends: after this long without an
-	// answer, the same part is also dispatched to the next admitted ring
-	// node and the first answer wins (the loser is canceled; only the
-	// winner's result is merged, so accounting never double-charges). Zero
-	// is adaptive — the slowest of the last 128 successful batches; negative
-	// disables hedging.
-	HedgeAfter time.Duration
-	// MaxRetries / RetryBackoff configure each worker's backend.Remote
-	// (see backend.RemoteConfig); failover to the next ring node happens
-	// only after a worker exhausts these.
-	MaxRetries   int
-	RetryBackoff time.Duration
-	// HTTPClient is shared by batch dispatch and health probes; nil builds
-	// a default client. Chaos runs mount a faults.RoundTripper here.
-	HTTPClient *http.Client
-}
-
-func (c Config) capacity() int {
-	if c.Capacity > 0 {
-		return c.Capacity
-	}
-	return 4
-}
-
-func (c Config) healthInterval() time.Duration {
-	if c.HealthInterval != 0 {
-		return c.HealthInterval
-	}
-	return 2 * time.Second
-}
-
-func (c Config) markdownAfter() int {
-	if c.MarkdownAfter > 0 {
-		return c.MarkdownAfter
-	}
-	return 2
-}
-
-// healthTimeout bounds one health probe. A sweep probes the workers one
-// after another, so it stays well under the default 2 s sweep period: a
-// few hung workers cannot push one sweep into the next.
-const healthTimeout = 500 * time.Millisecond
-
-// retryBudgetRatio / retryBudgetBurst size the retry budget shared by every
-// worker's Remote (see backend.RetryBudget): retries stay under a fifth of
-// real traffic in steady state, and a cold or quiet router can still retry
-// through a burst of ten faults.
-const (
-	retryBudgetRatio = 0.2
-	retryBudgetBurst = 10
-)
-
-// defaultHedgeDelay is the adaptive hedge delay before any latency samples
-// exist — deliberately conservative so a cold router does not hedge its
-// first batches.
-const defaultHedgeDelay = 250 * time.Millisecond
-
-// worker is the router's view of one fleet member. A worker's "down" state
-// is its circuit breaker being non-closed.
-type worker struct {
-	addr      string
-	healthURL string
-	remote    *backend.Remote
-	capacity  int
-	cb        *breaker
-
-	inflight atomic.Int64 // batches currently dispatched to this worker
-}
-
-func (w *worker) isDown() bool { return w.cb.isOpen() }
-
 // Router is the cluster Backend: it consistent-hashes each batch's StageKey
 // onto the worker ring so persistent engines stay stage-affine fleet-wide,
-// fans a grouped batch out across workers sized by live capacity, and
-// degrades — not fails — when workers die, drain, or lie.
+// sends each batch whole to the worker that owns its stage, and degrades —
+// not fails — when workers die, drain, or lie.
 //
 // Placement per batch:
 //
@@ -115,15 +25,17 @@ func (w *worker) isDown() bool { return w.cb.isOpen() }
 //     open fails over to the next distinct ring node (counted as a ring
 //     move), so a broken worker's stages land deterministically on its
 //     successor.
-//  2. If the primary is saturated (in-flight ≥ its capacity) the next
-//     ring node joins as a replica target (counted as a hot replication):
-//     the stage's prefix warms on a second node, trading one extra warm-up
-//     for parallelism — the dynamic version of backend.Sharded's static
-//     fan-out.
-//  3. Fan-out width is min(group count, live spare capacity across the
-//     chosen targets), never a static flag: the batch splits along its
-//     prefix-group boundaries (backend.SplitByGroups) and parts go to the
-//     least-loaded target first.
+//  2. If the primary is saturated (whole batches in flight ≥ its capacity)
+//     the next ring node joins as a replica target (counted as a hot
+//     replication): the stage's prefix warms on a second node, trading one
+//     extra warm-up for parallelism.
+//  3. One part per target: a lone primary gets the batch whole; a replica
+//     pair gets the two halves backend.SplitByGroups cuts along the
+//     prefix-group boundaries, part i to target i, and a batch that cannot
+//     be cut overflows whole to the replica. Parts keep their group starts,
+//     and the worker that serves one shards it across its own engine
+//     replicas (server.NewWorker): the process that owns the pool decides
+//     the fan-out width, once.
 //  4. A part without an answer after the hedge delay is also dispatched to
 //     the next admitted ring node; the first answer wins and the loser is
 //     canceled — only the winner's result merges, so hedges never
@@ -170,10 +82,6 @@ type Router struct {
 
 var _ backend.Backend = (*Router)(nil)
 
-// latencyWindow is how many successful batches the adaptive hedge delay
-// looks back over.
-const latencyWindow = 128
-
 // NewRouter builds the router and starts its health loop.
 func NewRouter(cfg Config) (*Router, error) {
 	rg, err := newRing(cfg.Workers)
@@ -200,120 +108,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		go rt.healthLoop(hc)
 	}
 	return rt, nil
-}
-
-// newWorker builds the router's view of one fleet member.
-func newWorker(cfg Config, hc *http.Client, budget *backend.RetryBudget, addr string) (*worker, error) {
-	rem, err := backend.NewRemote(backend.RemoteConfig{
-		Addr:         addr,
-		Client:       hc,
-		MaxRetries:   cfg.MaxRetries,
-		RetryBackoff: cfg.RetryBackoff,
-		Budget:       budget,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: worker %s: %w", addr, err)
-	}
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	return &worker{
-		addr:      addr,
-		healthURL: strings.TrimRight(base, "/") + "/healthz",
-		remote:    rem,
-		capacity:  cfg.capacity(),
-		cb:        newBreaker(breakerConfig{threshold: cfg.markdownAfter()}),
-	}, nil
-}
-
-// Workers lists the fleet's current addresses, sorted.
-func (rt *Router) Workers() []string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	addrs := make([]string, 0, len(rt.workers))
-	for addr := range rt.workers {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	return addrs
-}
-
-// AddWorker joins a worker to the running fleet: the consistent-hash ring
-// rebuilds with the new member (≈1/N of stages move to it; everything else
-// keeps its assignment), and subsequent batches route on the new ring.
-func (rt *Router) AddWorker(addr string) error {
-	if rt.closed.Load() {
-		return fmt.Errorf("cluster: router is closed")
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if _, ok := rt.workers[addr]; ok {
-		return fmt.Errorf("cluster: worker %s is already in the fleet", addr)
-	}
-	addrs := make([]string, 0, len(rt.workers)+1)
-	for a := range rt.workers {
-		addrs = append(addrs, a)
-	}
-	addrs = append(addrs, addr)
-	rg, err := newRing(addrs)
-	if err != nil {
-		return err
-	}
-	w, err := newWorker(rt.cfg, rt.hc, rt.budget, addr)
-	if err != nil {
-		return err
-	}
-	rt.workers[addr] = w
-	rt.ring = rg
-	rt.rebalanceJoins.Add(1)
-	return nil
-}
-
-// RemoveWorker removes a worker from the running fleet. The ring rebuilds
-// without it immediately — its stages move to their ring successors and it
-// stops counting toward ring moves — while batches already dispatched to it
-// drain on the old assignment; its connections close once they finish. The
-// last worker cannot be removed.
-func (rt *Router) RemoveWorker(addr string) error {
-	rt.mu.Lock()
-	w, ok := rt.workers[addr]
-	if !ok {
-		rt.mu.Unlock()
-		return fmt.Errorf("cluster: worker %s is not in the fleet", addr)
-	}
-	if len(rt.workers) == 1 {
-		rt.mu.Unlock()
-		return fmt.Errorf("cluster: cannot remove the last worker %s", addr)
-	}
-	delete(rt.workers, addr)
-	addrs := make([]string, 0, len(rt.workers))
-	for a := range rt.workers {
-		addrs = append(addrs, a)
-	}
-	rg, err := newRing(addrs)
-	if err != nil {
-		// Unreachable (non-empty, deduplicated by construction); restore.
-		rt.workers[addr] = w
-		rt.mu.Unlock()
-		return err
-	}
-	rt.ring = rg
-	rt.rebalanceLeaves.Add(1)
-	rt.mu.Unlock()
-
-	// Drain: in-flight batches hold their worker and finish on the old
-	// assignment; the remote closes only when the last one lands (or the
-	// router itself closes).
-	rt.drains.Add(1)
-	go func() {
-		defer rt.drains.Done()
-		for w.inflight.Load() > 0 && !rt.closed.Load() {
-			time.Sleep(5 * time.Millisecond)
-		}
-		_ = w.remote.Close()
-	}()
-	return nil
 }
 
 // candidates returns the stage's failover preference list — ring order from
@@ -356,66 +150,31 @@ func (rt *Router) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend
 	if primary.addr != owner {
 		rt.ringMoves.Add(1)
 	}
+	// One part per distinct target: the primary alone, or the primary and
+	// its ring successor when the primary already runs its nominal budget of
+	// batches. How wide a part is cut further is its worker's decision.
 	targets := []*worker{primary}
-	// The replication watermark is the capacity itself: a primary already
-	// running its nominal budget of batches has no spare slot to fan into.
 	if primary.inflight.Load() >= int64(primary.capacity) && len(cands) > 1 {
 		targets = append(targets, cands[1])
 		rt.hotReplications.Add(1)
 	}
-
-	// Fan-out width from group structure and live spare capacity — never a
-	// static flag. An unsplittable batch serves whole on the primary.
-	width := 1
-	if len(spec.Groups) > 1 && len(spec.Requests) >= 2 {
-		spare := 0
-		for _, w := range targets {
-			if s := w.capacity - int(w.inflight.Load()); s > 1 {
-				spare += s
-			} else {
-				spare++ // a saturated target still serves at least one part
-			}
-		}
-		if spare < len(spec.Groups) {
-			width = spare
-		} else {
-			width = len(spec.Groups)
-		}
-	}
-	parts, err := backend.SplitByGroups(spec, width)
+	parts, err := backend.SplitByGroups(spec, len(targets))
 	if err != nil {
 		return backend.BatchResult{}, err
 	}
-
-	sp := obs.FromContext(ctx)
-	sp.Set("cluster.primary", primary.addr)
-	if len(parts) > 1 {
-		sp.Set("cluster.fanout", len(parts))
+	if len(parts) == 1 {
+		// An unsplittable batch overflows whole, to the replica if there is one.
+		targets = targets[len(targets)-1:]
 	}
-
-	// Assign parts to the least-loaded target first (live in-flight plus
-	// what this batch already assigned).
-	assigned := make(map[*worker]int, len(targets))
-	firsts := make([]*worker, len(parts))
-	for i := range parts {
-		best := targets[0]
-		bestLoad := int(best.inflight.Load()) + assigned[best]
-		for _, w := range targets[1:] {
-			if load := int(w.inflight.Load()) + assigned[w]; load < bestLoad {
-				best, bestLoad = w, load
-			}
-		}
-		assigned[best]++
-		firsts[i] = best
-	}
+	obs.FromContext(ctx).Set("cluster.primary", primary.addr)
 	return backend.RunParts(ctx, parts, func(ctx context.Context, i int, part backend.BatchSpec) (backend.BatchResult, error) {
-		return rt.runPart(ctx, part, firsts[i], cands)
+		return rt.runPart(ctx, part, targets[i], cands)
 	})
 }
 
 // runPart serves one part, failing over along the candidate list. first is
-// the load-balanced choice; on a transient failure the part walks the
-// remaining candidates in ring order. A worker whose circuit breaker denies
+// the part's target; on a transient failure the part walks the remaining
+// candidates in ring order. A worker whose circuit breaker denies
 // admission is skipped while an admitted candidate remains (the breaker
 // itself meters half-open probes); with every circuit open the walk tries
 // workers anyway, so a fleet-wide brownout degrades instead of wedging.
@@ -466,281 +225,6 @@ func (rt *Router) runPart(ctx context.Context, part backend.BatchSpec, first *wo
 		lastErr = err
 	}
 	return backend.BatchResult{}, fmt.Errorf("cluster: all %d workers failed for stage part: %w", len(order), lastErr)
-}
-
-// hedgeTarget picks the hedge candidate for a dispatch: the first untried
-// worker from position from whose circuit is closed (a hedge is a latency
-// optimization — it never spends a half-open probe slot).
-func (rt *Router) hedgeTarget(order []*worker, tried map[*worker]bool, from int) *worker {
-	for _, w := range order[from:] {
-		if !tried[w] && !w.cb.isOpen() {
-			return w
-		}
-	}
-	return nil
-}
-
-// dispatch serves one part on primary, hedging to hedge if no answer lands
-// within the hedge delay. The first success wins and the loser is canceled;
-// only the winner's result is returned, so accounting never double-charges.
-// A hedge launched during the race marks its worker tried in the caller's
-// failover walk — its outcome (either way) already fed that worker's
-// breaker.
-func (rt *Router) dispatch(ctx context.Context, part backend.BatchSpec, primary, hedge *worker, tried map[*worker]bool) (backend.BatchResult, error) {
-	delay, ok := rt.hedgeDelay(ctx)
-	if hedge == nil || !ok {
-		return rt.send(ctx, part, primary)
-	}
-
-	dctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		res    backend.BatchResult
-		err    error
-		hedged bool
-	}
-	ch := make(chan outcome, 2)
-	go func() {
-		res, err := rt.send(dctx, part, primary)
-		ch <- outcome{res, err, false}
-	}()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	launched := false
-	var firstFail *outcome
-	for {
-		select {
-		case o := <-ch:
-			if o.err == nil {
-				cancel()
-				if launched {
-					if o.hedged {
-						rt.hedgeWins.Add(1)
-					} else {
-						rt.hedgesCanceled.Add(1)
-					}
-				}
-				return o.res, nil
-			}
-			if !launched {
-				// Primary failed before the hedge would launch: hedging is
-				// for tail latency, failover handles failures.
-				return backend.BatchResult{}, o.err
-			}
-			if firstFail == nil {
-				firstFail = &o
-				continue // the race partner may still answer
-			}
-			// Both failed: surface the non-hedged error first (the hedge's
-			// failure is usually the same root cause one hop later).
-			if firstFail.hedged {
-				return backend.BatchResult{}, o.err
-			}
-			return backend.BatchResult{}, firstFail.err
-		case <-timer.C:
-			if launched {
-				continue
-			}
-			launched = true
-			tried[hedge] = true
-			rt.hedgesLaunched.Add(1)
-			go func() {
-				res, err := rt.send(dctx, part, hedge)
-				ch <- outcome{res, err, true}
-			}()
-		}
-	}
-}
-
-// hedgeDelay resolves the effective hedge delay for this dispatch, and
-// whether hedging applies at all: disabled by config, or suppressed when
-// the caller's remaining deadline could not outlive the hedge anyway.
-func (rt *Router) hedgeDelay(ctx context.Context) (time.Duration, bool) {
-	d := rt.cfg.HedgeAfter
-	if d < 0 {
-		return 0, false
-	}
-	if d == 0 {
-		if d = rt.slowestRecent(); d == 0 {
-			d = defaultHedgeDelay
-		}
-	}
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= d {
-		return 0, false
-	}
-	return d, true
-}
-
-// send runs one part on one worker, feeding its circuit breaker: a success
-// closes/credits the circuit and lands in the latency reservoir; a
-// transient failure counts MarkdownAfter consecutive failures at once
-// (the remote already retried). The caller's own death is not the
-// worker's fault and is never charged to the breaker.
-func (rt *Router) send(ctx context.Context, part backend.BatchSpec, w *worker) (backend.BatchResult, error) {
-	w.inflight.Add(1)
-	start := time.Now()
-	res, err := w.remote.RunBatch(ctx, part)
-	w.inflight.Add(-1)
-	if err == nil {
-		rt.latMu.Lock()
-		rt.lats.Add(time.Since(start))
-		rt.latMu.Unlock()
-		w.cb.record(false, 1)
-		return res, nil
-	}
-	if ctx.Err() == nil {
-		var re *backend.RemoteError
-		if transient := !errors.As(err, &re) || re.Transient(); transient {
-			w.cb.record(true, rt.cfg.markdownAfter())
-		}
-	}
-	return backend.BatchResult{}, err
-}
-
-// slowestRecent is the adaptive hedge delay: the slowest of the last
-// latencyWindow successful batches (0 with none yet) — a part is hedged
-// only once it has run longer than anything recently seen to succeed.
-func (rt *Router) slowestRecent() time.Duration {
-	rt.latMu.Lock()
-	defer rt.latMu.Unlock()
-	var slowest time.Duration
-	for d := range rt.lats.All() {
-		slowest = max(slowest, d)
-	}
-	return slowest
-}
-
-// snapshotWorkers copies the live worker set for lock-free iteration.
-func (rt *Router) snapshotWorkers() []*worker {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	ws := make([]*worker, 0, len(rt.workers))
-	for _, w := range rt.workers {
-		ws = append(ws, w)
-	}
-	return ws
-}
-
-// healthLoop probes every worker each HealthInterval: a 200 from /healthz
-// counts as a breaker success (closing an open circuit on recovery),
-// anything else — including a draining worker's 503 — counts one failure
-// toward the breaker's threshold. Open-circuit workers keep being probed;
-// the first healthy answer closes the circuit.
-func (rt *Router) healthLoop(hc *http.Client) {
-	defer rt.loopDone.Done()
-	ticker := time.NewTicker(rt.cfg.healthInterval())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-rt.stop:
-			return
-		case <-ticker.C:
-		}
-		for _, w := range rt.snapshotWorkers() {
-			rt.probe(hc, w)
-		}
-	}
-}
-
-// probe performs one health check against w, feeding its circuit breaker.
-func (rt *Router) probe(hc *http.Client, w *worker) {
-	// The health loop outlives any one batch; its probes are detached from
-	// request contexts by design.
-	//llmqlint:detached -- background health loop, bounded by healthTimeout
-	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.healthURL, nil)
-	if err != nil {
-		w.cb.record(true, 1)
-		return
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		w.cb.record(true, 1)
-		return
-	}
-	resp.Body.Close()
-	w.cb.record(resp.StatusCode != http.StatusOK, 1)
-}
-
-// WorkerMetrics is one worker's routing accounting.
-//
-// Counting fields are conserved accounting: the llmqlint accounting
-// analyzer rejects keyed literals that set some counters and omit others.
-//
-//llmqlint:accounting
-type WorkerMetrics struct {
-	// Batches/Retries/Errors/BudgetDenied are the worker's
-	// backend.RemoteStats; Markdowns counts circuit-open transitions;
-	// InFlight is the live dispatched-batch gauge.
-	Batches      int64 `json:"batches"`
-	Retries      int64 `json:"retries"`
-	Errors       int64 `json:"errors"`
-	BudgetDenied int64 `json:"budgetDenied"`
-	Markdowns    int64 `json:"markdowns"`
-	InFlight     int64 `json:"inFlight"`
-	// Down reports a non-closed circuit; Breaker names the state exactly.
-	Down    bool         `json:"down"`
-	Breaker BreakerState `json:"breaker"`
-}
-
-// Metrics is the router's fleet accounting, folded into runtime.Metrics and
-// the Prometheus exposition.
-//
-// Counting fields are conserved accounting: the llmqlint accounting
-// analyzer rejects keyed literals that set some counters and omit others.
-//
-//llmqlint:accounting
-type Metrics struct {
-	// Workers maps worker address to its counters (current fleet members
-	// only; a removed worker's counters leave with it).
-	Workers map[string]WorkerMetrics `json:"workers"`
-	// RingMoves counts batches served off their ring owner (failover);
-	// HotReplications counts batches that added a replica target because
-	// the primary was saturated.
-	RingMoves       int64 `json:"ringMoves"`
-	HotReplications int64 `json:"hotReplications"`
-	// HedgesLaunched counts hedge dispatches; HedgeWins the races the hedge
-	// answered first; HedgesCanceled the races the primary won after the
-	// hedge launched. Wins + canceled ≤ launched (races whose winner was an
-	// error resolve as neither).
-	HedgesLaunched int64 `json:"hedgesLaunched"`
-	HedgeWins      int64 `json:"hedgeWins"`
-	HedgesCanceled int64 `json:"hedgesCanceled"`
-	// RebalanceJoins / RebalanceLeaves count live fleet membership changes.
-	RebalanceJoins  int64 `json:"rebalanceJoins"`
-	RebalanceLeaves int64 `json:"rebalanceLeaves"`
-}
-
-// Metrics snapshots the fleet counters.
-func (rt *Router) Metrics() Metrics {
-	rt.mu.RLock()
-	ws := make(map[string]WorkerMetrics, len(rt.workers))
-	for addr, w := range rt.workers {
-		rs := w.remote.Stats()
-		state, opens := w.cb.snapshot()
-		ws[addr] = WorkerMetrics{
-			Batches:      rs.Batches,
-			Retries:      rs.Retries,
-			Errors:       rs.Errors,
-			BudgetDenied: rs.BudgetDenied,
-			Markdowns:    opens,
-			InFlight:     w.inflight.Load(),
-			Down:         state != BreakerClosed,
-			Breaker:      state,
-		}
-	}
-	rt.mu.RUnlock()
-	return Metrics{
-		Workers:         ws,
-		RingMoves:       rt.ringMoves.Load(),
-		HotReplications: rt.hotReplications.Load(),
-		HedgesLaunched:  rt.hedgesLaunched.Load(),
-		HedgeWins:       rt.hedgeWins.Load(),
-		HedgesCanceled:  rt.hedgesCanceled.Load(),
-		RebalanceJoins:  rt.rebalanceJoins.Load(),
-		RebalanceLeaves: rt.rebalanceLeaves.Load(),
-	}
 }
 
 // Close stops the health loop, waits for removed-worker drains, and closes

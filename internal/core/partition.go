@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file holds the two halves of prefix-coherent partitioning that
 // internal/backend's SplitByGroups composes: where one reordered schedule
@@ -69,6 +72,9 @@ func PackGroups(weights []int64, bins int) [][]int {
 		loads[best] += weights[item]
 		out[best] = append(out[best], item)
 	}
+	// Positive weights fill every bin; zero or negative ones can leave bins
+	// unused, and those are dropped rather than returned empty.
+	out = slices.DeleteFunc(out, func(bin []int) bool { return len(bin) == 0 })
 	for _, bin := range out {
 		sort.Ints(bin)
 	}

@@ -60,4 +60,9 @@ func TestPackGroups(t *testing.T) {
 	if PackGroups(nil, 4) != nil {
 		t.Fatal("no items must give no bins")
 	}
+	// Weightless items never make a bin look heavier than an unused one, so
+	// they all land on bin 0: the unused bins are dropped, not returned empty.
+	if got := PackGroups([]int64{0, 0, 0}, 2); !reflect.DeepEqual(got, [][]int{{0, 1, 2}}) {
+		t.Fatalf("weightless items packed as %v, want one bin holding all three", got)
+	}
 }

@@ -42,7 +42,15 @@ type workerClient struct {
 
 // NewWorker builds the worker state over the local backend be. log, when
 // non-nil, gets one structured record per /v1/batch request.
+//
+// The worker owns its fan-out: a router sends each batch whole, groups
+// included, and /v1/batch serves it through a backend.Sharded of
+// backend.DefaultShards shards over be — unless be's chain already holds a
+// Sharded (the operator's -shards N), which then decides the width.
 func NewWorker(be backend.Backend, log *slog.Logger) *Worker {
+	if backend.ShardedOf(be) == nil {
+		be, _ = backend.NewSharded(be, backend.DefaultShards) // errs only on shards < 1
+	}
 	return &Worker{be: be, log: log, clients: make(map[string]*workerClient)}
 }
 
@@ -87,6 +95,11 @@ type WorkerStats struct {
 	Clients map[string]WorkerClientStats `json:"clients,omitempty"`
 	// Draining reports the drain flag.
 	Draining bool `json:"draining"`
+	// ShardedBatches counts served batches the worker cut at their group
+	// boundaries; ShardRuns the sub-batches those became (backend.ShardStats)
+	// — their ratio is the worker's fan-out width.
+	ShardedBatches int64 `json:"shardedBatches"`
+	ShardRuns      int64 `json:"shardRuns"`
 }
 
 // WorkerClientStats is one tenant's share of a worker's batches.
@@ -102,11 +115,14 @@ type WorkerClientStats struct {
 
 // Stats snapshots the worker counters.
 func (wk *Worker) Stats() WorkerStats {
+	ss := backend.ShardStatsOf(wk.be)
 	st := WorkerStats{
-		Batches:  wk.batches.Load(),
-		Errors:   wk.errors.Load(),
-		Rows:     wk.rows.Load(),
-		Draining: wk.Draining(),
+		Batches:        wk.batches.Load(),
+		Errors:         wk.errors.Load(),
+		Rows:           wk.rows.Load(),
+		Draining:       wk.Draining(),
+		ShardedBatches: ss.ShardedBatches,
+		ShardRuns:      ss.ShardRuns,
 	}
 	wk.mu.Lock()
 	defer wk.mu.Unlock()
@@ -206,6 +222,10 @@ func renderWorkerPrometheus(st WorkerStats) string {
 	w.row("llmq_worker_rows_total", "", float64(st.Rows))
 	w.family("llmq_worker_draining", "gauge", "1 while the worker is draining.")
 	w.row("llmq_worker_draining", "", boolGauge(st.Draining))
+	w.family("llmq_worker_sharded_batches_total", "counter", "Served batches this worker cut at their group boundaries.")
+	w.row("llmq_worker_sharded_batches_total", "", float64(st.ShardedBatches))
+	w.family("llmq_worker_shard_runs_total", "counter", "Sub-batches the cut batches became on the local backend.")
+	w.row("llmq_worker_shard_runs_total", "", float64(st.ShardRuns))
 	if len(st.Clients) > 0 {
 		ids := make([]string, 0, len(st.Clients))
 		for id := range st.Clients {

@@ -156,10 +156,52 @@ func TestWorkerDraining(t *testing.T) {
 	}
 }
 
+// TestWorkerOwnsFanOut: the worker cuts a grouped batch at the boundaries
+// that arrived with it, DefaultShards wide over a plain backend, and leaves
+// the width to the operator's own Sharded when the chain already holds one.
+func TestWorkerOwnsFanOut(t *testing.T) {
+	grouped := wireBatch("", "", 12)
+	grouped.Groups = []int{0, 2, 4, 6, 8, 10}
+
+	h, wk := workerHandler()
+	rec := post(t, h, "/v1/batch", grouped)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if res := decode[backend.WireResult](t, rec); res.ModelCalls != 12 {
+		t.Errorf("model calls = %d, want 12 (conserved across shards)", res.ModelCalls)
+	}
+	if st := wk.Stats(); st.Batches != 1 || st.ShardedBatches != 1 || st.ShardRuns != backend.DefaultShards {
+		t.Errorf("stats = %+v, want 1 batch cut into %d shard runs", st, backend.DefaultShards)
+	}
+	// An ungrouped batch is served whole.
+	post(t, h, "/v1/batch", wireBatch("", "", 3))
+	if st := wk.Stats(); st.Batches != 2 || st.ShardedBatches != 1 {
+		t.Errorf("stats = %+v, want the ungrouped batch served unsplit", st)
+	}
+
+	own, err := backend.NewSharded(backend.NewSim(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk = NewWorker(own, nil)
+	if rec := post(t, NewWithConfig(Config{Worker: wk}), "/v1/batch", grouped); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if st := wk.Stats(); st.ShardedBatches != 1 || st.ShardRuns != 2 {
+		t.Errorf("stats = %+v, want the operator's 2 shards, not a second fan-out", st)
+	}
+}
+
 func TestWorkerMetricsEndpoint(t *testing.T) {
 	h, _ := workerHandler()
 	if rec := post(t, h, "/v1/batch", wireBatch("tenant-a", "batch", 2)); rec.Code != http.StatusOK {
 		t.Fatalf("batch status = %d", rec.Code)
+	}
+	grouped := wireBatch("tenant-a", "batch", 6)
+	grouped.Groups = []int{0, 2, 4}
+	if rec := post(t, h, "/v1/batch", grouped); rec.Code != http.StatusOK {
+		t.Fatalf("grouped batch status = %d", rec.Code)
 	}
 
 	// JSON form.
@@ -170,8 +212,13 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 		t.Fatalf("metrics status = %d: %s", rec.Code, rec.Body.String())
 	}
 	body := decode[map[string]WorkerStats](t, rec)
-	if body["worker"].Batches != 1 || body["worker"].Rows != 2 {
-		t.Errorf("worker metrics = %+v, want 1 batch / 2 rows", body["worker"])
+	if w := body["worker"]; w.Batches != 2 || w.Rows != 8 || w.ShardedBatches != 1 || w.ShardRuns != 3 {
+		t.Errorf("worker metrics = %+v, want 2 batches / 8 rows, one of them cut into 3 shard runs", w)
+	}
+	for _, key := range []string{`"shardedBatches":1`, `"shardRuns":3`} {
+		if !strings.Contains(rec.Body.String(), key) {
+			t.Errorf("metrics JSON missing %s: %s", key, rec.Body.String())
+		}
 	}
 
 	// Prometheus form.
@@ -183,10 +230,12 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 	}
 	text := rec.Body.String()
 	for _, want := range []string{
-		"llmq_worker_batches_total 1",
-		"llmq_worker_rows_total 2",
+		"llmq_worker_batches_total 2",
+		"llmq_worker_rows_total 8",
 		"llmq_worker_draining 0",
-		`llmq_worker_client_batches_total{client="tenant-a"} 1`,
+		"llmq_worker_sharded_batches_total 1",
+		"llmq_worker_shard_runs_total 3",
+		`llmq_worker_client_batches_total{client="tenant-a"} 2`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus exposition missing %q", want)

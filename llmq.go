@@ -314,12 +314,13 @@ type (
 	RecordedBatch     = backend.RecordedBatch
 	// RemoteBackend serves batches on a cluster worker over POST /v1/batch;
 	// ClusterRouter consistent-hashes stage fingerprints across a worker
-	// fleet (stage-affine placement, capacity-driven fan-out, health-checked
-	// failover). Both implement Backend; see internal/cluster. ClusterConfig
+	// fleet (stage-affine placement, whole batches on the wire, health-checked
+	// failover; each worker shards what it receives across its own engine
+	// replicas). Both implement Backend; see internal/cluster. ClusterConfig
 	// sizes what deployments vary; the probe timeout, the breaker's window /
 	// rate / cooldown and the retry budget are constants there (healthTimeout,
 	// breakerWindow …, retryBudgetRatio / retryBudgetBurst), and a primary
-	// replicates once its in-flight batches reach Capacity.
+	// replicates once it has Capacity whole batches in flight.
 	RemoteBackend       = backend.Remote
 	RemoteBackendConfig = backend.RemoteConfig
 	ClusterRouter       = cluster.Router
@@ -361,8 +362,10 @@ func NewRemoteBackend(cfg RemoteBackendConfig) (*RemoteBackend, error) { return 
 
 // NewClusterRouter returns the fleet backend: batches are consistent-hashed
 // by stage fingerprint onto the worker ring so persistent engines stay
-// stage-affine across nodes, fanned out by live spare capacity, replicated
-// off a saturated primary, and failed over past dead or draining workers.
+// stage-affine across nodes, sent whole to the worker that owns the stage
+// (which shards them across its own replicas), split in two with the ring
+// successor off a saturated primary, and failed over past dead or draining
+// workers.
 func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluster.NewRouter(cfg) }
 
 // --- serving runtime -----------------------------------------------------------
