@@ -187,9 +187,12 @@ func (r *Remote) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, err
 	if r.closed.Load() {
 		return BatchResult{}, fmt.Errorf("backend: remote backend is closed")
 	}
-	body, err := json.Marshal(EncodeWireBatch(spec, ClientInfoFrom(ctx)))
+	// One buffer per batch, shared read-only by its attempts and never
+	// pooled: the transport may still be writing a failed attempt's copy of
+	// it when the retry starts, and says nothing when it is done.
+	body, err := EncodeWireBatch(spec, ClientInfoFrom(ctx)).AppendJSON(nil)
 	if err != nil {
-		return BatchResult{}, fmt.Errorf("backend: encode wire batch: %w", err)
+		return BatchResult{}, err
 	}
 	sp := obs.FromContext(ctx).Child("remote")
 	sp.Set("worker", r.addr)
@@ -271,8 +274,7 @@ func (r *Remote) attempt(ctx context.Context, body []byte) (BatchResult, error) 
 		return BatchResult{}, fmt.Errorf("backend: post %s: %w", r.url, err)
 	}
 	defer resp.Body.Close()
-	const maxBody = 64 << 20
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxWireBody))
 	if err != nil {
 		return BatchResult{}, fmt.Errorf("backend: read %s response: %w", r.url, err)
 	}

@@ -13,8 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/backend"
-	"repro/internal/query"
-	"repro/internal/sqlfront"
 )
 
 // requestIDs is the sorted multiset of request ids across parts.
@@ -120,21 +118,7 @@ func (s *specTap) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend
 // annotation contract is refused at Spec, and every accepted one splits into
 // 1…8 parts that conserve the request ids.
 func FuzzWireBatchSpec(f *testing.F) {
-	// Seed with what really travels: the GGR-scheduled stages of the
-	// conformance statements, encoded the way backend.Remote encodes them.
-	tap := &specTap{Backend: backend.NewSim()}
-	db := sqlfront.NewDB()
-	db.Register("tickets", ticketsTable(24))
-	for _, sql := range conformanceStatements {
-		if _, err := db.Exec(sql, sqlfront.ExecConfig{Config: query.Config{Backend: tap}}); err != nil {
-			f.Fatal(err)
-		}
-	}
-	for _, spec := range tap.specs {
-		body, err := json.Marshal(backend.EncodeWireBatch(spec, backend.ClientInfo{Client: "seed"}))
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, body := range wireSeeds(f) {
 		f.Add(body)
 	}
 	f.Add([]byte(`{"stageKey":"s","requests":[{"id":1,"prompt":[1,2],"outTokens":1},{"id":2,"prompt":[1,3],"outTokens":1}],"groups":[0,1]}`))

@@ -15,6 +15,12 @@ type inflight struct {
 	err  error
 }
 
+// resultKey is one row's LLM call: the stage fingerprint and the row part
+// stageRowKey renders. Every row of a stage shares the one fingerprint
+// string, so a retained key costs the row's own bytes, not the ≈ 430 the
+// fingerprint runs to.
+type resultKey struct{ stage, row string }
+
 // resultCache is the exact-match LLM result cache plus the inflight table.
 // One lock covers both so a lookup classifies a key atomically: cached,
 // being computed by someone else, or ours to compute. Entries are evicted in
@@ -23,8 +29,8 @@ type inflight struct {
 type resultCache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  *lru.Map[string, string] // guarded by mu
-	inflight map[string]*inflight     // guarded by mu
+	entries  *lru.Map[resultKey, string] // guarded by mu
+	inflight map[resultKey]*inflight     // guarded by mu
 }
 
 // newResultCache sizes the cache; capacity <= 0 disables storing results
@@ -32,8 +38,8 @@ type resultCache struct {
 func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		capacity: capacity,
-		entries:  lru.New[string, string](capacity),
-		inflight: make(map[string]*inflight),
+		entries:  lru.New[resultKey, string](capacity),
+		inflight: make(map[resultKey]*inflight),
 	}
 }
 
@@ -50,7 +56,7 @@ const (
 // cached output; on acquireSubscribed fl is the computation to wait on; on
 // acquireOwned the caller has registered a new inflight entry (fl) it is
 // obligated to resolve via commit or fail.
-func (c *resultCache) acquire(key string) (state acquireState, val string, fl *inflight) {
+func (c *resultCache) acquire(key resultKey) (state acquireState, val string, fl *inflight) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if val, ok := c.entries.Get(key); ok {
@@ -65,7 +71,7 @@ func (c *resultCache) acquire(key string) (state acquireState, val string, fl *i
 }
 
 // commit stores the computed value and wakes every subscriber.
-func (c *resultCache) commit(key, val string) {
+func (c *resultCache) commit(key resultKey, val string) {
 	c.mu.Lock()
 	if f, ok := c.inflight[key]; ok {
 		delete(c.inflight, key)
@@ -80,7 +86,7 @@ func (c *resultCache) commit(key, val string) {
 
 // fail resolves the inflight entry with an error; the key stays uncached so
 // a later statement retries.
-func (c *resultCache) fail(key string, err error) {
+func (c *resultCache) fail(key resultKey, err error) {
 	c.mu.Lock()
 	if f, ok := c.inflight[key]; ok {
 		delete(c.inflight, key)

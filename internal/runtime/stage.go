@@ -47,7 +47,7 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 	}
 
 	fp := query.StageKey(spec, tbl.Columns(), qcfg)
-	keys := make([]string, n)
+	keys := make([]string, n)       // row parts; fp is the other half of every cache key
 	vals := make(map[string]string) // resolved outputs by row key
 	subs := make(map[string]*inflight)
 	seen := make(map[string]bool)
@@ -55,7 +55,7 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 	var ownedKeys []string
 	var hits, inflightJoins, deduped int64
 	for i := 0; i < n; i++ {
-		key := stageRowKey(fp, tbl, spec, i)
+		key := stageRowKey(tbl, spec, i)
 		keys[i] = key
 		if seen[key] {
 			// Duplicate row content within this stage: one computation
@@ -64,7 +64,7 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 			continue
 		}
 		seen[key] = true
-		switch state, val, fl := rt.cache.acquire(key); state {
+		switch state, val, fl := rt.cache.acquire(resultKey{fp, key}); state {
 		case acquireHit:
 			hits++
 			vals[key] = val
@@ -105,7 +105,7 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 			// lands, so subscribers and later statements are not poisoned.
 			go func() {
 				<-m.done
-				rt.resolveOwned(ownedKeys, m)
+				rt.resolveOwned(fp, ownedKeys, m)
 				rt.c.abandonedResolved.Add(int64(len(ownedKeys)))
 			}()
 			return nil, ctx.Err()
@@ -119,10 +119,10 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 			}
 		}
 		if m.err != nil {
-			rt.resolveOwned(ownedKeys, m)
+			rt.resolveOwned(fp, ownedKeys, m)
 			return nil, m.err
 		}
-		rt.resolveOwned(ownedKeys, m)
+		rt.resolveOwned(fp, ownedKeys, m)
 		for j, key := range ownedKeys {
 			vals[key] = m.outputs[j]
 		}
@@ -188,23 +188,24 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 // idempotent per key — commit and fail both no-op on an already-resolved
 // entry — and is called either inline by the owning statement or by the
 // detached resolver a canceled owner leaves behind.
-func (rt *Runtime) resolveOwned(keys []string, m *member) {
+func (rt *Runtime) resolveOwned(fp string, keys []string, m *member) {
 	if m.err != nil {
 		for _, key := range keys {
-			rt.cache.fail(key, m.err)
+			rt.cache.fail(resultKey{fp, key}, m.err)
 		}
 		return
 	}
 	for j, key := range keys {
-		rt.cache.commit(key, m.outputs[j])
+		rt.cache.commit(resultKey{fp, key}, m.outputs[j])
 	}
 }
 
-// stageRowKey is the exact-match result-cache key of one row's LLM call: the
-// stage fingerprint plus the row's visible cells, its hidden ground truth
-// (two rows that read the same but carry different labels answer
-// differently), and its output budget (free-text answers scale with it).
-func stageRowKey(fp string, tbl *table.Table, spec query.Spec, row int) string {
+// stageRowKey is the row part of one LLM call's exact-match result-cache key
+// (resultKey pairs it with the stage fingerprint): the row's visible cells,
+// its hidden ground truth (two rows that read the same but carry different
+// labels answer differently), and its output budget (free-text answers
+// scale with it).
+func stageRowKey(tbl *table.Table, spec query.Spec, row int) string {
 	cells := tbl.Row(row)
 	truth := ""
 	if spec.TruthHidden != "" {
@@ -213,7 +214,7 @@ func stageRowKey(fp string, tbl *table.Table, spec query.Spec, row int) string {
 	budget := spec.OutTokensFor(row)
 	// Sized exactly, so the key — which the result cache retains — is one
 	// allocation with no slack.
-	size := len(fp) + 1 + decimalLen(len(truth)) + 1 + len(truth) + 1 + decimalLen(budget)
+	size := 1 + decimalLen(len(truth)) + 1 + len(truth) + 1 + decimalLen(budget)
 	for _, cell := range cells {
 		size += decimalLen(len(cell)) + 1 + len(cell) + 1
 	}
@@ -221,7 +222,6 @@ func stageRowKey(fp string, tbl *table.Table, spec query.Spec, row int) string {
 	sb.Grow(size)
 	var num [20]byte
 	writeInt := func(n int) { sb.Write(strconv.AppendInt(num[:0], int64(n), 10)) }
-	sb.WriteString(fp)
 	for _, cell := range cells {
 		writeInt(len(cell))
 		sb.WriteByte(':')

@@ -9,15 +9,15 @@ import (
 	"repro/internal/table"
 )
 
-// TestStageRowKeyFormat pins the result-cache key to the bytes the original
-// fmt-based builder produced — "<fp>" + "<len>:<cell>;" per cell +
-// "|<len>:<truth>|<budget>" — on the cell contents that could confuse a
-// hand-rolled writer. Cache keys decide hits, dedup and inflight joins, so
-// every virtual metric depends on them not moving.
+// TestStageRowKeyFormat pins the row part of the result-cache key to the
+// bytes the original fmt-based builder produced after the fingerprint —
+// "<len>:<cell>;" per cell + "|<len>:<truth>|<budget>" — on the cell
+// contents that could confuse a hand-rolled writer. Cache keys decide hits,
+// dedup and inflight joins, so every virtual metric depends on them not
+// moving.
 func TestStageRowKeyFormat(t *testing.T) {
-	reference := func(fp string, tbl *table.Table, spec query.Spec, row int) string {
+	reference := func(tbl *table.Table, spec query.Spec, row int) string {
 		var sb strings.Builder
-		sb.WriteString(fp)
 		for _, cell := range tbl.Row(row) {
 			fmt.Fprintf(&sb, "%d:%s;", len(cell), cell)
 		}
@@ -58,14 +58,40 @@ func TestStageRowKeyFormat(t *testing.T) {
 			RowOutTokens: func(row int) int { return []int{0, 9, 10, 99, 100, 1234567}[row] }},
 	}
 	for name, spec := range specs {
-		for _, fp := range []string{"", "fp|with:every;separator", "stage-fingerprint"} {
-			for row := range rows {
-				got, want := stageRowKey(fp, tbl, spec, row), reference(fp, tbl, spec, row)
-				if got != want {
-					t.Errorf("%s, fp %q, row %d:\n got %q\nwant %q", name, fp, row, got, want)
-				}
+		for row := range rows {
+			got, want := stageRowKey(tbl, spec, row), reference(tbl, spec, row)
+			if got != want {
+				t.Errorf("%s, row %d:\n got %q\nwant %q", name, row, got, want)
 			}
 		}
+	}
+}
+
+// TestResultCacheKeysOnStageAndRow: two stages whose rows render the same
+// row part but whose fingerprints differ share no entry and no inflight
+// computation, and a fingerprint that merely ends where the other's row part
+// begins is still a different key.
+func TestResultCacheKeysOnStageAndRow(t *testing.T) {
+	c := newResultCache(8)
+	a, b := resultKey{"stage-a", "1:x;|0:|8"}, resultKey{"stage-b", "1:x;|0:|8"}
+	if state, _, _ := c.acquire(a); state != acquireOwned {
+		t.Fatalf("first acquire of a = %v, want owned", state)
+	}
+	if state, _, _ := c.acquire(b); state != acquireOwned {
+		t.Errorf("b joined a's inflight computation (state %v); fingerprints differ", state)
+	}
+	c.commit(a, "yes")
+	c.commit(b, "no")
+	for key, want := range map[resultKey]string{a: "yes", b: "no"} {
+		if state, val, _ := c.acquire(key); state != acquireHit || val != want {
+			t.Errorf("acquire(%v) = %v %q, want a hit on %q", key, state, val, want)
+		}
+	}
+	if state, _, _ := c.acquire(resultKey{"stage-a1:x;", "|0:|8"}); state != acquireOwned {
+		t.Errorf("a key split elsewhere hit a's entry (state %v)", state)
+	}
+	if c.len() != 2 {
+		t.Errorf("cached entries = %d, want 2", c.len())
 	}
 }
 
@@ -84,6 +110,6 @@ func BenchmarkStageRowKey(b *testing.B) {
 	spec := query.Spec{OutTokens: 8}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = stageRowKey("stage-fingerprint", tbl, spec, 0)
+		_ = stageRowKey(tbl, spec, 0)
 	}
 }

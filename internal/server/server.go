@@ -22,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/llmsim"
@@ -690,13 +691,21 @@ func handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// readJSON enforces POST + a body-size cap and decodes into dst.
-func readJSON(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
+// requirePOST answers 405 for any other method.
+func requirePOST(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, fmt.Errorf("use POST"))
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	return true
+}
+
+// readJSON enforces POST + a body-size cap and decodes into dst.
+func readJSON(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
+	if !requirePOST(w, r) {
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, backend.MaxWireBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, fmt.Errorf("decode request: %w", err))

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -154,8 +156,16 @@ func handleBatch(cfg Config, w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("worker is draining"))
 		return
 	}
+	if !requirePOST(w, r) {
+		return
+	}
+	body, err := readBatchBody(w, r)
 	var wb backend.WireBatch
-	if !readJSON(w, r, &wb) {
+	if err == nil {
+		wb, err = backend.DecodeWireBatch(body)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	spec, err := wb.Spec()
@@ -182,9 +192,20 @@ func handleBatch(cfg Config, w http.ResponseWriter, r *http.Request) {
 	res, err := wk.be.RunBatch(ctx, spec)
 	client := string(normalizeClient(wb.Client))
 	code := "ok"
+	var out []byte
+	if err == nil {
+		// Encoded before the status goes out: metrics an engine config made
+		// non-finite (a zero cost model divides by zero) do not marshal, and
+		// a 200 with an empty body reads to a router as a broken worker.
+		if out, err = json.Marshal(backend.WireResult{Metrics: res.Metrics, ModelCalls: res.ModelCalls}); err != nil {
+			err = fmt.Errorf("encode result: %w", err)
+		}
+	}
 	if err == nil {
 		wk.record(client, len(spec.Requests))
-		writeJSON(w, http.StatusOK, backend.WireResult{Metrics: res.Metrics, ModelCalls: res.ModelCalls})
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(out) // the router's read fails if this does; nothing to add here
 	} else {
 		wk.errors.Add(1)
 		code = writeExecError(w, err)
@@ -198,6 +219,19 @@ func handleBatch(cfg Config, w http.ResponseWriter, r *http.Request) {
 			"code", code,
 			"wallMs", float64(time.Since(start).Microseconds())/1e3)
 	}
+}
+
+// readBatchBody reads a /v1/batch body whole for the wire's own decoder,
+// under the cap every /v1 body has; a declared length past the cap is
+// refused unread. Nothing references the bytes once they are decoded.
+func readBatchBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > backend.MaxWireBody {
+		return nil, &http.MaxBytesError{Limit: backend.MaxWireBody}
+	}
+	var body bytes.Buffer
+	body.Grow(int(max(r.ContentLength, 0)) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF without growing
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, backend.MaxWireBody))
+	return body.Bytes(), err
 }
 
 // shortStageKey truncates the stage fingerprint for log lines; full keys

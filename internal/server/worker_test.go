@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -67,7 +69,7 @@ func TestWorkerBatchEndpoint(t *testing.T) {
 func TestWorkerBatchRejections(t *testing.T) {
 	h, wk := workerHandler()
 
-	// GET is not allowed (readJSON's POST-only contract).
+	// GET is not allowed (the POST-only contract every /v1 body shares).
 	req := httptest.NewRequest(http.MethodGet, "/v1/batch", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -119,6 +121,110 @@ func TestWorkerBatchRejections(t *testing.T) {
 	// Rejections never count as served batches.
 	if st := wk.Stats(); st.Batches != 1 {
 		t.Errorf("served batches = %d, want 1 (only the sanity batch)", st.Batches)
+	}
+}
+
+// TestWorkerBatchWireRules: what the wire's own decoder refuses, the handler
+// answers 400 invalid_request naming the byte, without running anything.
+func TestWorkerBatchWireRules(t *testing.T) {
+	h, wk := workerHandler()
+	eng, err := json.Marshal(wireBatch("", "", 0).Engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := `"engine":` + string(eng)
+	long := "[0" + strings.Repeat(",0", 1<<15-1) + "]" // 32 Ki tokens in 64 KiB
+	cases := []struct {
+		name, body string
+		status     int
+		message    string
+	}{
+		{"a delta body runs", `{"requests":[{"id":0,"prompt":[1,2,3,4,5,6,7,8],"outTokens":2},{"id":1,"shared":7,"prompt":[9],"outTokens":2}],` + engine + `}`, 200, ""},
+		{"shared past the previous prompt", `{"requests":[{"id":0,"prompt":[1,2,3]},{"id":1,"shared":4,"prompt":[9]}],` + engine + `}`, 400, `"shared" 4 outside the previous prompt's 3 tokens at byte 56`},
+		{"shared on the first request", `{"requests":[{"id":0,"shared":1,"prompt":[1]}],` + engine + `}`, 400, `"shared" 1 outside the previous prompt's 0 tokens at byte 30`},
+		{"shared after prompt", `{"requests":[{"id":0,"prompt":[1,2,3]},{"id":1,"prompt":[9],"shared":2}],` + engine + `}`, 400, `"shared" after "prompt" at byte 69`},
+		{"expanded-token cap", `{"requests":[{"prompt":` + long + `}` + strings.Repeat(`,{"shared":32768}`, 1<<10) + `],` + engine + `}`, 400, "prompts expand past 33554432 tokens"},
+		{"trailing garbage", `{"requests":[{"id":0,"prompt":[1]}],` + engine + `}garbage`, 400, "trailing data after the batch at byte "},
+		{"wrong-case key", `{"REQUESTS":[{"id":0,"prompt":[1]}],` + engine + `}`, 400, `unknown field "REQUESTS" at byte 1`},
+		{"wrong-case request key", `{"requests":[{"Id":0,"prompt":[1]}],` + engine + `}`, 400, `unknown field "Id" at byte 14`},
+		{"duplicate key", `{"requests":[{"id":0,"id":1,"prompt":[1]}],` + engine + `}`, 400, `duplicate field "id" at byte 21`},
+		{"unknown request field", `{"requests":[{"id":0,"matched":1}],` + engine + `}`, 400, `unknown field "matched" at byte 21`},
+		{"float token", `{"requests":[{"id":0,"prompt":[1.5]}],` + engine + `}`, 400, "number is not a plain integer at byte 31"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := wk.Stats()
+			req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(tc.body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != tc.status {
+				t.Fatalf("status = %d, want %d: %s", rec.Code, tc.status, rec.Body.String())
+			}
+			if tc.status == http.StatusOK {
+				if res := decode[backend.WireResult](t, rec); res.ModelCalls != 2 || res.Metrics.PromptTokens != 16 {
+					t.Errorf("result = %+v, want 2 calls over 16 prompt tokens (8 + 7 shared + 1)", res)
+				}
+				return
+			}
+			env := decode[ErrorResponse](t, rec)
+			if env.Error.Code != ErrCodeInvalidRequest || !strings.Contains(env.Error.Message, tc.message) {
+				t.Errorf("error = %+v, want %s saying %q", env.Error, ErrCodeInvalidRequest, tc.message)
+			}
+			if after := wk.Stats(); after.Batches != before.Batches || after.Errors != before.Errors {
+				t.Errorf("a refused body moved the worker's counters: %+v → %+v", before, after)
+			}
+		})
+	}
+}
+
+// TestWorkerBatchBodyCap: one byte past the 64 MiB cap is a 400, decided
+// from Content-Length before the body is buffered.
+func TestWorkerBatchBodyCap(t *testing.T) {
+	h, _ := workerHandler()
+	body := io.MultiReader(strings.NewReader(`{"stageKey":"`), &zeros{n: backend.MaxWireBody}, strings.NewReader(`"}`))
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", body)
+	req.ContentLength = backend.MaxWireBody + 1
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	if env := decode[ErrorResponse](t, rec); env.Error.Code != ErrCodeInvalidRequest || !strings.Contains(env.Error.Message, "request body too large") {
+		t.Errorf("error = %+v, want %s / request body too large", env.Error, ErrCodeInvalidRequest)
+	}
+}
+
+// zeros reads as n '0' bytes.
+type zeros struct{ n int }
+
+func (z *zeros) Read(p []byte) (int, error) {
+	if z.n == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), z.n)
+	for i := range p[:n] {
+		p[i] = '0'
+	}
+	z.n -= n
+	return n, nil
+}
+
+// TestWorkerBatchUnencodableResult: an engine config that makes the metrics
+// non-finite ("engine": {} — a zero cost model divides by zero) is a failed
+// execution with a body, not a 200 without one.
+func TestWorkerBatchUnencodableResult(t *testing.T) {
+	h, wk := workerHandler()
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(`{"stageKey":"x","requests":[{"id":0,"prompt":[1],"outTokens":1}],"engine":{}}`))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422: %q", rec.Code, rec.Body.String())
+	}
+	if env := decode[ErrorResponse](t, rec); env.Error.Code != ErrCodeExecutionFailed || !strings.Contains(env.Error.Message, "encode result") {
+		t.Errorf("error = %+v, want %s / encode result", env.Error, ErrCodeExecutionFailed)
+	}
+	if st := wk.Stats(); st.Batches != 0 || st.Errors != 1 {
+		t.Errorf("stats = %+v, want the batch counted as failed, not served", st)
 	}
 }
 
