@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/llmsim"
 	"repro/internal/query"
+	"repro/internal/table"
 	"repro/internal/tokenizer"
 )
 
@@ -105,7 +106,7 @@ func runAblationBlock(cfg Config) (*Report, error) {
 		if cap16 > 0 {
 			capacity = cap16 * 16 / int64(bs) // same token budget at this block size
 		}
-		m, err := replaySchedule(spec, sched, bs, capacity)
+		m, err := replaySchedule(spec, tbl, sched, bs, capacity)
 		if err != nil {
 			return nil, err
 		}
@@ -118,8 +119,8 @@ func runAblationBlock(cfg Config) (*Report, error) {
 
 // replaySchedule runs a prepared schedule through the engine at a given
 // block size.
-func replaySchedule(spec query.Spec, sched *core.Schedule, blockSize int, capacity int64) (llmsim.Metrics, error) {
-	prompts := query.PromptTokens(spec.UserPrompt, sched, nil)
+func replaySchedule(spec query.Spec, tbl *table.Table, sched *core.Schedule, blockSize int, capacity int64) (llmsim.Metrics, error) {
+	prompts := query.PromptTokens(spec.UserPrompt, tbl, sched, nil)
 	reqs := make([]*llmsim.Request, len(sched.Rows))
 	for i, row := range sched.Rows {
 		reqs[i] = &llmsim.Request{ID: row.Source, Prompt: prompts[i], OutTokens: spec.OutTokensFor(row.Source)}

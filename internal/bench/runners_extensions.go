@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/llmsim"
 	"repro/internal/query"
+	"repro/internal/table"
 	"repro/internal/tokenizer"
 )
 
@@ -46,7 +47,7 @@ func runAblationOnline(cfg Config) (*Report, error) {
 			jct float64
 		}
 		run := func(sched *core.Schedule, policy llmsim.SchedPolicy) (outcome, error) {
-			m, err := replayWithSched(spec, sched, policy, pool)
+			m, err := replayWithSched(spec, tbl, sched, policy, pool)
 			if err != nil {
 				return outcome{}, err
 			}
@@ -76,8 +77,8 @@ func runAblationOnline(cfg Config) (*Report, error) {
 }
 
 // replayWithSched runs a prepared schedule under a given admission policy.
-func replayWithSched(spec query.Spec, sched *core.Schedule, policy llmsim.SchedPolicy, capacity int64) (llmsim.Metrics, error) {
-	prompts := query.PromptTokens(spec.UserPrompt, sched, nil)
+func replayWithSched(spec query.Spec, tbl *table.Table, sched *core.Schedule, policy llmsim.SchedPolicy, capacity int64) (llmsim.Metrics, error) {
+	prompts := query.PromptTokens(spec.UserPrompt, tbl, sched, nil)
 	reqs := make([]*llmsim.Request, len(sched.Rows))
 	for i, row := range sched.Rows {
 		reqs[i] = &llmsim.Request{ID: row.Source, Prompt: prompts[i], OutTokens: spec.OutTokensFor(row.Source)}

@@ -169,7 +169,7 @@ func runTable3(cfg Config) (*Report, error) {
 		costs := map[string]float64{}
 		for _, method := range []string{"Original", "GGR"} {
 			sched := schedules[method]
-			prompts := query.PromptTokens(spec.UserPrompt, sched, nil)
+			prompts := query.PromptTokens(spec.UserPrompt, tbl, sched, nil)
 			outs := make([]int, len(sched.Rows))
 			for i, row := range sched.Rows {
 				outs[i] = spec.OutTokensFor(row.Source)

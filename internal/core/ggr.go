@@ -111,11 +111,12 @@ func GGR(t *table.Table, opt GGROptions) *Result {
 	return &Result{Schedule: s.schedule(best), Estimate: est, PHC: phc}
 }
 
-// ggrSolver holds one solve's state. The table is dictionary-encoded once
-// (encode) and the recursion, both fallback orderings, the row sorts and the
-// PHC accounting then work on int32 value ids instead of cell strings; the
+// ggrSolver holds one solve's state. The recursion, both fallback orderings,
+// the row sorts and the PHC accounting work on the int32 value ids of the
+// table's dictionary (table.Dictionary) instead of cell strings; the
 // schedule's cells are materialized once, at the end, for the winning
-// candidate only. Everything here lives for one solve and is confined to it.
+// candidate only. Everything here but the shared, immutable dictionary lives
+// for one solve and is confined to it.
 type ggrSolver struct {
 	t   *table.Table
 	opt GGROptions
@@ -152,36 +153,30 @@ type block struct {
 	order []int32
 }
 
-// encode builds the per-column dictionaries. Ids are assigned in
-// first-appearance order, so a lower id always first occurs on an earlier
-// row. LenOf runs once per distinct value of a column.
+// encode takes the table's dictionary — ids in first-appearance order, so a
+// lower id always first occurs on an earlier row — and measures each column's
+// distinct values, running LenOf once per value.
 func (g *ggrSolver) encode() {
-	n, m := g.t.NumRows(), g.t.NumCols()
-	g.codes = make([][]int32, m)
+	d, m := g.t.Dictionary(), g.t.NumCols()
+	g.codes, g.first = d.Codes, d.First
 	g.sq = make([][]int64, m)
-	g.first = make([][]int32, m)
 	g.ranks = make([][]int32, m)
 	g.inferred = make([][]int32, m)
-	flat := make([]int32, n*m)
-	ids := make(map[string]int32)
+	total := 0
+	for _, first := range d.First {
+		total += len(first)
+	}
+	flat := make([]int64, total)
 	maxIDs := 0
-	for c := 0; c < m; c++ {
-		clear(ids)
-		col := flat[c*n : (c+1)*n : (c+1)*n]
-		for r := 0; r < n; r++ {
-			v := g.t.Cell(r, c)
-			id, ok := ids[v]
-			if !ok {
-				id = int32(len(ids))
-				ids[v] = id
-				l := int64(g.opt.LenOf(v))
-				g.sq[c] = append(g.sq[c], l*l)
-				g.first[c] = append(g.first[c], int32(r))
-			}
-			col[r] = id
+	for c, first := range d.First {
+		sq := flat[:len(first):len(first)]
+		flat = flat[len(first):]
+		for id, r := range first {
+			l := int64(g.opt.LenOf(g.t.Cell(int(r), c)))
+			sq[id] = l * l
 		}
-		g.codes[c] = col
-		maxIDs = max(maxIDs, len(ids))
+		g.sq[c] = sq
+		maxIDs = max(maxIDs, len(first))
 		if g.opt.UseFDs {
 			for _, name := range g.t.FDs().Inferred(g.t.Columns()[c]) {
 				if j, ok := g.t.ColIndex(name); ok {

@@ -18,8 +18,10 @@
 //
 // GGR plans per distinct value, not per cell. Relational cells repeat —
 // that is the premise the schedule exploits for the KV cache — so a solve
-// first dictionary-encodes the table: each column's values become int32 ids
-// with their squared length measured once, and the recursion, the fallback
+// starts from the table's dictionary: the table owns it (table.Dictionary),
+// builds it once on first use and shares it with every later solve and with
+// prompt tokenization. Each column's values are int32 ids, a solve measures
+// each id's squared length once, and the recursion, the fallback
 // orderings, the row sorts and the PHC accounting all run on ids; cell
 // strings are touched again only to rank a column for sorting and to
 // materialize the winning schedule. Ids are handed out in first-appearance

@@ -56,7 +56,7 @@ func TestEngineGolden(t *testing.T) {
 			{"cache-original", core.Original(d.Table), llmsim.FIFO},
 			{"cache-aware", core.Original(d.Table), llmsim.CacheAware},
 		} {
-			prompts := query.PromptTokens(spec.UserPrompt, c.sched, nil)
+			prompts := query.PromptTokens(spec.UserPrompt, d.Table, c.sched, nil)
 			reqs := make([]*llmsim.Request, len(prompts))
 			var maxBlocks int64
 			for i, row := range c.sched.Rows {

@@ -18,7 +18,7 @@
 package oracle
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -102,18 +102,28 @@ func (p Profile) Answer(dataset string, rowKey uint64, truth string, choices []s
 	if u < p.Accuracy(dataset, relPos) {
 		return truth
 	}
-	// Deterministically pick a wrong choice.
-	var wrong []string
+	// Deterministically pick a wrong choice: the idx-th choice that is not
+	// the truth.
+	wrong := 0
 	for _, c := range choices {
 		if c != truth {
-			wrong = append(wrong, c)
+			wrong++
 		}
 	}
-	if len(wrong) == 0 {
+	if wrong == 0 {
 		return truth
 	}
-	idx := hashN(uint64(len(wrong)), p.Name, dataset, rowKey, "wrong")
-	return wrong[idx]
+	idx := hashN(uint64(wrong), p.Name, dataset, rowKey, "wrong")
+	for _, c := range choices {
+		if c == truth {
+			continue
+		}
+		if idx == 0 {
+			return c
+		}
+		idx--
+	}
+	return truth // unreachable: idx < wrong
 }
 
 // Score returns a 1..maxScore sentiment score for aggregation queries: the
@@ -155,6 +165,7 @@ func FreeText(rowKey uint64, tokens int) string {
 		"brief", "solid", "mixed", "rating", "holds", "up",
 	}
 	var sb strings.Builder
+	sb.Grow(7 * tokens)
 	h := rowKey
 	for i := 0; i < tokens; i++ {
 		if i > 0 {
@@ -167,23 +178,30 @@ func FreeText(rowKey uint64, tokens int) string {
 }
 
 // hash01 maps the inputs to [0, 1).
-func hash01(parts ...interface{}) float64 {
-	return float64(hashN(1<<52, parts...)) / float64(uint64(1)<<52)
+func hash01(name, dataset string, rowKey uint64, tag string) float64 {
+	return float64(hashN(1<<52, name, dataset, rowKey, tag)) / float64(uint64(1)<<52)
 }
 
-// hashN maps the inputs to [0, n).
-func hashN(n uint64, parts ...interface{}) uint64 {
-	var h uint64 = 1469598103934665603
-	const prime = 1099511628211
-	mix := func(b byte) { h ^= uint64(b); h *= prime }
-	for _, p := range parts {
-		for _, b := range []byte(fmt.Sprint(p)) {
-			mix(b)
-		}
-		mix(0x1f)
-	}
+// hashN maps the inputs to [0, n): FNV-1a over each part's text — rowKey
+// in decimal — with a 0x1f after every part.
+func hashN(n uint64, name, dataset string, rowKey uint64, tag string) uint64 {
+	var digits [20]byte
+	h := uint64(1469598103934665603)
+	h = mix(h, name)
+	h = mix(h, dataset)
+	h = mix(h, strconv.AppendUint(digits[:0], rowKey, 10))
+	h = mix(h, tag)
 	if n == 0 {
 		return 0
 	}
 	return h % n
+}
+
+// mix folds part and its 0x1f terminator into the FNV-1a state h.
+func mix[T string | []byte](h uint64, part T) uint64 {
+	const prime = 1099511628211
+	for i := 0; i < len(part); i++ {
+		h = (h ^ uint64(part[i])) * prime
+	}
+	return (h ^ 0x1f) * prime
 }

@@ -1,6 +1,9 @@
 package oracle
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -136,5 +139,112 @@ func TestAnswerSingleChoiceFallsBack(t *testing.T) {
 	got := Llama8B.Answer("Movies", 7, "only", []string{"only"}, 0.5)
 	if got != "only" {
 		t.Errorf("single-choice answer = %q", got)
+	}
+}
+
+// sprintHashN is the hash the typed one replaced: every part rendered with
+// fmt.Sprint, then FNV-1a with a 0x1f after each part.
+func sprintHashN(n uint64, parts ...interface{}) uint64 {
+	var h uint64 = 1469598103934665603
+	const prime = 1099511628211
+	mix := func(b byte) { h ^= uint64(b); h *= prime }
+	for _, p := range parts {
+		for _, b := range []byte(fmt.Sprint(p)) {
+			mix(b)
+		}
+		mix(0x1f)
+	}
+	if n == 0 {
+		return 0
+	}
+	return h % n
+}
+
+func sprintHash01(parts ...interface{}) float64 {
+	return float64(sprintHashN(1<<52, parts...)) / float64(uint64(1)<<52)
+}
+
+// sprintAnswer and sprintScore are Answer and Score as they were over
+// sprintHashN, the wrong choice picked from a built slice.
+func sprintAnswer(p Profile, dataset string, rowKey uint64, truth string, choices []string, relPos float64) string {
+	if sprintHash01(p.Name, dataset, rowKey, "answer") < p.Accuracy(dataset, relPos) {
+		return truth
+	}
+	var wrong []string
+	for _, c := range choices {
+		if c != truth {
+			wrong = append(wrong, c)
+		}
+	}
+	if len(wrong) == 0 {
+		return truth
+	}
+	return wrong[sprintHashN(uint64(len(wrong)), p.Name, dataset, rowKey, "wrong")]
+}
+
+func sprintScore(p Profile, dataset string, rowKey uint64, truth, maxScore int, relPos float64) int {
+	if sprintHash01(p.Name, dataset, rowKey, "score") < p.Accuracy(dataset, relPos) {
+		return clampScore(truth, maxScore)
+	}
+	if sprintHashN(2, p.Name, dataset, rowKey, "dir") == 0 {
+		return clampScore(truth-1, maxScore)
+	}
+	return clampScore(truth+1, maxScore)
+}
+
+// TestTypedHashMatchesSprintReference: the typed hash hashes exactly the
+// bytes the fmt.Sprint rendering did, so every answer, score and draw is
+// unchanged — over random names, datasets, row keys and label sets.
+func TestTypedHashMatchesSprintReference(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	words := []string{"", "Movies", "FEVER", "llama-3-8b", "日本語", "a\x1fb", "Yes", "No", "SUPPORTS", "REFUTES", "NOT ENOUGH INFO", "0", "18446744073709551615"}
+	word := func() string {
+		if r.Intn(5) == 0 {
+			b := make([]byte, r.Intn(12))
+			r.Read(b)
+			return string(b)
+		}
+		return words[r.Intn(len(words))]
+	}
+	keys := []uint64{0, 1, 9, 10, 99, math.MaxUint32, math.MaxUint64}
+	for i := 0; i < 5000; i++ {
+		key := r.Uint64() >> uint(r.Intn(64))
+		if i < len(keys) {
+			key = keys[i]
+		}
+		p := Profile{Name: word(), DefaultBase: r.Float64(), Coef: map[string]float64{}}
+		dataset, tag := word(), word()
+		p.Coef[dataset] = r.Float64() - 0.5
+		if got, want := hash01(p.Name, dataset, key, tag), sprintHash01(p.Name, dataset, key, tag); got != want {
+			t.Fatalf("hash01(%q, %q, %d, %q) = %v, fmt.Sprint reference %v", p.Name, dataset, key, tag, got, want)
+		}
+		choices := make([]string, r.Intn(5))
+		for j := range choices {
+			choices[j] = word()
+		}
+		truth := word()
+		if len(choices) > 0 && r.Intn(2) == 0 {
+			truth = choices[r.Intn(len(choices))]
+		}
+		relPos := r.Float64()
+		if got, want := p.Answer(dataset, key, truth, choices, relPos), sprintAnswer(p, dataset, key, truth, choices, relPos); got != want {
+			t.Fatalf("Answer(%q, %d, %q, %q) = %q, reference %q", dataset, key, truth, choices, got, want)
+		}
+		truthScore, maxScore := r.Intn(7), 1+r.Intn(5)
+		if got, want := p.Score(dataset, key, truthScore, maxScore, relPos), sprintScore(p, dataset, key, truthScore, maxScore, relPos); got != want {
+			t.Fatalf("Score(%q, %d, %d, %d) = %d, reference %d", dataset, key, truthScore, maxScore, got, want)
+		}
+	}
+}
+
+func TestAnswerAndScoreDoNotAllocate(t *testing.T) {
+	choices := []string{"SUPPORTS", "REFUTES", "NOT ENOUGH INFO"}
+	if n := testing.AllocsPerRun(100, func() {
+		for key := uint64(0); key < 20; key++ {
+			Llama8B.Answer("FEVER", key, "SUPPORTS", choices, 0.3)
+			Llama8B.Score("Movies", key, 3, 5, 0.7)
+		}
+	}); n != 0 {
+		t.Errorf("Answer and Score allocate %v times per 20 rows", n)
 	}
 }

@@ -168,14 +168,20 @@ func RunStageContext(ctx context.Context, spec Spec, tbl *table.Table, cfg Confi
 		return nil, fmt.Errorf("query: schedule for %s broke semantics: %w", spec.Name, err)
 	}
 
-	prompts := PromptTokens(spec.UserPrompt, sched, cfg.PromptCache)
-	reqs := make([]*llmsim.Request, len(sched.Rows))
+	// The answers depend on the schedule only, so the oracle runs beside the
+	// prompt build and the engine; both return paths below join it.
+	answers := make(chan []string, 1)
+	go func() { answers <- OracleAnswers(spec, tbl, sched, cfg.oracle()) }()
+
+	prompts := PromptTokens(spec.UserPrompt, tbl, sched, cfg.PromptCache)
+	reqs, slab := make([]*llmsim.Request, len(sched.Rows)), make([]llmsim.Request, len(sched.Rows))
 	for i, row := range sched.Rows {
-		reqs[i] = &llmsim.Request{
+		slab[i] = llmsim.Request{
 			ID:        row.Source,
 			Prompt:    prompts[i],
 			OutTokens: spec.OutTokensFor(row.Source),
 		}
+		reqs[i] = &slab[i]
 	}
 
 	be := cfg.Backend
@@ -194,6 +200,7 @@ func RunStageContext(ctx context.Context, spec Spec, tbl *table.Table, cfg Confi
 		Engine:   engineConfig(cfg),
 	})
 	bsp.End()
+	outputs := <-answers
 	if err != nil {
 		bsp.Set("error", err.Error())
 		return nil, fmt.Errorf("query: engine run for %s: %w", spec.Name, err)
@@ -202,12 +209,6 @@ func RunStageContext(ctx context.Context, spec Spec, tbl *table.Table, cfg Confi
 	bsp.Set("jctSeconds", br.Metrics.JCT)
 	bsp.Set("promptTokens", br.Metrics.PromptTokens)
 	bsp.Set("matchedTokens", br.Metrics.MatchedTokens)
-
-	outputs := make([]string, tbl.NumRows())
-	prof := cfg.oracle()
-	for _, row := range sched.Rows {
-		outputs[row.Source] = answerFor(spec, tbl, prof, row)
-	}
 	return &StageResult{
 		Spec:          spec,
 		Metrics:       br.Metrics,

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/table"
 	"repro/internal/tokenizer"
 )
 
@@ -24,13 +26,16 @@ func wholeRowTokens(userPrompt string, sched *core.Schedule) [][]tokenizer.Token
 }
 
 // checkPromptTokens holds the piece-assembled streams to the whole-row walk
-// token for token, ids included — with the stage-confined memo, a fresh
+// token for token, ids included — with the stage's own tokenizer, a fresh
 // shared cache, and a cache so small every piece is evicted between uses.
-func checkPromptTokens(t *testing.T, userPrompt string, sched *core.Schedule) {
+func checkPromptTokens(t *testing.T, userPrompt string, tbl *table.Table, sched *core.Schedule) {
 	t.Helper()
+	if err := core.Verify(tbl, sched); err != nil {
+		t.Fatalf("test schedule is not a schedule of its table: %v", err)
+	}
 	want := wholeRowTokens(userPrompt, sched)
-	for name, cache := range map[string]*PromptCache{"stage memo": nil, "cache": NewPromptCache(0), "evicting cache": NewPromptCache(1)} {
-		got := PromptTokens(userPrompt, sched, cache)
+	for name, cache := range map[string]*PromptCache{"stage tokenizer": nil, "cache": NewPromptCache(0), "evicting cache": NewPromptCache(1)} {
+		got := PromptTokens(userPrompt, tbl, sched, cache)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d prompts, want %d", name, len(got), len(want))
 		}
@@ -56,6 +61,20 @@ var awkwardStrings = []string{
 	"12345678901234567890", "mixed 42 and, punctuation! ",
 }
 
+// shuffledSchedule schedules every row of tbl once, rows and each row's
+// fields in random order.
+func shuffledSchedule(r *rand.Rand, tbl *table.Table) *core.Schedule {
+	sched := &core.Schedule{}
+	for _, src := range r.Perm(tbl.NumRows()) {
+		cells := make([]core.Cell, tbl.NumCols())
+		for k, c := range r.Perm(tbl.NumCols()) {
+			cells[k] = core.Cell{Field: tbl.Columns()[c], Value: tbl.Cell(src, c)}
+		}
+		sched.Rows = append(sched.Rows, core.Row{Source: src, Cells: cells})
+	}
+	return sched
+}
+
 func TestPromptTokensMatchWholeRowWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	pick := func() string {
@@ -65,19 +84,23 @@ func TestPromptTokensMatchWholeRowWalk(t *testing.T) {
 		return awkwardStrings[r.Intn(len(awkwardStrings))]
 	}
 	for trial := 0; trial < 200; trial++ {
-		fields := make([]string, r.Intn(5))
-		for i := range fields {
-			fields[i] = pick()
-		}
-		sched := &core.Schedule{}
-		for i, n := 0, r.Intn(8); i < n; i++ {
-			cells := make([]core.Cell, len(fields))
-			for k, p := range r.Perm(len(fields)) {
-				cells[k] = core.Cell{Field: fields[p], Value: pick()}
+		var fields []string
+		for n := r.Intn(5); len(fields) < n; {
+			if f := pick(); f != "" && !slices.Contains(fields, f) {
+				fields = append(fields, f)
 			}
-			sched.Rows = append(sched.Rows, core.Row{Source: i, Cells: cells})
 		}
-		checkPromptTokens(t, pick(), sched)
+		tbl := table.New(fields...)
+		for i, n := 0, r.Intn(8); i < n; i++ {
+			row := make([]string, len(fields))
+			for k := range row {
+				row[k] = pick()
+			}
+			tbl.MustAppendRow(row...)
+		}
+		userPrompt := pick()
+		checkPromptTokens(t, userPrompt, tbl, shuffledSchedule(r, tbl))
+		checkPromptTokens(t, userPrompt, tbl, core.Original(tbl))
 	}
 }
 
@@ -87,23 +110,111 @@ func TestPromptTokensMatchWholeRowWalk(t *testing.T) {
 func TestPromptTokensOnSolvedSchedule(t *testing.T) {
 	tbl := cacheTestTable(2*promptSlabRows+60, "")
 	sched := core.GGR(tbl, core.DefaultGGROptions(tokenizer.Count)).Schedule
-	checkPromptTokens(t, "Summarize the text.", sched)
+	checkPromptTokens(t, "Summarize the text.", tbl, sched)
 }
 
+// TestPromptTokensOnDatagenTables runs the equivalence over every generated
+// dataset under each kind of schedule the executor and the benchmarks build.
+func TestPromptTokensOnDatagenTables(t *testing.T) {
+	opt := datagen.Options{Scale: 0.01, Seed: 3}
+	tables := map[string]*table.Table{}
+	for _, name := range datagen.RelationalNames {
+		d, err := datagen.RelationalByName(name, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[name] = d.Table
+	}
+	for _, name := range datagen.RAGNames {
+		d, err := datagen.RAGByName(name, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tables[name], err = BuildRAGTable(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, tbl := range tables {
+		t.Run(name, func(t *testing.T) {
+			reversed := slices.Clone(tbl.Columns())
+			slices.Reverse(reversed)
+			fixed, err := core.FixedOrder(tbl, reversed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sched := range []*core.Schedule{
+				core.GGR(tbl, core.DefaultGGROptions(tokenizer.Count)).Schedule,
+				core.Original(tbl),
+				fixed,
+			} {
+				checkPromptTokens(t, "Which of these matter?", tbl, sched)
+			}
+		})
+	}
+}
+
+// TestPromptTokensFollowTableChanges: a sub-table codes its own rows, and a
+// table whose rows change after its dictionary was built codes them anew.
+func TestPromptTokensFollowTableChanges(t *testing.T) {
+	tbl := cacheTestTable(50, "")
+	checkPromptTokens(t, "Q?", tbl, core.Original(tbl))
+
+	sub := tbl.FilterRows([]int{49, 3, 3, 17, 0, 25})
+	checkPromptTokens(t, "Q?", sub, core.GGR(sub, core.DefaultGGROptions(tokenizer.Count)).Schedule)
+
+	tbl.MustAppendRow("id-new", "grp-9", "a payload no earlier row holds")
+	tbl.MustAppendRow("id-000", "grp-0", "some longer payload text 0 about topic 0")
+	checkPromptTokens(t, "Q?", tbl, core.Original(tbl))
+	if err := tbl.SortRowsLex([]string{"text", "id"}); err != nil {
+		t.Fatal(err)
+	}
+	checkPromptTokens(t, "Q?", tbl, core.GGR(tbl, core.DefaultGGROptions(tokenizer.Count)).Schedule)
+	checkPromptTokens(t, "Q?", tbl, core.Original(tbl))
+}
+
+// FuzzCellFragmentEncoding holds the cell encoder — a column's `"f": "`
+// encoded once, the value tokenized where it lies — to Encode of the cell's
+// text on a tokenizer fed the same cells, ids included, for any field and
+// value bytes; and, when the fields can name two columns of a table, the
+// whole prompts to the whole-row walk.
 func FuzzCellFragmentEncoding(f *testing.F) {
 	for i, s := range awkwardStrings {
 		f.Add("field", s, awkwardStrings[(i+1)%len(awkwardStrings)], s, "Q?")
 	}
 	f.Add("a b", strings.Repeat("word ", 30), `k"`, "v", "What, exactly?")
 	f.Fuzz(func(t *testing.T, f1, v1, f2, v2, userPrompt string) {
-		a, b := core.Cell{Field: f1, Value: v1}, core.Cell{Field: f2, Value: v2}
-		checkPromptTokens(t, userPrompt, &core.Schedule{Rows: []core.Row{
-			{Source: 0, Cells: []core.Cell{a, b}},
-			{Source: 1, Cells: []core.Cell{b, a}},
-			{Source: 2, Cells: []core.Cell{a}},
-			{Source: 3},
-			{Source: 4, Cells: []core.Cell{a, b}},
+		b := &promptEncoder{tok: tokenizer.New(), field: make([][]tokenizer.Token, 2)}
+		ref := tokenizer.New()
+		for _, c := range []struct {
+			col  int
+			cell core.Cell
+		}{
+			{0, core.Cell{Field: f1, Value: v1}},
+			{1, core.Cell{Field: f2, Value: v2}},
+			{0, core.Cell{Field: f1, Value: v2}},
+			{1, core.Cell{Field: f2, Value: v1}},
+			{0, core.Cell{Field: f1, Value: v1}},
+		} {
+			got, want := b.encodeCell(c.col, c.cell), ref.Encode(promptPiece{Cell: c.cell}.text())
+			if !slices.Equal(got, want) {
+				t.Fatalf("cell %q of column %d:\n got %v\nwant %v", promptPiece{Cell: c.cell}.text(), c.col, got, want)
+			}
+		}
+
+		if f1 == "" || f2 == "" || f1 == f2 {
+			return // not the columns of a table
+		}
+		tbl := table.New(f1, f2)
+		tbl.MustAppendRow(v1, v2)
+		tbl.MustAppendRow(v2, v1)
+		tbl.MustAppendRow(v1, v2)
+		a, b0 := core.Cell{Field: f1, Value: v1}, core.Cell{Field: f2, Value: v2}
+		checkPromptTokens(t, userPrompt, tbl, &core.Schedule{Rows: []core.Row{
+			{Source: 0, Cells: []core.Cell{a, b0}},
+			{Source: 1, Cells: []core.Cell{{Field: f2, Value: v1}, {Field: f1, Value: v2}}},
+			{Source: 2, Cells: []core.Cell{b0, a}},
 		}})
+		checkPromptTokens(t, userPrompt, tbl, core.Original(tbl))
 	})
 }
 

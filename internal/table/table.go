@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // LenFunc measures the cost length of a cell value. The paper's prefix hit
@@ -32,6 +33,9 @@ type Table struct {
 	rows   [][]string
 	fds    *FDSet
 	hidden map[string][]string // side-band per-row data (labels etc.), not part of the relation
+
+	mu   sync.Mutex
+	dict *Dictionary // built by Dictionary on first use; guarded by mu
 }
 
 // New creates an empty table with the given column names.
@@ -79,6 +83,7 @@ func (t *Table) AppendRow(cells ...string) error {
 		return fmt.Errorf("table: row has %d cells, schema has %d columns", len(cells), len(t.cols))
 	}
 	t.rows = append(t.rows, append([]string(nil), cells...))
+	t.dropDictionary()
 	return nil
 }
 
@@ -263,6 +268,7 @@ func (t *Table) applyRowPerm(perm []int) {
 		rows[i] = t.rows[src]
 	}
 	t.rows = rows
+	t.dropDictionary()
 	for name, vals := range t.hidden {
 		nv := make([]string, len(perm))
 		for i, src := range perm {

@@ -33,22 +33,39 @@ const chunk = 4
 // Tokenizer converts text to token IDs and back. It is safe for concurrent
 // use. The zero value is not usable; call New.
 type Tokenizer struct {
-	mu     sync.RWMutex
-	ids    map[uint64]Token // by pieceKey; guarded by mu
-	pieces []string         // guarded by mu
+	mu    sync.RWMutex
+	slots []slot   // the vocabulary: open addressing on pieceKey, linear probing; guarded by mu
+	shift uint8    // 64 − log2(len(slots)); guarded by mu
+	keys  []uint64 // every piece's pieceKey, by id; guarded by mu
 }
+
+// slot is one entry of the vocabulary table. pieceKey is never 0 for a
+// non-empty piece (its top byte is the length), so key 0 marks an empty slot.
+type slot struct {
+	key uint64
+	id  Token
+}
+
+// initialSlotsLog2 sizes a new vocabulary table: 4096 slots, which hold the
+// 2048 pieces most stages' prompts stay under. The table doubles whenever
+// it would pass half full.
+const initialSlotsLog2 = 12
 
 // New returns an empty tokenizer. Vocabulary entries are created on demand
 // as texts are encoded.
 func New() *Tokenizer {
-	return &Tokenizer{ids: make(map[uint64]Token, 4096)}
+	return &Tokenizer{
+		slots: make([]slot, 1<<initialSlotsLog2),
+		shift: 64 - initialSlotsLog2,
+		keys:  make([]uint64, 0, 1<<(initialSlotsLog2-1)),
+	}
 }
 
 // VocabSize reports how many distinct pieces have been interned so far.
 func (t *Tokenizer) VocabSize() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.pieces)
+	return len(t.keys)
 }
 
 // Encode converts text into a sequence of tokens. Concatenating the decoded
@@ -84,18 +101,46 @@ func (t *Tokenizer) AppendEncode(dst []Token, text string) []Token {
 // sight.
 func (t *Tokenizer) internLocked(p string) Token {
 	key := pieceKey(p)
-	id, ok := t.ids[key]
-	if !ok {
-		id = Token(len(t.pieces))
-		t.ids[key] = id
-		t.pieces = append(t.pieces, p)
+	i := t.probeLocked(key)
+	if s := t.slots[i]; s.key == key {
+		return s.id
+	}
+	id := Token(len(t.keys))
+	t.keys = append(t.keys, key)
+	t.slots[i] = slot{key: key, id: id}
+	if 2*len(t.keys) > len(t.slots) {
+		t.growLocked()
 	}
 	return id
 }
 
+// probeLocked returns the index of the slot holding key, or of the empty
+// slot where key belongs. The home slot is a Fibonacci hash of the key: its
+// top bits depend on every byte of the piece and on its length.
+func (t *Tokenizer) probeLocked(key uint64) int {
+	mask := len(t.slots) - 1
+	for i := int((key * 0x9e3779b97f4a7c15) >> t.shift); ; i = (i + 1) & mask {
+		if k := t.slots[i].key; k == key || k == 0 {
+			return i
+		}
+	}
+}
+
+// growLocked doubles the vocabulary table and re-inserts every entry.
+func (t *Tokenizer) growLocked() {
+	old := t.slots
+	t.slots, t.shift = make([]slot, 2*len(old)), t.shift-1
+	for _, s := range old {
+		if s.key != 0 {
+			t.slots[t.probeLocked(s.key)] = s
+		}
+	}
+}
+
 // pieceKey packs a piece — at most maxPiece = 7 bytes, whichever way
 // AppendEncode cut it — and its length into one word, so the vocabulary is
-// keyed by an integer instead of hashing a string per token.
+// keyed by an integer instead of hashing a string per token, and the key is
+// all Decode needs to write the piece back.
 func pieceKey(p string) uint64 {
 	key := uint64(len(p)) << 56
 	for i := 0; i < len(p); i++ {
@@ -110,8 +155,11 @@ func (t *Tokenizer) Decode(tokens []Token) string {
 	var sb strings.Builder
 	t.mu.RLock()
 	for _, id := range tokens {
-		if int(id) >= 0 && int(id) < len(t.pieces) {
-			sb.WriteString(t.pieces[int(id)])
+		if int(id) >= 0 && int(id) < len(t.keys) {
+			key := t.keys[id]
+			for i := 0; i < int(key>>56); i++ {
+				sb.WriteByte(byte(key >> (8 * i)))
+			}
 		}
 	}
 	t.mu.RUnlock()

@@ -1,6 +1,8 @@
 package tokenizer
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -237,5 +239,48 @@ func TestPieceKeyTellsPiecesApart(t *testing.T) {
 	text := "a\x00\x00b\x00 a\x00c a"
 	if got := tok.Decode(tok.Encode(text)); got != text {
 		t.Errorf("round trip of %q gave %q", text, got)
+	}
+}
+
+// TestVocabularyMatchesMapReference holds the open-addressing vocabulary to
+// a map from piece to id, assigned in first-sight order: ids, VocabSize and
+// Decode agree after every text, across several doublings of the table.
+func TestVocabularyMatchesMapReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	const alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_ .,:\"{}\x00\x1f\xc3\xa9"
+	tok := New()
+	ref := map[string]Token{}
+	var refPieces []string
+	for i := 0; len(refPieces) < 9<<initialSlotsLog2; i++ {
+		b := make([]byte, 1+r.Intn(60))
+		for j := range b {
+			b[j] = alphabet[r.Intn(len(alphabet))]
+		}
+		text := string(b)
+		var want []Token
+		for _, p := range Split(text) {
+			id, ok := ref[p]
+			if !ok {
+				id = Token(len(refPieces))
+				ref[p] = id
+				refPieces = append(refPieces, p)
+			}
+			want = append(want, id)
+		}
+		got := tok.AppendEncode(nil, text)
+		if !slices.Equal(got, want) {
+			t.Fatalf("text %d %q: ids %v, map reference %v", i, text, got, want)
+		}
+		if tok.VocabSize() != len(refPieces) {
+			t.Fatalf("text %d: VocabSize %d, map reference %d", i, tok.VocabSize(), len(refPieces))
+		}
+		if got := tok.Decode(got); got != text {
+			t.Fatalf("text %d: Decode gave %q, want %q", i, got, text)
+		}
+	}
+	for id, p := range refPieces {
+		if got := tok.Decode([]Token{Token(id)}); got != p {
+			t.Fatalf("id %d decodes to %q, map reference %q", id, got, p)
+		}
 	}
 }

@@ -105,11 +105,21 @@ func (ix *Index) Search(query string, k int) ([]Result, error) {
 		k = len(ix.vecs)
 	}
 	q := ix.emb.Embed(query)
+	// A query has a few non-zero buckets of its dimensions. A zero bucket's
+	// product adds a signed zero, which leaves a sum that starts at +0 bit
+	// for bit unchanged, so summing the non-zero ones in ascending order is
+	// the dense dot product exactly.
+	var nz []int
+	for i, x := range q {
+		if x != 0 {
+			nz = append(nz, i)
+		}
+	}
 	// Min-heap of size k over (score, -id): the root is the weakest kept hit.
 	h := make(resultHeap, 0, k)
 	for id, v := range ix.vecs {
 		var dot float32
-		for i := range q {
+		for _, i := range nz {
 			dot += q[i] * v[i]
 		}
 		r := Result{ID: id, Score: dot}

@@ -2,6 +2,10 @@ package vecdb
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -178,5 +182,59 @@ func TestSearchTopKMatchesFullSort(t *testing.T) {
 func TestDefaultDim(t *testing.T) {
 	if NewEmbedder(0).Dim() != 256 {
 		t.Error("default dim not applied")
+	}
+}
+
+// TestSearchMatchesDenseDot: Search's sparse dot product over the query's
+// non-zero buckets gives every document the score of the dense loop over all
+// dimensions bit for bit, so the top k — ids, order and scores — equal a
+// dense full-scan reference. Corpora are random; queries include empty and
+// wordless text, and words whose hashed signs cancel or sum negative.
+func TestSearchMatchesDenseDot(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	vocab := []string{"alpha", "beta", "gamma", "delta", "red", "blue", "qubit", "yeast", "tomato", "über", "x1", "2024"}
+	text := func() string {
+		words := make([]string, r.Intn(8))
+		for i := range words {
+			words[i] = vocab[r.Intn(len(vocab))]
+		}
+		return strings.Join(words, " ")
+	}
+	negative := 0 // queries with a negative bucket
+	for trial := 0; trial < 200; trial++ {
+		e := NewEmbedder([]int{8, 64, 256}[r.Intn(3)])
+		ix := NewIndex(e)
+		for n := 1 + r.Intn(40); n > 0; n-- {
+			ix.Add(text())
+		}
+		for _, query := range []string{text(), text(), "", "!!! ...", "red red red blue"} {
+			k := 1 + r.Intn(ix.Len())
+			got, err := ix.Search(query, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := e.Embed(query)
+			if slices.ContainsFunc(q, func(x float32) bool { return x < 0 }) {
+				negative++
+			}
+			want := make([]Result, ix.Len())
+			for id, v := range ix.vecs {
+				var dot float32
+				for i := range q {
+					dot += q[i] * v[i]
+				}
+				want[id] = Result{ID: id, Score: dot}
+			}
+			sort.Slice(want, func(a, b int) bool { return better(want[a], want[b]) })
+			want = want[:k]
+			for i := range want {
+				if got[i].ID != want[i].ID || math.Float32bits(got[i].Score) != math.Float32bits(want[i].Score) {
+					t.Fatalf("trial %d, query %q, k %d: result %d = %+v, dense reference %+v", trial, query, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if negative == 0 {
+		t.Error("no query had a negative bucket")
 	}
 }
