@@ -157,25 +157,36 @@ func FreeText(rowKey uint64, tokens int) string {
 	if tokens <= 0 {
 		tokens = 1
 	}
-	// Every word is at most six bytes, so each word plus its leading space
-	// fits one tokenizer piece and the budget is met exactly.
-	words := []string{
-		"the", "notes", "good", "with", "points", "and", "minor",
-		"flaws", "a", "review", "says", "tone", "is", "clear",
-		"brief", "solid", "mixed", "rating", "holds", "up",
+	// The result cache retains every answer, so the buffer is sized exactly:
+	// a first pass over the same word sequence sums its length.
+	size := tokens - 1
+	for i, h := 0, rowKey; i < tokens; i++ {
+		h = freeTextStep(h)
+		size += len(freeTextWords[h%uint64(len(freeTextWords))])
 	}
 	var sb strings.Builder
-	sb.Grow(7 * tokens)
-	h := rowKey
-	for i := 0; i < tokens; i++ {
+	sb.Grow(size)
+	for i, h := 0, rowKey; i < tokens; i++ {
 		if i > 0 {
 			sb.WriteByte(' ')
 		}
-		h = h*6364136223846793005 + 1442695040888963407
-		sb.WriteString(words[h%uint64(len(words))])
+		h = freeTextStep(h)
+		sb.WriteString(freeTextWords[h%uint64(len(freeTextWords))])
 	}
 	return sb.String()
 }
+
+// freeTextWords is FreeText's vocabulary. Every word is at most six bytes,
+// so each word plus its leading space fits one tokenizer piece and the
+// budget is met exactly.
+var freeTextWords = [...]string{
+	"the", "notes", "good", "with", "points", "and", "minor",
+	"flaws", "a", "review", "says", "tone", "is", "clear",
+	"brief", "solid", "mixed", "rating", "holds", "up",
+}
+
+// freeTextStep advances FreeText's word generator (a 64-bit LCG).
+func freeTextStep(h uint64) uint64 { return h*6364136223846793005 + 1442695040888963407 }
 
 // hash01 maps the inputs to [0, 1).
 func hash01(name, dataset string, rowKey uint64, tag string) float64 {

@@ -2,8 +2,10 @@ package oracle
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -133,6 +135,68 @@ func TestFreeTextBudget(t *testing.T) {
 	if FreeText(1, 20) == FreeText(2, 20) && strings.Count(FreeText(1, 20), " ") > 3 {
 		t.Error("different rows produced identical free text")
 	}
+}
+
+// TestFreeTextPinned: sizing the buffer exactly changed no output byte.
+// The strings and the digest over a grid of (row, budget) pairs were
+// recorded with the previous, over-reserving builder.
+func TestFreeTextPinned(t *testing.T) {
+	for _, c := range []struct {
+		row    uint64
+		tokens int
+		want   string
+	}{
+		{0, 0, "flaws"},
+		{42, 1, "clear"},
+		{42, 5, "clear the solid brief and"},
+		{7, 12, "says and is with brief notes points tone says and a with"},
+		{1 << 63, 9, "solid brief and a tone good rating is up"},
+	} {
+		if got := FreeText(c.row, c.tokens); got != c.want {
+			t.Errorf("FreeText(%d, %d) = %q, want %q", c.row, c.tokens, got, c.want)
+		}
+	}
+	h := fnv.New64a()
+	for k := uint64(0); k < 200; k++ {
+		for n := -1; n < 80; n += 7 {
+			h.Write([]byte(FreeText(k*2654435761, n)))
+			h.Write([]byte{0})
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xaa3d15ba8f3519af); got != want {
+		t.Errorf("FreeText digest %#x, want %#x", got, want)
+	}
+}
+
+// TestFreeTextSizedExactly: the answer the result cache retains carries no
+// slack — building it costs one allocation, of what a buffer of exactly its
+// length costs.
+func TestFreeTextSizedExactly(t *testing.T) {
+	text := FreeText(42, 107)
+	got := heapBytesPerRun(func() { freeTextSink = FreeText(42, 107) })
+	want := heapBytesPerRun(func() { bytesSink = make([]byte, len(text)) })
+	if got > want {
+		t.Errorf("FreeText(42, 107) allocates %d B per call, a %d-byte buffer %d B", got, len(text), want)
+	}
+}
+
+var (
+	freeTextSink string
+	bytesSink    []byte
+)
+
+// heapBytesPerRun is the bytes f allocates per call, averaged over many.
+func heapBytesPerRun(f func()) uint64 {
+	const runs = 1000
+	f()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 func TestAnswerSingleChoiceFallsBack(t *testing.T) {

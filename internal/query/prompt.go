@@ -82,7 +82,7 @@ func BuildPrompt(userPrompt string, cells []core.Cell) string {
 func PromptTokens(userPrompt string, tbl *table.Table, sched *core.Schedule, cache *PromptCache) [][]tokenizer.Token {
 	prefixText := PromptPrefix(userPrompt)
 	b := newPromptEncoder(tbl, cache, len(prefixText)+len("{, }"))
-	prefix := b.literal(prefixText)
+	prefix := b.prefix(prefixText)
 	var open, sep, end []tokenizer.Token // encoded where the first row needs them
 	var cells []int32                    // the current slab's cell pieces, row after row, by memo index
 	out := make([][]tokenizer.Token, len(sched.Rows))
@@ -211,6 +211,18 @@ func (b *promptEncoder) column(k int, field string) int {
 	return col
 }
 
+// prefix encodes a stage's prompt prefix. Through a cache it is tokenized on
+// the shared tokenizer but not memoized: the prefix carries the statement's
+// own prompt, which on ad-hoc traffic never recurs, and a memoized one would
+// keep its text and tokens alive until evicted — one dead entry per
+// statement served.
+func (b *promptEncoder) prefix(text string) []tokenizer.Token {
+	if b.cache != nil {
+		return b.cache.tok.Encode(text)
+	}
+	return b.literal(text)
+}
+
 // literal encodes text as is.
 func (b *promptEncoder) literal(text string) []tokenizer.Token {
 	if b.cache != nil {
@@ -266,8 +278,8 @@ func (b *promptEncoder) from(off int) []tokenizer.Token {
 }
 
 // promptPiece is one separately tokenized piece of a prompt, and the key
-// PromptCache memoizes it under: a cell, or literal text (a stage prefix,
-// the JSON punctuation) carried in Value.
+// PromptCache memoizes it under: a cell, or literal text (the JSON
+// punctuation) carried in Value.
 type promptPiece struct {
 	core.Cell
 	literal bool

@@ -135,9 +135,10 @@ func (c *ReorderCache) store(key reorderKey, sched *core.Schedule, phc int64) {
 
 // PromptCache memoizes prompt tokenization over one long-lived tokenizer.
 // The unit is the prompt piece (see PromptTokens): one entry per distinct
-// cell — a (field, value) pair, tokenized as RowJSON serializes it — and one
-// per stage prefix, so a value that repeats down a column is walked once
-// across every row, stage and batch window that serves it. Sharing one
+// cell — a (field, value) pair, tokenized as RowJSON serializes it — so a
+// value that repeats down a column is walked once across every row, stage
+// and batch window that serves it. A stage prefix is tokenized on the shared
+// tokenizer but not memoized (see promptEncoder.prefix). Sharing one
 // tokenizer also makes token IDs stable across batches — which is what a
 // persistent backend's cross-batch KV cache compares — where per-stage
 // throwaway tokenizers gave the same text a different ID in every batch.

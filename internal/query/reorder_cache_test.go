@@ -140,6 +140,25 @@ func TestPromptCacheMemoizes(t *testing.T) {
 	}
 }
 
+// TestPromptCacheSkipsStagePrefix: a stage prefix carries its statement's
+// own prompt, so the memo does not keep it. A second prompt over the same
+// cells adds no entry.
+func TestPromptCacheSkipsStagePrefix(t *testing.T) {
+	pc := NewPromptCache(0)
+	tbl := cacheTestTable(16, "")
+	cfg := Config{Policy: CacheGGR, PromptCache: pc}
+	if _, err := RunStageContext(context.Background(), cacheTestSpec("Summarize the text."), tbl, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cells := pc.Len()
+	if _, err := RunStageContext(context.Background(), cacheTestSpec("Translate the text."), tbl, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := pc.Len(); got != cells {
+		t.Errorf("memo holds %d pieces after a second prompt over the same cells, %d after the first", got, cells)
+	}
+}
+
 // TestPromptCacheStageIdentity: a stage run through the shared memo returns
 // the same outputs and the same prompt-token accounting as the historical
 // per-stage tokenizer.

@@ -29,11 +29,33 @@ import (
 // forward to its horizon — throughput traffic never taxes latency traffic
 // with its own window. Every pull-forward is counted in
 // Metrics.BatchWindowsShortened.
+//
+// The window is also work-conserving: it only waits for someone who could
+// join. Once every unfinished statement the runtime has admitted is parked
+// here — or every worker is, so nothing queued can start — no new member
+// can arrive, and every open group closes at once. Windows and the row cap
+// are therefore upper bounds; the reason each group closed is counted in
+// Metrics (BatchCloses*).
 type batcher struct {
 	rt     *Runtime
 	mu     sync.Mutex
 	groups map[string]*group // guarded by mu
+	// parked counts members whose statement is still waiting in an open
+	// group: submitted, not yet flushed, not abandoned by a cancellation.
+	parked int64 // guarded by mu
 }
+
+// closeReason says why a group stopped waiting for joiners.
+type closeReason int
+
+const (
+	closeTimer    closeReason = iota // its window ran out (a zero window included)
+	closeCap                         // it reached maxBatchRows
+	closeIdle                        // nobody left who could join
+	closePulled                      // a nearer horizon: a joiner's class, a member's deadline
+	closeShutdown                    // Close drained it
+	numCloseReasons
+)
 
 // maxBatchRows flushes a group early once it holds this many rows: the cap
 // bounds one engine run's memory and solver time however long a batch-class
@@ -65,6 +87,10 @@ type member struct {
 	pulledForward bool
 	bspan         *obs.Span
 
+	// parked is true while the member counts in batcher.parked. Guarded by
+	// batcher.mu.
+	parked bool
+
 	// client / class identify the submitting statement (captured at submit,
 	// since the flush runs on a detached context): a single-tenant batch is
 	// attributed to that tenant on remote workers, a mixed one to "shared".
@@ -85,6 +111,11 @@ type group struct {
 	// means the group flushes inline (window disabled). Guarded by batcher.mu.
 	fireAt time.Time
 	timer  *time.Timer
+	// pulled marks a close horizon a joiner moved forward, or an opener's
+	// deadline set; reason is set when the group is taken for flushing.
+	// Guarded by batcher.mu.
+	pulled bool
+	reason closeReason
 }
 
 func newBatcher(rt *Runtime) *batcher {
@@ -105,13 +136,14 @@ func (b *batcher) submit(ctx context.Context, fp string, spec query.Spec, tbl *t
 	m.window = window
 	now := time.Now()
 	fire := now.Add(window)
+	clamped := false // the deadline, not the window, set this member's horizon
 	if dl, ok := ctx.Deadline(); ok {
 		if remaining := dl.Sub(now); remaining <= 0 {
-			fire = now // already expired: flush inline, the caller will see ctx.Err
+			fire, clamped = now, true // already expired: flush inline, the caller will see ctx.Err
 		} else if clamp := dl.Add(-remaining / 5); clamp.Before(fire) {
 			// Close before the deadline, not at it: keep a slice of the
 			// budget for the engine run so the statement can still finish.
-			fire = clamp
+			fire, clamped = clamp, true
 		}
 	}
 	immediate := window <= 0 || !fire.After(now)
@@ -119,7 +151,7 @@ func (b *batcher) submit(ctx context.Context, fp string, spec query.Spec, tbl *t
 	b.mu.Lock()
 	g := b.groups[fp]
 	if g == nil {
-		g = &group{fp: fp, cols: tbl.Columns(), qcfg: qcfg}
+		g = &group{fp: fp, cols: tbl.Columns(), qcfg: qcfg, pulled: clamped}
 		b.groups[fp] = g
 		if !immediate {
 			g.fireAt = fire
@@ -136,30 +168,100 @@ func (b *batcher) submit(ctx context.Context, fp string, spec query.Spec, tbl *t
 		} else {
 			g.timer.Reset(time.Until(fire))
 		}
+		g.pulled = true
 		shortened = true
 	}
 	g.members = append(g.members, m)
 	g.rows += len(rows)
-	full := g.rows >= maxBatchRows
+	m.parked = true
+	b.parked++
+	var take []*group
+	switch {
+	case g.rows >= maxBatchRows:
+		take = b.takeLocked(take, g, closeCap)
+	case immediate:
+		take = b.takeLocked(take, g, closeTimer)
+	default:
+		take = b.takeIdleLocked(take)
+	}
 	b.mu.Unlock()
 	if shortened {
 		b.rt.c.batchWindowsShortened.Add(1)
 		m.pulledForward = true
 	}
-	if full || immediate {
-		b.flush(g)
-	}
+	b.runAll(take, g)
 	return m
 }
 
-// flush detaches the group (idempotently) and runs it. Called from the
-// window timer, from submit when the group fills or the window is disabled,
-// and from Close for stragglers.
+// flush detaches the group (idempotently) and runs it: the window timer's
+// close.
 func (b *batcher) flush(g *group) {
 	b.mu.Lock()
+	take := b.takeLocked(nil, g, closeTimer)
+	b.mu.Unlock()
+	b.runAll(take, g)
+}
+
+// flushIfIdle closes every open group when nobody is left who could join
+// one. The runtime calls it whenever a statement stops running; the caller
+// (a worker about to pop its next job, or a failing admission) waits on none
+// of the groups, so every one runs on its own goroutine.
+func (b *batcher) flushIfIdle() {
+	b.mu.Lock()
+	take := b.takeIdleLocked(nil)
+	b.mu.Unlock()
+	b.runAll(take, nil)
+}
+
+// flushAll drains every open group synchronously (shutdown path).
+func (b *batcher) flushAll() {
+	b.mu.Lock()
+	var take []*group
+	for _, g := range b.groups {
+		take = b.takeLocked(take, g, closeShutdown)
+	}
+	b.mu.Unlock()
+	for _, g := range take {
+		b.run(g)
+	}
+}
+
+// abandon un-parks a member whose statement stopped waiting for it (its
+// context died): the group still runs its rows, but nobody waits on them,
+// so the member no longer stands for a statement that cannot join. The
+// statement is still active until it settles, which re-checks the rule.
+func (b *batcher) abandon(m *member) {
+	b.mu.Lock()
+	if m.parked {
+		m.parked = false
+		b.parked--
+	}
+	b.mu.Unlock()
+}
+
+// takeIdleLocked takes every open group when no statement that could still
+// join one is left: every unfinished admitted statement is parked here, or
+// every worker is, so nothing queued can start before a window closes.
+//
+//llmqlint:holds mu
+func (b *batcher) takeIdleLocked(take []*group) []*group {
+	if b.parked != b.rt.active.Load() && b.parked < int64(b.rt.cfg.workers()) {
+		return take
+	}
+	for _, g := range b.groups {
+		take = b.takeLocked(take, g, closeIdle)
+	}
+	return take
+}
+
+// takeLocked detaches g for flushing and appends it to take, unless it was
+// already taken. A timer close of a horizon a joiner pulled forward counts
+// as pulled.
+//
+//llmqlint:holds mu
+func (b *batcher) takeLocked(take []*group, g *group, reason closeReason) []*group {
 	if g.flushed {
-		b.mu.Unlock()
-		return
+		return take
 	}
 	g.flushed = true
 	if g.timer != nil {
@@ -168,21 +270,33 @@ func (b *batcher) flush(g *group) {
 	if b.groups[g.fp] == g {
 		delete(b.groups, g.fp)
 	}
-	members := g.members
-	b.mu.Unlock()
-	b.run(g, members)
+	if reason == closeTimer && g.pulled {
+		reason = closePulled
+	}
+	g.reason = reason
+	for _, m := range g.members {
+		if m.parked {
+			m.parked = false
+			b.parked--
+		}
+	}
+	return append(take, g)
 }
 
-// flushAll drains every open group synchronously (shutdown path).
-func (b *batcher) flushAll() {
-	b.mu.Lock()
-	var gs []*group
-	for _, g := range b.groups {
-		gs = append(gs, g)
+// runAll runs taken groups, each on its own goroutine except own: the
+// caller's group (the submitter's, or the timer's), run on the caller's
+// goroutine since it would only block waiting for it. own may be nil.
+func (b *batcher) runAll(take []*group, own *group) {
+	inline := false
+	for _, g := range take {
+		if g == own {
+			inline = true
+			continue
+		}
+		go b.run(g)
 	}
-	b.mu.Unlock()
-	for _, g := range gs {
-		b.flush(g)
+	if inline {
+		b.run(own)
 	}
 }
 
@@ -193,7 +307,10 @@ func (b *batcher) flushAll() {
 // member's spec hooks (RowKeys, OutTokensFor) are dispatched per row, so a
 // row's oracle draw and output budget are exactly what its own statement
 // would have used.
-func (b *batcher) run(g *group, members []*member) {
+//
+// g was taken for flushing, so its members no longer change.
+func (b *batcher) run(g *group) {
+	members := g.members
 	// One shared batch span serves every traced member: it carries the
 	// whole run's detail as attributes but charges nothing — each member
 	// charges its own proportional share on its own stage span, so a batch
@@ -277,6 +394,7 @@ func (b *batcher) run(g *group, members []*member) {
 
 	c := &b.rt.c
 	c.batches.Add(1)
+	c.batchCloses[g.reason].Add(1)
 	c.llmCalls.Add(int64(total))
 	c.jctMicros.Add(int64(st.Metrics.JCT * 1e6))
 	c.solverMicros.Add(int64(st.SolverSeconds * 1e6))

@@ -16,10 +16,25 @@ type inflight struct {
 }
 
 // resultKey is one row's LLM call: the stage fingerprint and the row part
-// stageRowKey renders. Every row of a stage shares the one fingerprint
+// stageRowKey reads. Every row of a stage shares the one fingerprint
 // string, so a retained key costs the row's own bytes, not the ≈ 430 the
 // fingerprint runs to.
-type resultKey struct{ stage, row string }
+type resultKey struct {
+	stage string
+	rowKey
+}
+
+// rowKey is what an LLM call reads of one row: its visible cells, its hidden
+// ground truth (two rows that read the same but carry different labels
+// answer differently) and its output budget (free-text answers scale with
+// it). The stage fingerprint fixes the column count, so a one-column
+// stage's cells are the cell itself — the table's own string, retained
+// without a copy — and a wider stage's are rendered length-prefixed.
+type rowKey struct {
+	cells  string
+	truth  string
+	budget int
+}
 
 // resultCache is the exact-match LLM result cache plus the inflight table.
 // One lock covers both so a lookup classifies a key atomically: cached,
@@ -31,7 +46,16 @@ type resultCache struct {
 	capacity int
 	entries  *lru.Map[resultKey, string] // guarded by mu
 	inflight map[resultKey]*inflight     // guarded by mu
+	// rows interns the cells of committed keys: the same row recurs under
+	// many stage fingerprints (ad-hoc prompts over one table), and each
+	// statement renders its own copy of a multi-column row. It is cleared
+	// once it holds internRows rows, so it never keeps many evicted rows
+	// alive.
+	rows map[string]string // guarded by mu
 }
+
+// internRows bounds resultCache.rows.
+const internRows = 4096
 
 // newResultCache sizes the cache; capacity <= 0 disables storing results
 // (inflight dedup still works — it needs no retention).
@@ -40,6 +64,7 @@ func newResultCache(capacity int) *resultCache {
 		capacity: capacity,
 		entries:  lru.New[resultKey, string](capacity),
 		inflight: make(map[resultKey]*inflight),
+		rows:     make(map[string]string),
 	}
 }
 
@@ -79,6 +104,14 @@ func (c *resultCache) commit(key resultKey, val string) {
 		close(f.done)
 	}
 	if c.capacity > 0 {
+		if cells, ok := c.rows[key.cells]; ok {
+			key.cells = cells
+		} else {
+			if len(c.rows) >= internRows {
+				clear(c.rows)
+			}
+			c.rows[key.cells] = key.cells
+		}
 		c.entries.Put(key, val)
 	}
 	c.mu.Unlock()

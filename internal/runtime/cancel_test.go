@@ -26,8 +26,13 @@ func TestCancelSurvivorCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rt := New(db, Config{Workers: 2, BatchWindow: 800 * time.Millisecond})
+	// A third statement is held running in the backend, so A's window
+	// stays open: someone who could still join it is running.
+	gb := newGatedBackend()
+	rt := New(db, Config{Workers: 3, BatchWindow: 800 * time.Millisecond, Backend: gb})
 	defer rt.Close()
+	held, release := holdWorker(t, rt, gb, heldStatement)
+	defer release()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	hA := rt.SubmitContext(ctx, sql, Options{})
@@ -72,6 +77,10 @@ func TestCancelSurvivorCompletes(t *testing.T) {
 	if resC.LLMCalls != 0 {
 		t.Errorf("rerun made %d model calls, want 0 (reservations should have committed)", resC.LLMCalls)
 	}
+	release()
+	if _, err := held.Wait(); err != nil {
+		t.Fatalf("held statement failed: %v", err)
+	}
 }
 
 // TestCancelDeadlineExceeded covers the deadline flavor: a statement whose
@@ -82,11 +91,17 @@ func TestCancelSurvivorCompletes(t *testing.T) {
 // in time instead of expiring.
 func TestCancelDeadlineExceeded(t *testing.T) {
 	db := newDB(24)
-	rt := New(db, Config{Workers: 1, BatchWindow: 600 * time.Millisecond})
+	// One worker is held running in the backend; the other parks the
+	// blocker, whose window stays open because the held statement could
+	// still join it.
+	gb := newGatedBackend()
+	rt := New(db, Config{Workers: 2, BatchWindow: 600 * time.Millisecond, Backend: gb})
 	defer rt.Close()
+	held, release := holdWorker(t, rt, gb, heldStatement)
+	defer release()
 
-	// Occupy the single worker (parked in its long batch window), then
-	// submit with a deadline that expires before the worker frees up.
+	// Occupy the free worker (parked in its long batch window), then
+	// submit with a deadline that expires before a worker frees up.
 	blocker := rt.Submit(dashboardStatements[1], Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
@@ -97,6 +112,10 @@ func TestCancelDeadlineExceeded(t *testing.T) {
 	if _, err := blocker.Wait(); err != nil {
 		t.Fatalf("blocker failed: %v", err)
 	}
+	release()
+	if _, err := held.Wait(); err != nil {
+		t.Fatalf("held statement failed: %v", err)
+	}
 	if m := rt.Metrics(); m.StatementsCanceled != 1 {
 		t.Errorf("statements canceled = %d, want 1", m.StatementsCanceled)
 	}
@@ -106,11 +125,15 @@ func TestCancelDeadlineExceeded(t *testing.T) {
 // queue: the worker must fail them fast without running the planner.
 func TestCancelBeforePickup(t *testing.T) {
 	db := newDB(12)
-	rt := New(db, Config{Workers: 1, QueueDepth: 8, BatchWindow: 200 * time.Millisecond})
+	gb := newGatedBackend()
+	rt := New(db, Config{Workers: 2, QueueDepth: 8, BatchWindow: 200 * time.Millisecond, Backend: gb})
 	defer rt.Close()
+	held, release := holdWorker(t, rt, gb, heldStatement)
+	defer release()
 
-	// Occupy the single worker, then queue a statement and cancel it before
-	// the worker can reach it.
+	// One worker is held running in the backend, so the blocker stays
+	// parked in its window on the other; queue a statement and cancel it
+	// before a worker can reach it.
 	blocker := rt.Submit(dashboardStatements[0], Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	queued := rt.SubmitContext(ctx, dashboardStatements[1], Options{})
@@ -121,6 +144,10 @@ func TestCancelBeforePickup(t *testing.T) {
 	if _, err := blocker.Wait(); err != nil {
 		t.Fatalf("blocker failed: %v", err)
 	}
+	release()
+	if _, err := held.Wait(); err != nil {
+		t.Fatalf("held statement failed: %v", err)
+	}
 }
 
 // TestCancelUnblocksFullQueue: SubmitContext must honor ctx while blocked
@@ -128,11 +155,15 @@ func TestCancelBeforePickup(t *testing.T) {
 // immediately instead of waiting for a worker slot.
 func TestCancelUnblocksFullQueue(t *testing.T) {
 	db := newDB(24)
-	rt := New(db, Config{Workers: 1, QueueDepth: 1, BatchWindow: 300 * time.Millisecond})
+	gb := newGatedBackend()
+	rt := New(db, Config{Workers: 2, QueueDepth: 1, BatchWindow: 300 * time.Millisecond, Backend: gb})
 	defer rt.Close()
+	held, release := holdWorker(t, rt, gb, heldStatement)
+	defer release()
 
-	// One statement occupies the worker (parked in its batch window), one
-	// fills the queue; the third submission blocks on admission.
+	// One worker is held running in the backend, so the other's statement
+	// stays parked in its batch window; one statement fills the queue, and
+	// the next submission blocks on admission.
 	running := rt.Submit(dashboardStatements[0], Options{})
 	queued := rt.Submit(dashboardStatements[1], Options{})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -148,7 +179,8 @@ func TestCancelUnblocksFullQueue(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("SubmitContext stayed blocked on a full queue after cancellation")
 	}
-	for _, h := range []*Handle{running, queued} {
+	release()
+	for _, h := range []*Handle{running, queued, held} {
 		if _, err := h.Wait(); err != nil {
 			t.Fatalf("unrelated statement failed: %v", err)
 		}

@@ -35,6 +35,7 @@ type counters struct {
 
 	quotaRejections       atomic.Int64
 	batchWindowsShortened atomic.Int64
+	batchCloses           [numCloseReasons]atomic.Int64 // by closeReason
 }
 
 // Totals is the fixed-size part of the runtime's accounting: every field is
@@ -125,6 +126,17 @@ type Totals struct {
 	// statement landing in a batch-class window, or a statement deadline
 	// inside the window. It is the observable proof the batcher is SLO-aware.
 	BatchWindowsShortened int64 `json:"batchWindowsShortened"`
+	// BatchCloses* say why each engine run's batch window closed; they sum
+	// to Batches. Timer: the window ran out (a zero window included). Cap:
+	// the group reached its row cap. Idle: nobody was left who could join —
+	// every unfinished statement was parked in a window, or every worker
+	// was. Pulled: a horizon nearer than the window ran out — a joiner's
+	// (interactive class) or any member's deadline. Shutdown: Close drained the group.
+	BatchClosesTimer    int64 `json:"batchClosesTimer"`
+	BatchClosesCap      int64 `json:"batchClosesCap"`
+	BatchClosesIdle     int64 `json:"batchClosesIdle"`
+	BatchClosesPulled   int64 `json:"batchClosesPulled"`
+	BatchClosesShutdown int64 `json:"batchClosesShutdown"`
 }
 
 // Metrics is a point-in-time snapshot of the runtime's whole accounting:
@@ -221,5 +233,10 @@ func (c *counters) snapshot() Totals {
 
 		QuotaRejections:       c.quotaRejections.Load(),
 		BatchWindowsShortened: c.batchWindowsShortened.Load(),
+		BatchClosesTimer:      c.batchCloses[closeTimer].Load(),
+		BatchClosesCap:        c.batchCloses[closeCap].Load(),
+		BatchClosesIdle:       c.batchCloses[closeIdle].Load(),
+		BatchClosesPulled:     c.batchCloses[closePulled].Load(),
+		BatchClosesShutdown:   c.batchCloses[closeShutdown].Load(),
 	}
 }

@@ -282,12 +282,18 @@ func TestQuotaRejectsOverdrawnClient(t *testing.T) {
 // run still coalesces, and the shortening is counted.
 func TestQoSInteractiveClosesWindowEarly(t *testing.T) {
 	db := newDB(24)
+	// A third statement is held running in the backend, so the batch-class
+	// window stays open until the interactive joiner pulls it in.
+	gb := newGatedBackend()
 	rt := New(db, Config{
-		Workers:          2,
+		Workers:          3,
 		BatchWindow:      5 * time.Millisecond,
 		BatchClassWindow: 2 * time.Second,
+		Backend:          gb,
 	})
 	defer rt.Close()
+	held, release := holdWorker(t, rt, gb, heldStatement)
+	defer release()
 
 	start := time.Now()
 	// dashboardStatements[0] and [1] share the LLM stage fingerprint (same
@@ -312,6 +318,13 @@ func TestQoSInteractiveClosesWindowEarly(t *testing.T) {
 	if m.CoalescedRuns == 0 {
 		t.Error("the pair did not coalesce into one run")
 	}
+	if m.BatchClosesPulled != 1 {
+		t.Errorf("pulled closes = %d, want 1", m.BatchClosesPulled)
+	}
+	release()
+	if _, err := held.Wait(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestQoSDeadlineClosesWindowEarly: a statement whose context deadline is
@@ -321,8 +334,13 @@ func TestQoSInteractiveClosesWindowEarly(t *testing.T) {
 // delay.
 func TestQoSDeadlineClosesWindowEarly(t *testing.T) {
 	db := newDB(18)
-	rt := New(db, Config{Workers: 1, BatchWindow: 2 * time.Second})
+	// A second statement is held running in the backend, so the window
+	// cannot close as idle: only the deadline clamp can close it early.
+	gb := newGatedBackend()
+	rt := New(db, Config{Workers: 2, BatchWindow: 2 * time.Second, Backend: gb})
 	defer rt.Close()
+	held, release := holdWorker(t, rt, gb, heldStatement)
+	defer release()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 700*time.Millisecond)
 	defer cancel()
@@ -335,6 +353,14 @@ func TestQoSDeadlineClosesWindowEarly(t *testing.T) {
 	if elapsed >= 1500*time.Millisecond {
 		t.Errorf("statement took %v with a 700ms deadline and 2s window", elapsed)
 	}
+	if m := rt.Metrics(); m.BatchClosesPulled != 1 || m.BatchClosesIdle != 0 || closes(m.Totals) != 1 {
+		t.Errorf("pulled closes %d, idle closes %d, all closes %d: want 1, 0, 1 (%+v)",
+			m.BatchClosesPulled, m.BatchClosesIdle, closes(m.Totals), m.Totals)
+	}
+	release()
+	if _, err := held.Wait(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestWaitContext: abandoning a future with WaitContext returns the caller
@@ -342,8 +368,13 @@ func TestQoSDeadlineClosesWindowEarly(t *testing.T) {
 // by a later Wait.
 func TestWaitContext(t *testing.T) {
 	db := newDB(12)
-	rt := New(db, Config{Workers: 1, BatchWindow: 300 * time.Millisecond})
+	// A second statement is held running in the backend, so the first's
+	// window stays open for its full 300 ms.
+	gb := newGatedBackend()
+	rt := New(db, Config{Workers: 2, BatchWindow: 300 * time.Millisecond, Backend: gb})
 	defer rt.Close()
+	held, release := holdWorker(t, rt, gb, heldStatement)
+	defer release()
 
 	h := rt.Submit(dashboardStatements[0], Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -360,5 +391,9 @@ func TestWaitContext(t *testing.T) {
 	}
 	if m := rt.Metrics(); m.StatementsCanceled != 0 {
 		t.Errorf("statements canceled = %d, want 0 (WaitContext must not cancel)", m.StatementsCanceled)
+	}
+	release()
+	if _, err := held.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }

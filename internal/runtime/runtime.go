@@ -75,6 +75,7 @@ import (
 	"errors"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backend"
@@ -92,9 +93,11 @@ type Config struct {
 	// QueueDepth bounds admitted-but-unscheduled statements; Submit blocks
 	// (backpressure) once the queue is full.
 	QueueDepth int
-	// BatchWindow is how long the first pending call of a stage fingerprint
-	// waits for concurrent statements to join its batch. Longer windows
-	// coalesce more at the cost of added latency; negative disables
+	// BatchWindow is the longest the first pending call of a stage
+	// fingerprint waits for concurrent statements to join its batch. It is
+	// an upper bound: a window closes early once nobody is left who could
+	// join it (every admitted, unfinished statement is parked in a window).
+	// Longer windows coalesce more at the cost of added latency; negative disables
 	// coalescing (every stage flushes immediately, dedup and caching still
 	// apply). This is the window interactive-class statements pay; an
 	// interactive statement joining a window scheduled further out (by a
@@ -271,6 +274,11 @@ type Runtime struct {
 	reorder *query.ReorderCache
 	prompts *query.PromptCache
 	c       counters
+	// active counts admitted statements not yet settled — queued, blocked
+	// on a full queue, or running. The batcher compares it with the
+	// statements parked in its windows to tell whether anyone could still
+	// join them.
+	active  atomic.Int64
 	traces  *obs.Ring    // nil when retention is disabled
 	rollups *obs.Rollups // per-StageKey feedback store
 
@@ -676,6 +684,9 @@ func (rt *Runtime) submitPrepared(ctx context.Context, p *sqlfront.Prepared, opt
 	rt.c.statementsSubmitted.Add(1)
 	j := &job{ctx: ctx, p: p, opts: opts, h: h, client: client, class: class,
 		enqueuedAt: time.Now(), planState: planState, prepDur: prepDur}
+	// Counted before it can be popped, so no check can miss a statement that
+	// is about to start.
+	rt.active.Add(1)
 	if err := rt.queue.push(ctx, j); err != nil {
 		// Admission blocked on a full queue and the statement died waiting
 		// (or the runtime closed underneath it): fail fast instead of
@@ -690,8 +701,17 @@ func (rt *Runtime) submitPrepared(ctx context.Context, p *sqlfront.Prepared, opt
 		}
 		h.err = err
 		close(h.done)
+		rt.settled()
 	}
 	return h
+}
+
+// settled retires one admitted statement. With it gone, the statements
+// parked in batch windows may be all that is left, so the batcher checks
+// whether anyone could still join them.
+func (rt *Runtime) settled() {
+	rt.active.Add(-1)
+	rt.batcher.flushIfIdle()
 }
 
 func failedHandle(err error) *Handle {
@@ -724,6 +744,7 @@ func (rt *Runtime) worker() {
 			j.h.trace = rt.finishTrace(rt.traceRoot(j, wait), j, wait+j.prepDur, err)
 			j.h.err = err
 			close(j.h.done)
+			rt.settled()
 			continue
 		}
 		cfg := rt.cfg.Exec
@@ -773,6 +794,7 @@ func (rt *Runtime) worker() {
 		j.h.trace = rt.finishTrace(root, j, sum.Wall, err)
 		j.h.res, j.h.err = res, err
 		close(j.h.done)
+		rt.settled()
 	}
 }
 

@@ -47,30 +47,32 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 	}
 
 	fp := query.StageKey(spec, tbl.Columns(), qcfg)
-	keys := make([]string, n)       // row parts; fp is the other half of every cache key
-	vals := make(map[string]string) // resolved outputs by row key
-	subs := make(map[string]*inflight)
-	seen := make(map[string]bool)
+	outputs := make([]string, n)
+	// first maps each distinct row part (fp is the other half of every cache
+	// key) to the row that resolves it; every later copy is a dup of it.
+	first := make(map[rowKey]int, n)
+	var dups []rowCopy
+	var subs []rowSub
 	var ownedRows []int
-	var ownedKeys []string
+	var ownedKeys []rowKey
 	var hits, inflightJoins, deduped int64
 	for i := 0; i < n; i++ {
 		key := stageRowKey(tbl, spec, i)
-		keys[i] = key
-		if seen[key] {
+		if j, ok := first[key]; ok {
 			// Duplicate row content within this stage: one computation
 			// serves every copy.
 			deduped++
+			dups = append(dups, rowCopy{i, j})
 			continue
 		}
-		seen[key] = true
+		first[key] = i
 		switch state, val, fl := rt.cache.acquire(resultKey{fp, key}); state {
 		case acquireHit:
 			hits++
-			vals[key] = val
+			outputs[i] = val
 		case acquireSubscribed:
 			inflightJoins++
-			subs[key] = fl
+			subs = append(subs, rowSub{i, fl})
 		case acquireOwned:
 			ownedRows = append(ownedRows, i)
 			ownedKeys = append(ownedKeys, key)
@@ -103,6 +105,7 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 			// Abandon the wait, not the reservations: the batch proceeds
 			// without us and the detached resolver settles our keys when it
 			// lands, so subscribers and later statements are not poisoned.
+			rt.batcher.abandon(m)
 			go func() {
 				<-m.done
 				rt.resolveOwned(fp, ownedKeys, m)
@@ -123,8 +126,8 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 			return nil, m.err
 		}
 		rt.resolveOwned(fp, ownedKeys, m)
-		for j, key := range ownedKeys {
-			vals[key] = m.outputs[j]
+		for j, row := range ownedRows {
+			outputs[row] = m.outputs[j]
 		}
 		// Attribute the coalesced run's serving cost to this statement: it
 		// waited for exactly this engine run. A batch shared by k statements
@@ -157,29 +160,37 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 	}
 	if len(subs) > 0 {
 		subStart := time.Now()
-		for key, fl := range subs {
+		for _, sub := range subs {
 			select {
 			case <-ctx.Done():
 				// A subscription carries no obligation; the owner resolves it.
 				return nil, ctx.Err()
-			case <-fl.done:
+			case <-sub.fl.done:
 			}
-			if fl.err != nil {
-				return nil, fmt.Errorf("runtime: deduplicated call failed in its owning statement: %w", fl.err)
+			if sub.fl.err != nil {
+				return nil, fmt.Errorf("runtime: deduplicated call failed in its owning statement: %w", sub.fl.err)
 			}
-			vals[key] = fl.val
+			outputs[sub.row] = sub.fl.val
 		}
 		if sp != nil {
 			sp.ChildAt("inflight-wait", subStart, time.Since(subStart)).Set("calls", len(subs))
 		}
 	}
 
-	outputs := make([]string, n)
-	for i, key := range keys {
-		outputs[i] = vals[key]
+	for _, d := range dups {
+		outputs[d.row] = outputs[d.of]
 	}
 	st.Outputs = outputs
 	return st, nil
+}
+
+// rowCopy is a row whose content repeats an earlier row of its stage.
+type rowCopy struct{ row, of int }
+
+// rowSub is a row another statement is computing right now.
+type rowSub struct {
+	row int
+	fl  *inflight
 }
 
 // resolveOwned settles a member's result-cache reservations from its
@@ -188,7 +199,7 @@ func (rt *Runtime) RunStage(ctx context.Context, spec query.Spec, tbl *table.Tab
 // idempotent per key — commit and fail both no-op on an already-resolved
 // entry — and is called either inline by the owning statement or by the
 // detached resolver a canceled owner leaves behind.
-func (rt *Runtime) resolveOwned(fp string, keys []string, m *member) {
+func (rt *Runtime) resolveOwned(fp string, keys []rowKey, m *member) {
 	if m.err != nil {
 		for _, key := range keys {
 			rt.cache.fail(resultKey{fp, key}, m.err)
@@ -201,40 +212,35 @@ func (rt *Runtime) resolveOwned(fp string, keys []string, m *member) {
 }
 
 // stageRowKey is the row part of one LLM call's exact-match result-cache key
-// (resultKey pairs it with the stage fingerprint): the row's visible cells,
-// its hidden ground truth (two rows that read the same but carry different
-// labels answer differently), and its output budget (free-text answers
-// scale with it).
-func stageRowKey(tbl *table.Table, spec query.Spec, row int) string {
-	cells := tbl.Row(row)
-	truth := ""
+// (resultKey pairs it with the stage fingerprint). A one-column row's cells
+// are its cell as is; a wider row's are "<len>:<cell>;" per cell.
+func stageRowKey(tbl *table.Table, spec query.Spec, row int) rowKey {
+	k := rowKey{budget: spec.OutTokensFor(row)}
 	if spec.TruthHidden != "" {
-		truth = tbl.HiddenValue(spec.TruthHidden, row)
+		k.truth = tbl.HiddenValue(spec.TruthHidden, row)
 	}
-	budget := spec.OutTokensFor(row)
+	cells := tbl.Row(row)
+	if len(cells) == 1 {
+		k.cells = cells[0]
+		return k
+	}
 	// Sized exactly, so the key — which the result cache retains — is one
 	// allocation with no slack.
-	size := 1 + decimalLen(len(truth)) + 1 + len(truth) + 1 + decimalLen(budget)
+	size := 0
 	for _, cell := range cells {
 		size += decimalLen(len(cell)) + 1 + len(cell) + 1
 	}
 	var sb strings.Builder
 	sb.Grow(size)
 	var num [20]byte
-	writeInt := func(n int) { sb.Write(strconv.AppendInt(num[:0], int64(n), 10)) }
 	for _, cell := range cells {
-		writeInt(len(cell))
+		sb.Write(strconv.AppendInt(num[:0], int64(len(cell)), 10))
 		sb.WriteByte(':')
 		sb.WriteString(cell)
 		sb.WriteByte(';')
 	}
-	sb.WriteByte('|')
-	writeInt(len(truth))
-	sb.WriteByte(':')
-	sb.WriteString(truth)
-	sb.WriteByte('|')
-	writeInt(budget)
-	return sb.String()
+	k.cells = sb.String()
+	return k
 }
 
 // decimalLen is the number of digits of n ≥ 0 in base 10.

@@ -4,29 +4,33 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/query"
 	"repro/internal/table"
 )
 
-// TestStageRowKeyFormat pins the row part of the result-cache key to the
-// bytes the original fmt-based builder produced after the fingerprint —
-// "<len>:<cell>;" per cell + "|<len>:<truth>|<budget>" — on the cell
-// contents that could confuse a hand-rolled writer. Cache keys decide hits,
-// dedup and inflight joins, so every virtual metric depends on them not
-// moving.
+// TestStageRowKeyFormat pins the row part of the result-cache key: a
+// multi-column row's cells render as "<len>:<cell>;" per cell, the bytes the
+// original fmt-based builder produced, on the cell contents that could
+// confuse a hand-rolled writer; a one-column row's cells are the table's own
+// cell string, not a copy; truth and budget ride beside them. Cache keys
+// decide hits, dedup and inflight joins, so every virtual metric depends on
+// them not moving.
 func TestStageRowKeyFormat(t *testing.T) {
-	reference := func(tbl *table.Table, spec query.Spec, row int) string {
+	reference := func(tbl *table.Table, spec query.Spec, row int) rowKey {
 		var sb strings.Builder
 		for _, cell := range tbl.Row(row) {
 			fmt.Fprintf(&sb, "%d:%s;", len(cell), cell)
 		}
-		truth := ""
-		if spec.TruthHidden != "" {
-			truth = tbl.HiddenValue(spec.TruthHidden, row)
+		k := rowKey{cells: sb.String(), budget: spec.OutTokensFor(row)}
+		if len(tbl.Columns()) == 1 {
+			k.cells = tbl.Cell(row, 0)
 		}
-		fmt.Fprintf(&sb, "|%d:%s|%d", len(truth), truth, spec.OutTokensFor(row))
-		return sb.String()
+		if spec.TruthHidden != "" {
+			k.truth = tbl.HiddenValue(spec.TruthHidden, row)
+		}
+		return k
 	}
 
 	long := strings.Repeat("x", 12345)
@@ -38,16 +42,22 @@ func TestStageRowKeyFormat(t *testing.T) {
 		{"naïve café", "日本語のレビュー", "🎬"},
 		{long, "%d:%s;", "\n\t\x00"},
 	}
-	tbl := table.New("title", "review", "score")
+	wide := table.New("title", "review", "score")
+	narrow := table.New("review")
 	labels := make([]string, len(rows))
 	for i, r := range rows {
-		if err := tbl.AppendRow(r...); err != nil {
+		if err := wide.AppendRow(r...); err != nil {
+			t.Fatal(err)
+		}
+		if err := narrow.AppendRow(r[i%len(r)]); err != nil {
 			t.Fatal(err)
 		}
 		labels[i] = r[(i+1)%len(r)] // hidden truths reuse the awkward cells
 	}
-	if err := tbl.SetHidden("label", labels); err != nil {
-		t.Fatal(err)
+	for _, tbl := range []*table.Table{wide, narrow} {
+		if err := tbl.SetHidden("label", labels); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	specs := map[string]query.Spec{
@@ -58,22 +68,29 @@ func TestStageRowKeyFormat(t *testing.T) {
 			RowOutTokens: func(row int) int { return []int{0, 9, 10, 99, 100, 1234567}[row] }},
 	}
 	for name, spec := range specs {
-		for row := range rows {
-			got, want := stageRowKey(tbl, spec, row), reference(tbl, spec, row)
-			if got != want {
-				t.Errorf("%s, row %d:\n got %q\nwant %q", name, row, got, want)
+		for _, tbl := range []*table.Table{wide, narrow} {
+			for row := range rows {
+				got, want := stageRowKey(tbl, spec, row), reference(tbl, spec, row)
+				if got != want {
+					t.Errorf("%s, %d columns, row %d:\n got %+v\nwant %+v", name, len(tbl.Columns()), row, got, want)
+				}
 			}
+		}
+	}
+	for row := range rows {
+		if got := stageRowKey(narrow, query.Spec{}, row); unsafe.StringData(got.cells) != unsafe.StringData(narrow.Cell(row, 0)) {
+			t.Errorf("row %d: a one-column key copies its cell", row)
 		}
 	}
 }
 
-// TestResultCacheKeysOnStageAndRow: two stages whose rows render the same
-// row part but whose fingerprints differ share no entry and no inflight
-// computation, and a fingerprint that merely ends where the other's row part
-// begins is still a different key.
+// TestResultCacheKeysOnStageAndRow: two stages whose rows read the same but
+// whose fingerprints differ share no entry and no inflight computation, and
+// neither do two rows of one stage that differ only in truth or budget.
 func TestResultCacheKeysOnStageAndRow(t *testing.T) {
 	c := newResultCache(8)
-	a, b := resultKey{"stage-a", "1:x;|0:|8"}, resultKey{"stage-b", "1:x;|0:|8"}
+	row := rowKey{cells: "1:x;", budget: 8}
+	a, b := resultKey{"stage-a", row}, resultKey{"stage-b", row}
 	if state, _, _ := c.acquire(a); state != acquireOwned {
 		t.Fatalf("first acquire of a = %v, want owned", state)
 	}
@@ -87,11 +104,42 @@ func TestResultCacheKeysOnStageAndRow(t *testing.T) {
 			t.Errorf("acquire(%v) = %v %q, want a hit on %q", key, state, val, want)
 		}
 	}
-	if state, _, _ := c.acquire(resultKey{"stage-a1:x;", "|0:|8"}); state != acquireOwned {
-		t.Errorf("a key split elsewhere hit a's entry (state %v)", state)
+	for _, other := range []rowKey{{cells: "1:x;", truth: "1", budget: 8}, {cells: "1:x;", budget: 9}} {
+		if state, _, _ := c.acquire(resultKey{"stage-a", other}); state != acquireOwned {
+			t.Errorf("row %+v hit a's entry (state %v)", other, state)
+		}
 	}
 	if c.len() != 2 {
 		t.Errorf("cached entries = %d, want 2", c.len())
+	}
+}
+
+// TestResultCacheInternsRows: one row committed under many stage
+// fingerprints is retained once, whichever statement rendered its key, and
+// the intern table is cleared once it reaches its bound rather than growing
+// with every row ever committed.
+func TestResultCacheInternsRows(t *testing.T) {
+	c := newResultCache(64)
+	render := func() rowKey { return rowKey{cells: strings.Repeat("1:x;", 4), budget: 8} } // a fresh copy per call
+	for i := 0; i < 3; i++ {
+		key := resultKey{fmt.Sprint("stage-", i), render()}
+		c.acquire(key)
+		c.commit(key, "yes")
+	}
+	first := ""
+	for key := range c.entries.All() {
+		if first == "" {
+			first = key.cells
+		} else if unsafe.StringData(key.cells) != unsafe.StringData(first) {
+			t.Errorf("stage %s retains its own copy of the row key", key.stage)
+		}
+	}
+	for i := 0; len(c.rows) < internRows; i++ {
+		c.commit(resultKey{"stage-n", rowKey{cells: fmt.Sprint(i)}}, "")
+	}
+	c.commit(resultKey{"stage-n", rowKey{cells: "one more"}}, "")
+	if len(c.rows) != 1 {
+		t.Errorf("intern table holds %d rows after reaching its %d-row bound, want 1", len(c.rows), internRows)
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 
 // metricsKeys is the top-level key sequence of the GET /v1/metrics JSON
 // object on a router-backed runtime that has served a statement, recorded on
-// the commit before runtime.Totals was split out of runtime.Metrics. The
-// first totalsKeys of them are the fixed-size totals a /v1/sql response
-// carries as "runtime"; the rest are the breakdowns only /v1/metrics serves.
+// the commit before runtime.Totals was split out of runtime.Metrics, with the
+// batch close reasons appended to the totals since. The first totalsKeys of
+// them are the fixed-size totals a /v1/sql response carries as "runtime";
+// the rest are the breakdowns only /v1/metrics serves.
 var metricsKeys = []string{
 	"statementsSubmitted", "statementsDone", "statementsFailed", "statementsCanceled",
 	"abandonedResolved", "planCacheHits", "planCacheMisses", "cacheHits", "cacheMisses",
@@ -28,10 +29,11 @@ var metricsKeys = []string{
 	"promptCacheHits", "promptCacheMisses", "shardedBatches", "shardRuns", "shardJctSeconds",
 	"totalJctSeconds", "totalSolverSeconds", "promptTokens", "matchedTokens",
 	"prefilledTokens", "quotaRejections", "batchWindowsShortened",
+	"batchClosesTimer", "batchClosesCap", "batchClosesIdle", "batchClosesPulled", "batchClosesShutdown",
 	"clients", "queueWait", "stages", "cluster",
 }
 
-const totalsKeys = 30
+const totalsKeys = 35
 
 // objectKeys returns a JSON object's keys in document order.
 func objectKeys(t testing.TB, body []byte) []string {

@@ -60,6 +60,19 @@ func renderPrometheus(m Metrics) string {
 	w.row("llmq_llm_calls_total", "", float64(m.LLMCalls))
 	w.family("llmq_batch_windows_shortened_total", "counter", "Batch windows whose close was pulled forward by a nearer-horizon joiner.")
 	w.row("llmq_batch_windows_shortened_total", "", float64(m.BatchWindowsShortened))
+	w.family("llmq_batch_closes_total", "counter", "Batch windows closed, by why they stopped waiting for joiners; the reasons sum to llmq_batches_total.")
+	for _, r := range []struct {
+		reason string
+		n      int64
+	}{
+		{"timer", m.BatchClosesTimer},
+		{"cap", m.BatchClosesCap},
+		{"idle", m.BatchClosesIdle},
+		{"pulled", m.BatchClosesPulled},
+		{"shutdown", m.BatchClosesShutdown},
+	} {
+		w.row("llmq_batch_closes_total", labels("reason", r.reason), float64(r.n))
+	}
 
 	w.family("llmq_reorder_cache_hits_total", "counter", "GGR reorder-cache hits.")
 	w.row("llmq_reorder_cache_hits_total", "", float64(m.ReorderCacheHits))

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -715,9 +716,18 @@ func readJSON(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	// Encoded before the status goes out, as /v1/batch does: a body that
+	// does not marshal (a non-finite float) answers 500, not an empty 200.
+	// The error envelope holds only strings, so this recurses at most once.
+	out, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, ErrCodeInternal, fmt.Errorf("encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(out)
+	_, _ = io.WriteString(w, "\n")
 }
 
 // writeError emits the uniform /v1 error envelope. Every error path of

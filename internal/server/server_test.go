@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -507,5 +508,24 @@ func TestErrorEnvelope(t *testing.T) {
 		if envelope.Error.Message == "" {
 			t.Errorf("%s: empty error message", tc.name)
 		}
+	}
+}
+
+// TestWriteJSONUnencodableBody: a body that does not marshal answers 500
+// with the error envelope, never the intended status with an empty body.
+func TestWriteJSONUnencodableBody(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"jctSeconds": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500 (body %q)", rec.Code, rec.Body.String())
+	}
+	if got := decode[ErrorResponse](t, rec); got.Error.Code != ErrCodeInternal {
+		t.Errorf("error code %q, want %q", got.Error.Code, ErrCodeInternal)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, map[string]int{"n": 1})
+	if rec.Code != http.StatusCreated || rec.Body.String() != "{\"n\":1}\n" {
+		t.Errorf("encodable body: status %d, body %q", rec.Code, rec.Body.String())
 	}
 }

@@ -138,6 +138,9 @@ func TestMetricsPrometheus(t *testing.T) {
 		"llmq_queue_wait_seconds_sum",
 		"llmq_stage_executions_total",
 		"llmq_stage_selectivity",
+		// The lone statement's window closed because nobody could join it.
+		`llmq_batch_closes_total{reason="idle"} 1`,
+		`llmq_batch_closes_total{reason="timer"} 0`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition lacks %q", want)
