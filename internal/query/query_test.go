@@ -101,6 +101,28 @@ func TestOutTokensDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TestOutTokensFollowRowKeys: with content-derived row keys, a row's budget
+// is a function of its key alone, so the same row at two positions of two
+// stages gets one budget; different keys still spread over the ±25 % band.
+func TestOutTokensFollowRowKeys(t *testing.T) {
+	s, _ := ByName("products-projection")
+	keys := []uint64{11, 22, 33, 44, 55, 66, 77, 88}
+	a, b := s, s
+	a.RowKeys = func(row int) uint64 { return keys[row] }
+	b.RowKeys = func(row int) uint64 { return keys[len(keys)-1-row] }
+	seen := map[int]bool{}
+	for row := range keys {
+		got, want := b.OutTokensFor(len(keys)-1-row), a.OutTokensFor(row)
+		if got != want {
+			t.Errorf("key %d: budget %d at position %d, %d at position %d", keys[row], got, len(keys)-1-row, want, row)
+		}
+		seen[want] = true
+	}
+	if len(seen) < 2 {
+		t.Errorf("eight keys share one budget %v", seen)
+	}
+}
+
 func TestRunFilterQueryAllPolicies(t *testing.T) {
 	d := datagen.Movies(genOpt)
 	spec, _ := ByName("movies-filter")

@@ -45,10 +45,11 @@ type Spec struct {
 	Second     string
 	FilterPass string
 	// RowKeys, when non-nil, maps a source row to the key seeding the
-	// oracle's latent per-row draws (default: the row position). Content-
-	// derived keys (the LLM-SQL executor passes a hash of the row's cells)
-	// make a row's answer independent of how a plan slices, joins, or
-	// reorders the stage's input table — as a real model's answer would be.
+	// oracle's latent per-row draws and its output budget (OutTokensFor;
+	// default: the row position). Content-derived keys (the LLM-SQL executor
+	// passes a hash of the row's cells) make a row's answer and budget
+	// independent of how a plan slices, joins, or reorders the stage's input
+	// table — as a real model's answer would be.
 	RowKeys func(row int) uint64
 	// RowOutTokens, when non-nil, overrides OutTokensFor per source row.
 	// The serving runtime's cross-query batcher sets it when it coalesces
@@ -201,7 +202,8 @@ func ForDataset(dataset string, t Type) (Spec, error) {
 }
 
 // OutTokensFor returns the deterministic output budget for a source row:
-// the spec mean ±25% by hash, unless RowOutTokens overrides it.
+// the spec mean ±25% by a hash of the row's key (RowKeys, else its
+// position), unless RowOutTokens overrides it.
 func (s Spec) OutTokensFor(source int) int {
 	if s.RowOutTokens != nil {
 		return s.RowOutTokens(source)
@@ -213,6 +215,10 @@ func (s Spec) OutTokensFor(source int) int {
 	if span == 0 {
 		return s.OutTokens
 	}
-	h := uint64(source)*2654435761 + uint64(len(s.Name))
+	key := uint64(source)
+	if s.RowKeys != nil {
+		key = s.RowKeys(source)
+	}
+	h := key*2654435761 + uint64(len(s.Name))
 	return s.OutTokens - span/2 + int(h%uint64(span+1))
 }

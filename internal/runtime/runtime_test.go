@@ -149,6 +149,39 @@ func TestResultCacheAccounting(t *testing.T) {
 	}
 }
 
+// TestSameRowSharesBudgetAcrossOffsets: a row's output budget follows its
+// content, not where it sits in the stage, so the same row reached at
+// another offset by another statement gets the same answer and is served
+// from the result cache.
+func TestSameRowSharesBudgetAcrossOffsets(t *testing.T) {
+	db := newDB(12)
+	rt := New(db, Config{Workers: 2})
+	defer rt.Close()
+	const proj = `SELECT ticket_id, LLM('Summarize the request.', ticket_id, request) AS gist FROM tickets `
+	// T-0003..T-0005 are rows 3..5 of the first stage and rows 0..2 of the
+	// second.
+	first, err := rt.Exec(proj+`WHERE ticket_id <= 'T-0005'`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rt.Metrics()
+	second, err := rt.Exec(proj+`WHERE ticket_id >= 'T-0003'`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Rows) != 6 || len(second.Rows) != 9 {
+		t.Fatalf("statements kept %d and %d rows, want 6 and 9", len(first.Rows), len(second.Rows))
+	}
+	for i := 0; i < 3; i++ {
+		if a, b := first.Rows[3+i], second.Rows[i]; !reflect.DeepEqual(a, b) {
+			t.Errorf("row %s answered %q at offset %d and %q at offset %d", a[0], a[1], 3+i, b[1], i)
+		}
+	}
+	if hits := rt.Metrics().CacheHits - before.CacheHits; hits != 3 || second.LLMCalls != 6 {
+		t.Errorf("second statement: %d cache hits and %d model calls, want 3 and 6", hits, second.LLMCalls)
+	}
+}
+
 // TestInflightDedup disables the result cache and fires identical
 // statements concurrently: inflight dedup alone must keep the model-call
 // count strictly below K independent runs.

@@ -193,9 +193,9 @@ func stageAlphabet(st PlannedStage, tbl *table.Table) (choices []string, probs [
 // evalWithOutput evaluates a conjunct whose only leaves are comparisons of
 // one LLM call, with that call's output fixed to out.
 func evalWithOutput(e Expr, out string) bool {
-	leaf := map[*Compare]func(int) string{}
-	walkCompares(e, func(c *Compare) {
-		leaf[c] = func(int) string { return out }
+	pass, _ := compilePred(e, func(c *Compare) (rowPred, error) { // this leaf never fails
+		lit := compileLiteral(c)
+		return func(int) bool { return lit.match(out) }, nil
 	})
-	return evalExpr(e, 0, leaf)
+	return pass(0)
 }

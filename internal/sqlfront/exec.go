@@ -1,6 +1,7 @@
 package sqlfront
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -36,6 +37,10 @@ func NewDB() *DB {
 }
 
 // Register makes t queryable under name (case-sensitive, last write wins).
+// Statements never mutate a registered table, and the caller must not
+// either: its dictionary (table.Dictionary) is built at the first WHERE that
+// filters it and shared by every statement after it, which evaluates its
+// plain-column predicates once per distinct value.
 func (db *DB) Register(name string, t *table.Table) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -275,14 +280,16 @@ func (db *DB) execPlan(ctx context.Context, st *preparedState, cfg ExecConfig) (
 
 	// 1. Table-local pushdown: prune each base table with its own plain
 	// predicates below the join, so the join itself is cheaper and no LLM
-	// stage ever sees a row a cheap filter can discard.
+	// stage ever sees a row a cheap filter can discard. A base table is a
+	// registered one, so its shared dictionary lets each comparison run once
+	// per distinct value.
 	bases := make([]*table.Table, len(sc.tables))
 	for i := range sc.tables {
 		bases[i] = sc.tables[i].tbl
 		if pl.TablePushed[i] == nil {
 			continue
 		}
-		passing, err := passingRows(bases[i], pl.TablePushed[i], nil, sc.lookupFor(i))
+		passing, err := passingRows(bases[i], pl.TablePushed[i], nil, sc.lookupFor(i), bases[i].Dictionary())
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +302,7 @@ func (db *DB) execPlan(ctx context.Context, st *preparedState, cfg ExecConfig) (
 
 	// 3. Plain predicates spanning tables run right after the join.
 	if pl.Pushed != nil {
-		passing, err := passingRows(working, pl.Pushed, nil, working.ColIndex)
+		passing, err := passingRows(working, pl.Pushed, nil, working.ColIndex, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -344,7 +351,7 @@ func (db *DB) execPlan(ctx context.Context, st *preparedState, cfg ExecConfig) (
 		if ready == nil {
 			return nil
 		}
-		passing, err := passingRows(working, ready, outputs, working.ColIndex)
+		passing, err := passingRows(working, ready, outputs, working.ColIndex, nil)
 		if err != nil {
 			return err
 		}
@@ -452,6 +459,7 @@ func runPlannedStage(st PlannedStage, dataset string, working *table.Table,
 	if err != nil {
 		return nil, err
 	}
+	hashes := rowHashes(proj)
 	spec := query.Spec{
 		Name:       st.Name(),
 		Dataset:    dataset,
@@ -462,18 +470,18 @@ func runPlannedStage(st PlannedStage, dataset string, working *table.Table,
 		// row's answer is independent of how the plan ordered, joined, or
 		// pruned the stage's input; planned and naive executions then return
 		// identical relations up to the oracle's field-position accuracy
-		// model (see ExecConfig.Naive).
-		RowKeys: rowKeysFor(proj, st.Call.Prompt),
+		// model (see ExecConfig.Naive). The output budget follows the key.
+		RowKeys: rowKeysFor(hashes, st.Call.Prompt),
 	}
 	switch st.Type {
 	case query.Filter:
 		spec.OutTokens = filterOut
-		spec.Choices, spec.TruthHidden = filterChoices(proj, st.Call.Prompt, st.Literals)
+		spec.Choices, spec.TruthHidden = filterChoices(proj, hashes, st.Call.Prompt, st.Literals)
 	case query.Aggregation:
 		spec.OutTokens = aggOut
 		truthCol := "score"
 		if _, ok := proj.Hidden("score"); !ok {
-			truthCol = synthesizeScores(proj, st.Call.Prompt)
+			truthCol = synthesizeScores(proj, hashes, st.Call.Prompt)
 		}
 		spec.TruthHidden = truthCol
 	default:
@@ -486,103 +494,142 @@ func runPlannedStage(st PlannedStage, dataset string, working *table.Table,
 	return stRes.Outputs, nil
 }
 
-// rowKeysFor derives content-keyed oracle row keys for a stage over t,
-// seeded by the call's prompt so different questions draw independently.
-func rowKeysFor(t *table.Table, prompt string) func(int) uint64 {
+// rowKeysFor derives content-keyed oracle row keys for a stage from its
+// rows' hashes (rowHashes), seeded by the call's prompt so different questions
+// draw independently.
+func rowKeysFor(hashes []uint64, prompt string) func(int) uint64 {
 	seed := strHash(prompt)
-	return func(row int) uint64 { return splitmix(rowHash(t, row) + seed) }
+	keys := make([]uint64, len(hashes))
+	for i, h := range hashes {
+		keys[i] = splitmix(h + seed)
+	}
+	return func(row int) uint64 { return keys[row] }
 }
 
 // passingRows evaluates e over every row of t, resolving LLM comparisons
 // against the outputs map (keyed by LLMCall.Key, indexed by row) and plain
 // columns through lookup (t.ColIndex for relations in their own namespace;
-// scope.lookupFor for canonical names over a base table). Each comparison
-// leaf is resolved to its value source once, not per row.
-func passingRows(t *table.Table, e Expr, outputs map[string][]string, lookup func(string) (int, bool)) ([]int, error) {
-	leaf := map[*Compare]func(row int) string{}
-	var lerr error
-	walkCompares(e, func(c *Compare) {
-		if lerr != nil {
-			return
-		}
+// scope.lookupFor for canonical names over a base table). e is compiled once
+// (compilePred). dict, when non-nil, is t's dictionary: a plain-column leaf
+// then compares each distinct value of its column once and reads every row's
+// answer by the row's code. Without it, each leaf compares every row.
+func passingRows(t *table.Table, e Expr, outputs map[string][]string, lookup func(string) (int, bool), dict *table.Dictionary) ([]int, error) {
+	pass, err := compilePred(e, func(c *Compare) (rowPred, error) {
+		lit := compileLiteral(c)
 		if c.LLM != nil {
 			outs, ok := outputs[c.LLM.Key()]
 			if !ok {
-				lerr = fmt.Errorf("sql: internal error: no stage outputs for %s", c.LLM)
-				return
+				return nil, fmt.Errorf("sql: internal error: no stage outputs for %s", c.LLM)
 			}
-			leaf[c] = func(row int) string {
+			return func(row int) bool {
+				var v string
 				if row < len(outs) {
-					return outs[row]
+					v = outs[row]
 				}
-				return ""
-			}
-		} else {
-			ci, ok := lookup(c.Col.Column)
-			if !ok {
-				lerr = fmt.Errorf("sql: unknown column %q in WHERE", c.Col.Column)
-				return
-			}
-			leaf[c] = func(row int) string { return t.Cell(row, ci) }
+				return lit.match(v)
+			}, nil
 		}
+		ci, ok := lookup(c.Col.Column)
+		if !ok {
+			return nil, fmt.Errorf("sql: unknown column %q in WHERE", c.Col.Column)
+		}
+		if dict == nil {
+			return func(row int) bool { return lit.match(t.Cell(row, ci)) }, nil
+		}
+		codes, first := dict.Codes[ci], dict.First[ci]
+		// memo[id] is 0 until value id is compared, then 1 (fails) or 2
+		// (holds).
+		memo := make([]uint8, len(first))
+		return func(row int) bool {
+			id := codes[row]
+			if m := memo[id]; m != 0 {
+				return m == 2
+			}
+			holds := lit.match(t.Cell(int(first[id]), ci))
+			memo[id] = 1
+			if holds {
+				memo[id] = 2
+			}
+			return holds
+		}, nil
 	})
-	if lerr != nil {
-		return nil, lerr
+	if err != nil {
+		return nil, err
 	}
 	var passing []int
 	for i := 0; i < t.NumRows(); i++ {
-		if evalExpr(e, i, leaf) {
+		if pass(i) {
 			passing = append(passing, i)
 		}
 	}
 	return passing, nil
 }
 
-// evalExpr evaluates a boolean tree for one row; leaf holds the pre-resolved
-// value source of every comparison (passingRows built it, so every leaf of e
-// is present).
-func evalExpr(e Expr, row int, leaf map[*Compare]func(int) string) bool {
+// rowPred is a compiled boolean expression over one row (or, in HAVING, one
+// group).
+type rowPred func(i int) bool
+
+// compilePred lowers a boolean tree into one closure, compiling each
+// comparison leaf once with leaf, left to right; the first error leaf
+// returns fails the whole. AND and OR short-circuit left to right.
+func compilePred(e Expr, leaf func(*Compare) (rowPred, error)) (rowPred, error) {
 	switch n := e.(type) {
 	case *BinaryExpr:
-		left := evalExpr(n.Left, row, leaf)
-		if (n.Op == "AND" && !left) || (n.Op == "OR" && left) {
-			return left
+		l, err := compilePred(n.Left, leaf)
+		if err != nil {
+			return nil, err
 		}
-		return evalExpr(n.Right, row, leaf)
+		r, err := compilePred(n.Right, leaf)
+		if err != nil {
+			return nil, err
+		}
+		if n.Op == "AND" {
+			return func(i int) bool { return l(i) && r(i) }, nil
+		}
+		return func(i int) bool { return l(i) || r(i) }, nil
 	case *NotExpr:
-		return !evalExpr(n.Inner, row, leaf)
+		in, err := compilePred(n.Inner, leaf)
+		if err != nil {
+			return nil, err
+		}
+		return func(i int) bool { return !in(i) }, nil
 	case *Compare:
-		return n.matches(leaf[n](row))
+		return leaf(n)
 	}
-	return false
+	return func(int) bool { return false }, nil
 }
 
-// matches compares a cell or model output against the comparison's literal.
-// Equality (and its negation) holds numerically whenever both sides parse as
-// finite numbers ('5.0' equals a score of 5, quoted or not) and by exact
-// string equality otherwise; the ordered operators use valueLess's total
-// order, where finite numbers compare numerically and sort before every
-// non-numeric string.
-func (c *Compare) matches(actual string) bool {
-	switch c.Op {
+// literal is a comparison's operator and right side, the literal parsed once
+// per statement instead of once per value compared.
+type literal struct {
+	op CompareOp
+	ordered
+}
+
+func compileLiteral(c *Compare) literal {
+	return literal{op: c.Op, ordered: orderedOf(c.Literal)}
+}
+
+// match compares a cell or model output against the literal under
+// valueLess's total order. Equality under it (and its negation) is numeric
+// whenever both sides parse as finite numbers ('5.0' equals a score of 5,
+// quoted or not) and exact string equality otherwise. The zero operator is
+// equality.
+func (l literal) match(v string) bool {
+	c := orderedOf(v).compare(l.ordered)
+	switch l.op {
 	case OpLt:
-		return valueLess(actual, c.Literal)
+		return c < 0
 	case OpLe:
-		return !valueLess(c.Literal, actual)
+		return c <= 0
 	case OpGt:
-		return valueLess(c.Literal, actual)
+		return c > 0
 	case OpGe:
-		return !valueLess(actual, c.Literal)
+		return c >= 0
+	case OpNeq:
+		return c != 0
 	}
-	eq := actual == c.Literal
-	if !eq {
-		if av, okA := parseNum(actual); okA {
-			if lv, okL := parseNum(c.Literal); okL {
-				eq = av == lv
-			}
-		}
-	}
-	return eq != (c.Op == OpNeq)
+	return c == 0
 }
 
 // buildRowwise materializes a non-aggregate SELECT: one output row per
@@ -623,6 +670,11 @@ func buildRowwise(q *Query, working *table.Table, outputs map[string][]string, r
 
 	for _, s := range sources {
 		res.Columns = append(res.Columns, s.name)
+	}
+	// Sized exactly: a caller may keep the relation long after the
+	// statement, so it carries no growth slack.
+	if n := working.NumRows(); n > 0 {
+		res.Rows = make([][]string, 0, n)
 	}
 	for i := 0; i < working.NumRows(); i++ {
 		row := make([]string, len(sources))
@@ -688,110 +740,97 @@ func buildGrouped(q *Query, working *table.Table, outputs map[string][]string, r
 		}
 	}
 
-	for _, k := range keys {
-		rows := rowsByKey[k]
-		if q.Having != nil {
-			pass, err := groupPasses(q.Having, working, rows, outputs)
-			if err != nil {
-				return err
-			}
-			if !pass {
-				continue
-			}
+	// Every select item and HAVING leaf is resolved once, before the first
+	// group; each group then only reads and folds its rows.
+	groupPasses := func(int) bool { return true }
+	if q.Having != nil {
+		var err error
+		if groupPasses, err = compileHaving(q.Having, working, outputs, func(g int) []int { return rowsByKey[keys[g]] }); err != nil {
+			return err
 		}
-		out := make([]string, 0, len(q.Select))
-		for _, item := range q.Select {
-			if item.Agg == AggNone {
-				// validate guarantees the column is grouped, so it is
-				// constant within the group.
-				ci, ok := working.ColIndex(item.Col.Column)
-				if !ok {
-					return fmt.Errorf("sql: unknown column %q", item.Col.Column)
-				}
-				var v string
-				if len(rows) > 0 {
-					v = working.Cell(rows[0], ci)
-				}
-				out = append(out, v)
-				continue
-			}
-			vals, err := aggInputs(item, working, rows, outputs)
-			if err != nil {
-				return err
-			}
-			out = append(out, aggregate(item.Agg, item.AggStar, vals, len(rows)))
+	}
+	items := make([]func(rows []int) string, len(q.Select))
+	for i, item := range q.Select {
+		var err error
+		if items[i], err = groupValue(item, working, outputs); err != nil {
+			return err
+		}
+	}
+	// No growth slack, as in buildRowwise.
+	res.Rows = make([][]string, 0, len(keys))
+	for g, k := range keys {
+		if !groupPasses(g) {
+			continue
+		}
+		rows := rowsByKey[k]
+		out := make([]string, len(items))
+		for i, item := range items {
+			out[i] = item(rows)
 		}
 		res.Rows = append(res.Rows, out)
+	}
+	if len(res.Rows) == 0 {
+		res.Rows = nil // an empty relation is nil, as in buildRowwise
 	}
 	return nil
 }
 
-// groupPasses evaluates a HAVING expression for one group. Aggregate leaves
-// fold the group's values through the same aggregate machinery as SELECT
-// items; plain-column leaves read the group's (validated-constant) value.
-func groupPasses(e Expr, t *table.Table, rows []int, outputs map[string][]string) (bool, error) {
-	leaf := map[*Compare]func(int) string{}
-	var lerr error
-	walkCompares(e, func(c *Compare) {
-		if lerr != nil {
-			return
+// compileHaving compiles a HAVING expression into a test of group g, whose
+// rows of t are rowsOf(g), with the compiler the WHERE uses. Each leaf's left
+// side is a group value, as a select item is (groupValue).
+func compileHaving(e Expr, t *table.Table, outputs map[string][]string, rowsOf func(g int) []int) (rowPred, error) {
+	return compilePred(e, func(c *Compare) (rowPred, error) {
+		lit := compileLiteral(c)
+		value, err := groupValue(SelectItem{Agg: c.Agg, AggStar: c.AggStar, LLM: c.LLM, Col: c.Col}, t, outputs)
+		if err != nil {
+			return nil, err
 		}
-		var v string
-		if c.Agg != AggNone {
-			item := SelectItem{Agg: c.Agg, AggStar: c.AggStar, LLM: c.LLM, Col: c.Col}
-			vals, err := aggInputs(item, t, rows, outputs)
-			if err != nil {
-				lerr = err
-				return
-			}
-			v = aggregate(c.Agg, c.AggStar, vals, len(rows))
-		} else {
-			// validate guarantees the column is grouped, so it is constant
-			// within the group.
-			ci, ok := t.ColIndex(c.Col.Column)
-			if !ok {
-				lerr = fmt.Errorf("sql: unknown column %q in HAVING", c.Col.Column)
-				return
-			}
-			if len(rows) > 0 {
-				v = t.Cell(rows[0], ci)
-			}
-		}
-		val := v
-		leaf[c] = func(int) string { return val }
+		return func(g int) bool { return lit.match(value(rowsOf(g))) }, nil
 	})
-	if lerr != nil {
-		return false, lerr
-	}
-	return evalExpr(e, 0, leaf), nil
 }
 
-// aggInputs collects the values one aggregate ranges over within a group.
-func aggInputs(item SelectItem, t *table.Table, rows []int, outputs map[string][]string) ([]string, error) {
+// groupValue resolves a select item of a grouped statement against t and
+// outputs once, and returns its value over a group's rows: a grouped
+// column's value (validate guarantees it is constant within the group), or
+// an aggregate's fold of a column or an LLM call's outputs.
+func groupValue(item SelectItem, t *table.Table, outputs map[string][]string) (func(rows []int) string, error) {
 	if item.AggStar {
-		return nil, nil // COUNT(*) needs only the group size
+		// COUNT(*) needs only the group size.
+		return func(rows []int) string { return aggregate(item.Agg, true, nil, len(rows)) }, nil
 	}
-	vals := make([]string, 0, len(rows))
+	var outs []string
+	ci := -1 // the column read, or -1 for outs
 	if item.LLM != nil {
-		outs, ok := outputs[item.LLM.Key()]
-		if !ok {
+		var ok bool
+		if outs, ok = outputs[item.LLM.Key()]; !ok {
 			return nil, fmt.Errorf("sql: internal error: no stage outputs for %s", item.LLM)
 		}
+	} else {
+		var ok bool
+		if ci, ok = t.ColIndex(item.Col.Column); !ok {
+			return nil, fmt.Errorf("sql: unknown column %q", item.Col.Column)
+		}
+	}
+	if item.Agg == AggNone {
+		return func(rows []int) string {
+			if len(rows) == 0 {
+				return ""
+			}
+			return t.Cell(rows[0], ci)
+		}, nil
+	}
+	return func(rows []int) string {
+		vals := make([]string, 0, len(rows))
 		for _, r := range rows {
-			if r < len(outs) {
+			switch {
+			case ci >= 0:
+				vals = append(vals, t.Cell(r, ci))
+			case r < len(outs):
 				vals = append(vals, outs[r])
 			}
 		}
-		return vals, nil
-	}
-	ci, ok := t.ColIndex(item.Col.Column)
-	if !ok {
-		return nil, fmt.Errorf("sql: unknown column %q under %s", item.Col.Column, item.Agg)
-	}
-	for _, r := range rows {
-		vals = append(vals, t.Cell(r, ci))
-	}
-	return vals, nil
+		return aggregate(item.Agg, false, vals, len(rows))
+	}, nil
 }
 
 // aggregate folds one group's values. COUNT counts non-empty values
@@ -899,7 +938,16 @@ func applyOrderLimit(q *Query, res *Result, sc *scope) error {
 // parseNum parses a finite number. "NaN" and "Inf" (which ParseFloat
 // accepts) are treated as plain strings: NaN compares as neither less nor
 // greater than anything and would break valueLess's strict weak ordering.
+// A string whose first byte is not a digit, a sign or a point is rejected
+// without ParseFloat: it either fails to parse (which allocates an error) or
+// spells Inf or NaN.
 func parseNum(s string) (float64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	if c := s[0]; (c < '0' || c > '9') && c != '+' && c != '-' && c != '.' {
+		return 0, false
+	}
 	f, err := strconv.ParseFloat(s, 64)
 	if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 		return 0, false
@@ -912,18 +960,32 @@ func parseNum(s string) (float64, bool) {
 // strings order lexicographically. Keeping it a strict weak ordering (no
 // mixed numeric/lexicographic cycles) is what sort.SliceStable and the
 // MIN/MAX fold both require.
-func valueLess(a, b string) bool {
-	af, okA := parseNum(a)
-	bf, okB := parseNum(b)
+func valueLess(a, b string) bool { return orderedOf(a).compare(orderedOf(b)) < 0 }
+
+// ordered is a cell value parsed for valueLess's order.
+type ordered struct {
+	text  string
+	num   float64
+	isNum bool
+}
+
+func orderedOf(s string) ordered {
+	num, isNum := parseNum(s)
+	return ordered{text: s, num: num, isNum: isNum}
+}
+
+// compare is -1, 0 or +1 as a sorts before, level with, or after b under
+// valueLess's order.
+func (a ordered) compare(b ordered) int {
 	switch {
-	case okA && okB:
-		return af < bf
-	case okA:
-		return true
-	case okB:
-		return false
+	case a.isNum && b.isNum:
+		return cmp.Compare(a.num, b.num)
+	case a.isNum:
+		return -1
+	case b.isNum:
+		return 1
 	}
-	return a < b
+	return strings.Compare(a.text, b.text)
 }
 
 func finishStats(res *Result, promptTok, matchedTok int64) {
@@ -1034,9 +1096,10 @@ func keyField(t *table.Table, c LLMCall) string {
 // literal, the oracle answers from them; otherwise a synthetic truth column
 // is attached with a deterministic per-row draw over all compared literals
 // plus a none-of-the-above complement, so every comparison branch of the
-// statement is reachable. The draw is seeded by the call's prompt so two
-// different questions over the same fields get independent truths.
-func filterChoices(t *table.Table, prompt string, literals []string) (choices []string, truthCol string) {
+// statement is reachable. The draw is keyed by the rows' hashes (rowHashes) and
+// seeded by the call's prompt so two different questions over the same fields
+// get independent truths.
+func filterChoices(t *table.Table, hashes []uint64, prompt string, literals []string) (choices []string, truthCol string) {
 	if len(literals) == 0 {
 		literals = []string{"Yes"}
 	}
@@ -1065,9 +1128,9 @@ func filterChoices(t *table.Table, prompt string, literals []string) (choices []
 	for _, lit := range literals {
 		seed += uint64(len(lit))
 	}
-	vals := make([]string, t.NumRows())
-	for i := range vals {
-		vals[i] = choices[splitmix(rowHash(t, i)+seed)%uint64(len(choices))]
+	vals := make([]string, len(hashes))
+	for i, h := range hashes {
+		vals[i] = choices[splitmix(h+seed)%uint64(len(choices))]
 	}
 	const col = "__sql_truth"
 	if err := t.SetHidden(col, vals); err != nil {
@@ -1088,17 +1151,23 @@ func complementLiteral(literals []string) string {
 	return comp
 }
 
-// rowHash keys synthetic ground truth — and, via Spec.RowKeys, the oracle's
-// latent answer draws — by row content rather than position, so a row keeps
-// its truth and its answer no matter how pushdown, joins, or projection
+// rowHashes keys synthetic ground truth — and, via Spec.RowKeys, the oracle's
+// latent answer draws and output budgets — by row content rather than
+// position, so a row keeps its truth, its answer and its budget (hence its
+// result-cache entry) no matter how pushdown, joins, or projection
 // reindex the stage's input table (a real model's answer does not depend on
-// where a row sits in the batch either).
-func rowHash(t *table.Table, row int) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, cell := range t.Row(row) {
-		h = fnvMix(h, cell)
+// where a row sits in the batch either). A stage hashes each row once, and
+// its row keys, output budgets and synthetic truth all read the result.
+func rowHashes(t *table.Table) []uint64 {
+	hashes := make([]uint64, t.NumRows())
+	for i := range hashes {
+		var h uint64 = 1469598103934665603
+		for _, cell := range t.Row(i) {
+			h = fnvMix(h, cell)
+		}
+		hashes[i] = h
 	}
-	return h
+	return hashes
 }
 
 func strHash(s string) uint64 {
@@ -1118,12 +1187,12 @@ func fnvMix(h uint64, s string) uint64 {
 
 // synthesizeScores attaches a deterministic 1..5 ground-truth score column
 // for ad-hoc aggregates over tables without one, keyed by row content and
-// the call's prompt (see rowHash).
-func synthesizeScores(t *table.Table, prompt string) string {
+// the call's prompt (hashes is rowHashes(t)).
+func synthesizeScores(t *table.Table, hashes []uint64, prompt string) string {
 	seed := strHash(prompt)
-	vals := make([]string, t.NumRows())
-	for i := range vals {
-		vals[i] = strconv.Itoa(1 + int(splitmix(rowHash(t, i)+seed+77)%5))
+	vals := make([]string, len(hashes))
+	for i, h := range hashes {
+		vals[i] = strconv.Itoa(1 + int(splitmix(h+seed+77)%5))
 	}
 	const col = "__sql_score"
 	if err := t.SetHidden(col, vals); err != nil {

@@ -367,7 +367,7 @@ func TestFilterChoicesComplementAvoidsLiterals(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tbl.MustAppendRow("row " + strconv.Itoa(i))
 	}
-	choices, _ := filterChoices(tbl, "ok?", []string{"Yes", "NOT Yes"})
+	choices, _ := filterChoices(tbl, rowHashes(tbl), "ok?", []string{"Yes", "NOT Yes"})
 	seen := map[string]bool{}
 	for _, c := range choices {
 		if seen[c] {
@@ -391,8 +391,8 @@ func TestSyntheticTruthVariesByPrompt(t *testing.T) {
 		return tbl
 	}
 	pos, neg := mk(), mk()
-	filterChoices(pos, "Positive sentiment?", []string{"Yes"})
-	filterChoices(neg, "Negative sentiment?", []string{"Yes"})
+	filterChoices(pos, rowHashes(pos), "Positive sentiment?", []string{"Yes"})
+	filterChoices(neg, rowHashes(neg), "Negative sentiment?", []string{"Yes"})
 	a, _ := pos.Hidden("__sql_truth")
 	b, _ := neg.Hidden("__sql_truth")
 	if reflect.DeepEqual(a, b) {
