@@ -63,12 +63,12 @@
 // before shutdown. "-backend remote -cluster-workers host:port,..." runs
 // this process as the router: each batch is consistent-hashed by its stage
 // fingerprint onto the worker ring (so persistent engines stay
-// stage-affine fleet-wide), hot stages replicate onto a second node when
-// the primary saturates, and dead or draining workers fail over to the
-// next ring node. The router sends each batch whole; the worker that
-// serves it cuts it at its prefix-group boundaries across its own engine
-// replicas (4 wide by default, -shards N on the worker to change it), so
-// -shards does not compose with the remote backend.
+// stage-affine fleet-wide), a batch that outlasts the slowest of the last
+// 128 successful ones is hedged to the next ring node, and dead or
+// draining workers fail over to it. The router sends each batch whole; the
+// worker that serves it cuts it at its prefix-group boundaries across its
+// own engine replicas (4 wide by default, -shards N on the worker to change
+// it), so -shards does not compose with the remote backend.
 //
 // Observability: logs are structured (log/slog; -log-format json switches
 // from text to JSON). Every /v1/sql request writes one access-log line with
@@ -141,7 +141,6 @@ func main() {
 		workerMode  = flag.Bool("worker", false, "run as a cluster worker: serve POST /v1/batch against the local -backend (no tables or runtime needed)")
 		clusterW    = flag.String("cluster-workers", "", "comma-separated worker addresses for -backend remote (the cluster router)")
 		faultSpec   = flag.String("faults", "", "chaos fault-injection spec (see docs/API.md): on a -worker it corrupts/aborts/delays served responses; with -backend remote it faults router→worker traffic")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "with -backend remote: hedge a batch to the next ring node after this long without an answer (0 = adaptive: the slowest of the last 128 successful batches; negative disables)")
 	)
 	flag.Parse()
 
@@ -164,7 +163,7 @@ func main() {
 	if *workerMode {
 		backendChaos = nil
 	}
-	be, err := cli.ResolveBackend(*backendName, *shards, *clusterW, cluster.Config{HedgeAfter: *hedgeAfter}, backendChaos)
+	be, err := cli.ResolveBackend(*backendName, *shards, *clusterW, backendChaos)
 	if err != nil {
 		fatal(err)
 	}

@@ -49,7 +49,6 @@ import (
 	"strings"
 
 	"repro/internal/cli"
-	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/faults"
 	"repro/internal/query"
@@ -106,7 +105,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "llmqsql: CHAOS MODE, fault injection armed: %s\n", *faultsF)
 	}
-	be, err := cli.ResolveBackend(*beName, *shards, *workers, cluster.Config{}, injector)
+	be, err := cli.ResolveBackend(*beName, *shards, *workers, injector)
 	if err != nil {
 		fatal(err)
 	}

@@ -76,8 +76,6 @@ type RemoteConfig struct {
 	// one router: each batch deposits, each retry withdraws, and an empty
 	// budget fails the batch fast with ErrRetryBudgetExhausted.
 	Budget *RetryBudget
-	// NoJitter disables backoff jitter for tests that pin exact timing.
-	NoJitter bool
 }
 
 func (c RemoteConfig) maxRetries() int {
@@ -213,12 +211,9 @@ func (r *Remote) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, err
 			}
 			r.retries.Add(1)
 			sp.Set("retries", attempt)
-			wait := backoff
-			if !r.cfg.NoJitter {
-				// Equal jitter: [backoff/2, backoff) keeps the mean high
-				// enough to matter while decorrelating a retry stampede.
-				wait = backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
-			}
+			// Equal jitter: [backoff/2, backoff) keeps the mean high enough
+			// to matter while decorrelating a retry stampede.
+			wait := backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
 			// A worker that said how long it needs (Retry-After on a
 			// draining 503) knows better than our local schedule.
 			var re *RemoteError

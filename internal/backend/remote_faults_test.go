@@ -92,7 +92,6 @@ func TestRemoteHonorsRetryAfter(t *testing.T) {
 		Addr:         srv.URL,
 		MaxRetries:   2,
 		RetryBackoff: time.Millisecond,
-		NoJitter:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,8 +147,7 @@ func TestRemoteDeadlineShorterThanBackoff(t *testing.T) {
 	rem, err := backend.NewRemote(backend.RemoteConfig{
 		Addr:         srv.URL,
 		MaxRetries:   3,
-		RetryBackoff: time.Second, // far beyond the deadline
-		NoJitter:     true,
+		RetryBackoff: time.Second, // jittered to >= 500ms: far beyond the deadline
 	})
 	if err != nil {
 		t.Fatal(err)

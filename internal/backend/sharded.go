@@ -33,8 +33,7 @@ const DefaultShards = 4
 // Groups are balanced across shards by request-token weight (core.PackGroups
 // greedy), and a batch without group annotations, with a single group, or
 // smaller than two requests passes through unsplit. Sub-batches keep the
-// group starts that fall inside them (see SplitByGroups): a router's half
-// of a replicated batch is cut again by the worker it lands on.
+// group starts that fall inside them (see SplitByGroups).
 //
 // Results merge by construction: answers are content-keyed outside the
 // engine, so sharded relations are byte-identical to unsharded ones; merged
@@ -165,12 +164,12 @@ func (s *Sharded) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, er
 	return merged, nil
 }
 
-// RunParts is the scatter–gather every fan-out backend (Sharded,
-// cluster.Router) shares: it serves the parts of one split batch
-// concurrently through run and merges their results (MergeBatchResults,
-// weighted by each part's request count). The first failing part cancels
-// its peers; ctx cancellation propagates to every part. A single part runs
-// on the caller's goroutine and its result is returned as is.
+// RunParts is Sharded's scatter–gather: it serves the parts of one split
+// batch concurrently through run and merges their results
+// (MergeBatchResults, weighted by each part's request count). The first
+// failing part cancels its peers; ctx cancellation propagates to every
+// part. A single part runs on the caller's goroutine and its result is
+// returned as is.
 func RunParts(ctx context.Context, parts []BatchSpec, run func(ctx context.Context, i int, part BatchSpec) (BatchResult, error)) (BatchResult, error) {
 	if len(parts) == 1 {
 		return run(ctx, 0, parts[0])
@@ -257,12 +256,11 @@ func SplitByGroups(spec BatchSpec, n int) ([]BatchSpec, error) {
 }
 
 // MergeBatchResults folds the results of concurrently served sub-batches
-// back into one BatchResult with the parallel-run semantics every fan-out
-// backend (Sharded, cluster.Router) shares: JCT is the slowest part, step
-// and token counts sum, mean latency is request-weighted (sizes holds each
-// part's request count), and tail percentiles / peak concurrency report the
-// worst part — a conservative merge, since exact percentiles would need the
-// per-request samples the seam does not carry.
+// back into one BatchResult with parallel-run semantics: JCT is the slowest
+// part, step and token counts sum, mean latency is request-weighted (sizes
+// holds each part's request count), and tail percentiles / peak
+// concurrency report the worst part — a conservative merge, since exact
+// percentiles would need the per-request samples the seam does not carry.
 func MergeBatchResults(results []BatchResult, sizes []int) BatchResult {
 	merged := BatchResult{}
 	var latWeighted float64

@@ -64,8 +64,9 @@ func RegisterTables(db *sqlfront.DB, datasets, csvs []string, opts datagen.Optio
 // the comma-separated -cluster-workers list. A non-nil chaos injector faults
 // the serving path: the router→worker wire of the "remote" backend, the
 // backend itself otherwise.
-func ResolveBackend(name string, shards int, workers string, cfg cluster.Config, chaos *faults.Injector) (backend.Backend, error) {
+func ResolveBackend(name string, shards int, workers string, chaos *faults.Injector) (backend.Backend, error) {
 	addrs := strings.FieldsFunc(workers, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+	var cfg cluster.Config
 	if chaos != nil {
 		cfg.HTTPClient = &http.Client{Transport: faults.NewRoundTripper(nil, chaos)}
 	}

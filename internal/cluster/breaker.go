@@ -56,7 +56,7 @@ type breaker struct {
 }
 
 // What a breakerConfig's zero fields resolve to — the only values a Router
-// runs with (it sets threshold, from Config.MarkdownAfter, and nothing else).
+// runs with (it sets threshold, to markdownAfter, and nothing else).
 const (
 	// breakerWindow / breakerMinSamples / breakerErrorRate: half of the
 	// last 20 sends failing opens the circuit, and never on fewer than 10

@@ -33,14 +33,12 @@ var chaosProfiles = []struct {
 	{"mixed-storm", "seed=16;latency:delay=10ms:p=0.3;5xx:count=2;conn:count=2;corrupt:count=1"},
 }
 
-// chaosConfig is the router tuning shared by the conformance runs: fast
+// chaosTimings are the router timings shared by the conformance runs: fast
 // retries, no background probes (the faults are the only failure source).
-func chaosConfig() cluster.Config {
-	return cluster.Config{
-		HealthInterval: -1,
-		MaxRetries:     3,
-		RetryBackoff:   time.Millisecond,
-	}
+var chaosTimings = cluster.Timings{
+	HealthInterval: -1,
+	MaxRetries:     3,
+	RetryBackoff:   time.Millisecond,
 }
 
 // TestChaosConformance runs the full statement set through a 3-worker fleet
@@ -53,8 +51,7 @@ func TestChaosConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", prof.spec, err)
 			}
-			cfg := chaosConfig()
-			cfg.HTTPClient = &http.Client{Transport: faults.NewRoundTripper(nil, inj)}
+			cfg := cluster.Config{HTTPClient: &http.Client{Transport: faults.NewRoundTripper(nil, inj)}}.With(chaosTimings)
 			rt, _ := newCluster(t, 3, func() backend.Backend { return backend.NewSim() }, cfg)
 
 			for _, sql := range clusterStatements {
@@ -91,8 +88,7 @@ func TestChaosDeterministicInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := chaosConfig()
-		cfg.HTTPClient = &http.Client{Transport: faults.NewRoundTripper(nil, inj)}
+		cfg := cluster.Config{HTTPClient: &http.Client{Transport: faults.NewRoundTripper(nil, inj)}}.With(chaosTimings)
 		rt, _ := newCluster(t, 2, func() backend.Backend { return backend.NewSim() }, cfg)
 		if _, err := rt.RunBatch(t.Context(), clusterSpec("replay-stage", []int{4, 4}, 16, 4)); err != nil {
 			t.Fatal(err)
@@ -119,8 +115,9 @@ func TestChaosCrashedWorkerBreakerOpens(t *testing.T) {
 
 	var srvs []*httptest.Server
 	var crashed string
-	cfg := chaosConfig()
-	cfg.HedgeAfter = -1
+	tm := chaosTimings
+	tm.HedgeAfter = -1
+	cfg := cluster.Config{}.With(tm)
 	for i := 0; i < 3; i++ {
 		wk := server.NewWorker(backend.NewSim(), nil)
 		var h http.Handler = server.NewWithConfig(server.Config{Worker: wk})

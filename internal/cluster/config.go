@@ -5,61 +5,33 @@ import (
 	"time"
 )
 
-// Config sizes a Router.
+// Config sizes a Router. Everything else about a router is fixed: the
+// health sweep period (healthInterval), the breaker's threshold
+// (markdownAfter), the adaptive hedge delay (hedge.go), and each worker's
+// remote retries (backend.RemoteConfig's defaults).
 type Config struct {
 	// Workers are the fleet's /v1/batch addresses ("host:port" or full
 	// URLs). At least one is required.
 	Workers []string
-	// Capacity is a worker's nominal concurrent-batch budget (default 4): a
-	// primary with this many whole batches in flight is saturated, and the
-	// next batch for its stages overflows onto the ring successor.
-	Capacity int
-	// HealthInterval is the period between health sweeps (default 2s;
-	// negative disables the health loop — worker circuits are then only
-	// opened by failed batches and never close without traffic).
-	HealthInterval time.Duration
-	// MarkdownAfter is the circuit breaker's consecutive-failure threshold:
-	// how many consecutive probe failures open a worker's circuit (default
-	// 2; a failed batch counts MarkdownAfter at once, since it already
-	// survived the remote backend's own retries).
-	MarkdownAfter int
-	// HedgeAfter controls hedged batch sends: after this long without an
-	// answer, the same part is also dispatched to the next admitted ring
-	// node and the first answer wins (the loser is canceled; only the
-	// winner's result is merged, so accounting never double-charges). Zero
-	// is adaptive — the slowest of the last 128 successful batches; negative
-	// disables hedging.
-	HedgeAfter time.Duration
-	// MaxRetries / RetryBackoff configure each worker's backend.Remote
-	// (see backend.RemoteConfig); failover to the next ring node happens
-	// only after a worker exhausts these.
-	MaxRetries   int
-	RetryBackoff time.Duration
 	// HTTPClient is shared by batch dispatch and health probes; nil builds
 	// a default client. Chaos runs mount a faults.RoundTripper here.
 	HTTPClient *http.Client
+
+	// Test timings (export_test.go); the zero values are production's.
+	healthInterval time.Duration // negative: no health loop
+	hedgeAfter     time.Duration // positive: a fixed hedge delay; negative: no hedging
+	maxRetries     int           // backend.RemoteConfig.MaxRetries
+	retryBackoff   time.Duration // backend.RemoteConfig.RetryBackoff
 }
 
-func (c Config) capacity() int {
-	if c.Capacity > 0 {
-		return c.Capacity
-	}
-	return 4
-}
+// healthInterval is the period between health sweeps.
+const healthInterval = 2 * time.Second
 
-func (c Config) healthInterval() time.Duration {
-	if c.HealthInterval != 0 {
-		return c.HealthInterval
-	}
-	return 2 * time.Second
-}
-
-func (c Config) markdownAfter() int {
-	if c.MarkdownAfter > 0 {
-		return c.MarkdownAfter
-	}
-	return 2
-}
+// markdownAfter is the circuit breaker's consecutive-failure threshold: two
+// failed probes open a worker's circuit, and so does one failed batch, which
+// counts markdownAfter at once since it already survived the remote
+// backend's own retries.
+const markdownAfter = 2
 
 // retryBudgetRatio / retryBudgetBurst size the retry budget shared by every
 // worker's Remote (see backend.RetryBudget): retries stay under a fifth of

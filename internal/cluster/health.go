@@ -11,14 +11,14 @@ import (
 // few hung workers cannot push one sweep into the next.
 const healthTimeout = 500 * time.Millisecond
 
-// healthLoop probes every worker each HealthInterval: a 200 from /healthz
+// healthLoop probes every worker each health interval: a 200 from /healthz
 // counts as a breaker success (closing an open circuit on recovery),
 // anything else — including a draining worker's 503 — counts one failure
 // toward the breaker's threshold. Open-circuit workers keep being probed;
 // the first healthy answer closes the circuit.
 func (rt *Router) healthLoop(hc *http.Client) {
 	defer rt.loopDone.Done()
-	ticker := time.NewTicker(rt.cfg.healthInterval())
+	ticker := time.NewTicker(rt.cfg.healthInterval)
 	defer ticker.Stop()
 	for {
 		select {

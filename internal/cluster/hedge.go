@@ -29,16 +29,16 @@ func (rt *Router) hedgeTarget(order []*worker, tried map[*worker]bool, from int)
 	return nil
 }
 
-// dispatch serves one part on primary, hedging to hedge if no answer lands
+// dispatch serves the batch on primary, hedging to hedge if no answer lands
 // within the hedge delay. The first success wins and the loser is canceled;
 // only the winner's result is returned, so accounting never double-charges.
 // A hedge launched during the race marks its worker tried in the caller's
 // failover walk — its outcome (either way) already fed that worker's
 // breaker.
-func (rt *Router) dispatch(ctx context.Context, part backend.BatchSpec, primary, hedge *worker, tried map[*worker]bool) (backend.BatchResult, error) {
+func (rt *Router) dispatch(ctx context.Context, spec backend.BatchSpec, primary, hedge *worker, tried map[*worker]bool) (backend.BatchResult, error) {
 	delay, ok := rt.hedgeDelay(ctx)
 	if hedge == nil || !ok {
-		return rt.send(ctx, part, primary)
+		return rt.send(ctx, spec, primary)
 	}
 
 	dctx, cancel := context.WithCancel(ctx)
@@ -50,7 +50,7 @@ func (rt *Router) dispatch(ctx context.Context, part backend.BatchSpec, primary,
 	}
 	ch := make(chan outcome, 2)
 	go func() {
-		res, err := rt.send(dctx, part, primary)
+		res, err := rt.send(dctx, spec, primary)
 		ch <- outcome{res, err, false}
 	}()
 	timer := time.NewTimer(delay)
@@ -94,18 +94,19 @@ func (rt *Router) dispatch(ctx context.Context, part backend.BatchSpec, primary,
 			tried[hedge] = true
 			rt.hedgesLaunched.Add(1)
 			go func() {
-				res, err := rt.send(dctx, part, hedge)
+				res, err := rt.send(dctx, spec, hedge)
 				ch <- outcome{res, err, true}
 			}()
 		}
 	}
 }
 
-// hedgeDelay resolves the effective hedge delay for this dispatch, and
-// whether hedging applies at all: disabled by config, or suppressed when
-// the caller's remaining deadline could not outlive the hedge anyway.
+// hedgeDelay resolves the effective hedge delay for this dispatch — the
+// adaptive slowestRecent unless a test fixed it — and whether hedging
+// applies at all: off in a test, or suppressed when the caller's remaining
+// deadline could not outlive the hedge anyway.
 func (rt *Router) hedgeDelay(ctx context.Context) (time.Duration, bool) {
-	d := rt.cfg.HedgeAfter
+	d := rt.cfg.hedgeAfter
 	if d < 0 {
 		return 0, false
 	}
@@ -120,15 +121,15 @@ func (rt *Router) hedgeDelay(ctx context.Context) (time.Duration, bool) {
 	return d, true
 }
 
-// send runs one part on one worker, feeding its circuit breaker: a success
+// send runs the batch on one worker, feeding its circuit breaker: a success
 // closes/credits the circuit and lands in the latency reservoir; a
-// transient failure counts MarkdownAfter consecutive failures at once
+// transient failure counts markdownAfter consecutive failures at once
 // (the remote already retried). The caller's own death is not the
 // worker's fault and is never charged to the breaker.
-func (rt *Router) send(ctx context.Context, part backend.BatchSpec, w *worker) (backend.BatchResult, error) {
+func (rt *Router) send(ctx context.Context, spec backend.BatchSpec, w *worker) (backend.BatchResult, error) {
 	w.inflight.Add(1)
 	start := time.Now()
-	res, err := w.remote.RunBatch(ctx, part)
+	res, err := w.remote.RunBatch(ctx, spec)
 	w.inflight.Add(-1)
 	if err == nil {
 		rt.latMu.Lock()
@@ -140,14 +141,14 @@ func (rt *Router) send(ctx context.Context, part backend.BatchSpec, w *worker) (
 	if ctx.Err() == nil {
 		var re *backend.RemoteError
 		if transient := !errors.As(err, &re) || re.Transient(); transient {
-			w.cb.record(true, rt.cfg.markdownAfter())
+			w.cb.record(true, markdownAfter)
 		}
 	}
 	return backend.BatchResult{}, err
 }
 
 // slowestRecent is the adaptive hedge delay: the slowest of the last
-// latencyWindow successful batches (0 with none yet) — a part is hedged
+// latencyWindow successful batches (0 with none yet) — a batch is hedged
 // only once it has run longer than anything recently seen to succeed.
 func (rt *Router) slowestRecent() time.Duration {
 	rt.latMu.Lock()

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// TestHedgeDelayIsWindowMaximum pins what "-hedge-after 0" means: the
+// TestHedgeDelayIsWindowMaximum pins the production hedge delay: the
 // adaptive delay is the slowest of the last latencyWindow successful
 // batches — not a percentile — so one outlier sets it until exactly
 // latencyWindow newer observations have pushed it out.
 func TestHedgeDelayIsWindowMaximum(t *testing.T) {
-	rt, err := NewRouter(Config{Workers: []string{"127.0.0.1:1"}, HealthInterval: -1})
+	rt, err := NewRouter(Config{Workers: []string{"127.0.0.1:1"}, healthInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

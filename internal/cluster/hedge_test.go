@@ -54,13 +54,11 @@ func TestHedgeNoDoubleCharge(t *testing.T) {
 	defer srvA.Close()
 	defer srvB.Close()
 
-	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:        []string{srvA.URL, srvB.URL},
-		Capacity:       4,
+	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srvA.URL, srvB.URL}}.With(cluster.Timings{
 		HealthInterval: -1,
 		MaxRetries:     -1,
 		HedgeAfter:     20 * time.Millisecond,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +109,11 @@ func TestHedgePrimaryWinCancelsHedge(t *testing.T) {
 	defer srvA.Close()
 	defer srvB.Close()
 
-	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:        []string{srvA.URL, srvB.URL},
+	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srvA.URL, srvB.URL}}.With(cluster.Timings{
 		HealthInterval: -1,
 		MaxRetries:     -1,
 		HedgeAfter:     15 * time.Millisecond,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +160,11 @@ func TestHedgeRespectsDeadline(t *testing.T) {
 	defer srvA.Close()
 	defer srvB.Close()
 
-	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:        []string{srvA.URL, srvB.URL},
+	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srvA.URL, srvB.URL}}.With(cluster.Timings{
 		HealthInterval: -1,
 		MaxRetries:     -1,
 		HedgeAfter:     500 * time.Millisecond,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +189,11 @@ func TestHedgeDisabled(t *testing.T) {
 	defer srvA.Close()
 	defer srvB.Close()
 
-	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:        []string{srvA.URL, srvB.URL},
+	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srvA.URL, srvB.URL}}.With(cluster.Timings{
 		HealthInterval: -1,
 		MaxRetries:     -1,
 		HedgeAfter:     -1,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ type worker struct {
 	addr      string
 	healthURL string
 	remote    *backend.Remote
-	capacity  int
 	cb        *breaker
 
 	inflight atomic.Int64 // batches currently dispatched to this worker
@@ -30,8 +29,8 @@ func newWorker(cfg Config, hc *http.Client, budget *backend.RetryBudget, addr st
 	rem, err := backend.NewRemote(backend.RemoteConfig{
 		Addr:         addr,
 		Client:       hc,
-		MaxRetries:   cfg.MaxRetries,
-		RetryBackoff: cfg.RetryBackoff,
+		MaxRetries:   cfg.maxRetries,
+		RetryBackoff: cfg.retryBackoff,
 		Budget:       budget,
 	})
 	if err != nil {
@@ -45,8 +44,7 @@ func newWorker(cfg Config, hc *http.Client, budget *backend.RetryBudget, addr st
 		addr:      addr,
 		healthURL: strings.TrimRight(base, "/") + "/healthz",
 		remote:    rem,
-		capacity:  cfg.capacity(),
-		cb:        newBreaker(breakerConfig{threshold: cfg.markdownAfter()}),
+		cb:        newBreaker(breakerConfig{threshold: markdownAfter}),
 	}, nil
 }
 

@@ -32,11 +32,8 @@ type Metrics struct {
 	// Workers maps worker address to its counters (current fleet members
 	// only; a removed worker's counters leave with it).
 	Workers map[string]WorkerMetrics `json:"workers"`
-	// RingMoves counts batches served off their ring owner (failover);
-	// HotReplications counts batches that added a replica target because
-	// the primary was saturated.
-	RingMoves       int64 `json:"ringMoves"`
-	HotReplications int64 `json:"hotReplications"`
+	// RingMoves counts batches served off their ring owner (failover).
+	RingMoves int64 `json:"ringMoves"`
 	// HedgesLaunched counts hedge dispatches; HedgeWins the races the hedge
 	// answered first; HedgesCanceled the races the primary won after the
 	// hedge launched. Wins + canceled ≤ launched (races whose winner was an
@@ -71,7 +68,6 @@ func (rt *Router) Metrics() Metrics {
 	return Metrics{
 		Workers:         ws,
 		RingMoves:       rt.ringMoves.Load(),
-		HotReplications: rt.hotReplications.Load(),
 		HedgesLaunched:  rt.hedgesLaunched.Load(),
 		HedgeWins:       rt.hedgeWins.Load(),
 		HedgesCanceled:  rt.hedgesCanceled.Load(),

@@ -31,12 +31,11 @@ func TestLiveRemoveWorkerDrainsInFlight(t *testing.T) {
 	}
 	_ = srvs
 
-	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:        addrs,
+	rt, err := cluster.NewRouter(cluster.Config{Workers: addrs}.With(cluster.Timings{
 		HealthInterval: -1,
 		MaxRetries:     -1,
 		HedgeAfter:     -1, // a hedge would rescue the parked batch and mask the drain
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func firstStarted(gates map[string]*gateBackend) <-chan string {
 // assigns to it.
 func TestLiveAddWorkerJoins(t *testing.T) {
 	mk := func() backend.Backend { return backend.NewSim() }
-	rt, srvs := newCluster(t, 2, mk, cluster.Config{HealthInterval: -1, HedgeAfter: -1})
+	rt, srvs := newCluster(t, 2, mk, cluster.Config{}.With(cluster.Timings{HealthInterval: -1, HedgeAfter: -1}))
 	defer rt.Close()
 	for _, s := range srvs {
 		defer s.Close()
@@ -159,7 +158,7 @@ func TestLiveAddWorkerJoins(t *testing.T) {
 func TestRemoveLastWorkerRefused(t *testing.T) {
 	srv, _ := startWorker(backend.NewSim())
 	defer srv.Close()
-	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srv.URL}, HealthInterval: -1})
+	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srv.URL}}.With(cluster.Timings{HealthInterval: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}

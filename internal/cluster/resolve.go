@@ -15,9 +15,9 @@ import (
 // and each worker owns its own fan-out (server.NewWorker), so a shard count
 // on the router is rejected rather than silently ignored.
 //
-// cfg carries router tuning (hedge delay, breaker thresholds, a chaos
-// HTTPClient, ...); its Workers field is overridden by the workers
-// argument. The zero Config is the production default.
+// cfg's Workers field is overridden by the workers argument, so the only
+// thing a caller sets in it is the HTTPClient (a chaos transport, or a
+// benchmark's tracing one); the zero Config is the production router.
 func Resolve(name string, shards int, workers []string, cfg Config) (backend.Backend, error) {
 	if name == "remote" {
 		if len(workers) == 0 {

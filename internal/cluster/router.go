@@ -21,38 +21,36 @@ import (
 //
 // Placement per batch:
 //
-//  1. The ring names the stage's owner; an owner whose circuit breaker is
-//     open fails over to the next distinct ring node (counted as a ring
-//     move), so a broken worker's stages land deterministically on its
-//     successor.
-//  2. If the primary is saturated (whole batches in flight ≥ its capacity)
-//     the next ring node joins as a replica target (counted as a hot
-//     replication): the stage's prefix warms on a second node, trading one
-//     extra warm-up for parallelism.
-//  3. One part per target: a lone primary gets the batch whole; a replica
-//     pair gets the two halves backend.SplitByGroups cuts along the
-//     prefix-group boundaries, part i to target i, and a batch that cannot
-//     be cut overflows whole to the replica. Parts keep their group starts,
-//     and the worker that serves one shards it across its own engine
-//     replicas (server.NewWorker): the process that owns the pool decides
-//     the fan-out width, once.
-//  4. A part without an answer after the hedge delay is also dispatched to
+//  1. The ring names the stage's owner, and the owner gets the batch whole;
+//     an owner whose circuit breaker is open fails over to the next
+//     distinct ring node (counted as a ring move), so a broken worker's
+//     stages land deterministically on its successor. The batch keeps its
+//     group starts, and the worker that serves it shards it across its own
+//     engine replicas (server.NewWorker): the process that owns the pool
+//     decides the fan-out width, once.
+//  2. A batch without an answer after the hedge delay is also dispatched to
 //     the next admitted ring node; the first answer wins and the loser is
-//     canceled — only the winner's result merges, so hedges never
+//     canceled — only the winner's result is returned, so hedges never
 //     double-charge.
-//  5. A part whose worker fails (after backend.Remote's own retries) feeds
+//  3. A batch whose worker fails (after backend.Remote's own retries) feeds
 //     that worker's circuit breaker and retries on the next ring node;
 //     deterministic 4xx rejections and the caller's own cancellation do
 //     not fail over.
+//
+// Why these mechanisms and no others (ROADMAP item 14, measured on a
+// 3-worker fleet with one faulted worker): without hedging, p99 rose 3 to
+// 20 times under a spiky, erroring or crashed worker, and a hung one held
+// batches for its full 2 s; the breaker and the health loop keep a down
+// worker out of the candidate order, and the health loop is the only way
+// back in; failover is what answers at all when a worker dies. A busy
+// owner still gets its batch whole: cutting it onto the ring successor
+// changed no answer and no p99 beyond run-to-run spread under any fault
+// profile.
 //
 // The fleet is live: AddWorker/RemoveWorker rebalance the consistent-hash
 // ring on a running router (~1/N of stages move), in-flight batches drain
 // on their old assignment, and removed workers stop counting toward ring
 // moves the moment they leave.
-//
-// Results merge with backend.MergeBatchResults, so accounting is conserved:
-// each part's tokens and calls count exactly once however many workers were
-// tried.
 type Router struct {
 	cfg    Config
 	hc     *http.Client
@@ -63,7 +61,6 @@ type Router struct {
 	workers map[string]*worker // guarded by mu
 
 	ringMoves       atomic.Int64
-	hotReplications atomic.Int64
 	hedgesLaunched  atomic.Int64
 	hedgeWins       atomic.Int64
 	hedgesCanceled  atomic.Int64
@@ -88,6 +85,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.healthInterval == 0 {
+		cfg.healthInterval = healthInterval
+	}
 	hc := cfg.HTTPClient
 	if hc == nil {
 		hc = &http.Client{}
@@ -103,7 +103,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	rt := &Router{cfg: cfg, hc: hc, budget: budget, ring: rg, workers: workers, stop: make(chan struct{}),
 		lats: stats.NewWindow[time.Duration](latencyWindow)}
-	if cfg.healthInterval() > 0 {
+	if cfg.healthInterval > 0 {
 		rt.loopDone.Add(1)
 		go rt.healthLoop(hc)
 	}
@@ -146,52 +146,23 @@ func (rt *Router) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend
 	if len(cands) == 0 {
 		return backend.BatchResult{}, fmt.Errorf("cluster: no workers in the fleet")
 	}
-	primary := cands[0]
-	if primary.addr != owner {
+	if cands[0].addr != owner {
 		rt.ringMoves.Add(1)
 	}
-	// One part per distinct target: the primary alone, or the primary and
-	// its ring successor when the primary already runs its nominal budget of
-	// batches. How wide a part is cut further is its worker's decision.
-	targets := []*worker{primary}
-	if primary.inflight.Load() >= int64(primary.capacity) && len(cands) > 1 {
-		targets = append(targets, cands[1])
-		rt.hotReplications.Add(1)
-	}
-	parts, err := backend.SplitByGroups(spec, len(targets))
-	if err != nil {
-		return backend.BatchResult{}, err
-	}
-	if len(parts) == 1 {
-		// An unsplittable batch overflows whole, to the replica if there is one.
-		targets = targets[len(targets)-1:]
-	}
-	obs.FromContext(ctx).Set("cluster.primary", primary.addr)
-	return backend.RunParts(ctx, parts, func(ctx context.Context, i int, part backend.BatchSpec) (backend.BatchResult, error) {
-		return rt.runPart(ctx, part, targets[i], cands)
-	})
+	obs.FromContext(ctx).Set("cluster.primary", cands[0].addr)
+	return rt.runPart(ctx, spec, cands)
 }
 
-// runPart serves one part, failing over along the candidate list. first is
-// the part's target; on a transient failure the part walks the remaining
-// candidates in ring order. A worker whose circuit breaker denies
-// admission is skipped while an admitted candidate remains (the breaker
-// itself meters half-open probes); with every circuit open the walk tries
-// workers anyway, so a fleet-wide brownout degrades instead of wedging.
-// Deterministic worker rejections (4xx) and the caller's own cancellation
-// are final.
-func (rt *Router) runPart(ctx context.Context, part backend.BatchSpec, first *worker, cands []*worker) (backend.BatchResult, error) {
-	order := make([]*worker, 0, len(cands)+1)
-	seen := make(map[*worker]bool, len(cands)+1)
-	for _, w := range append([]*worker{first}, cands...) {
-		if !seen[w] {
-			seen[w] = true
-			order = append(order, w)
-		}
-	}
-	tried := make(map[*worker]bool, len(order))
+// runPart serves the batch whole, failing over along the candidate list in
+// order. A worker whose circuit breaker denies admission is skipped while
+// an admitted candidate remains (the breaker itself meters half-open
+// probes); with every circuit open the walk tries workers anyway, so a
+// fleet-wide brownout degrades instead of wedging. Deterministic worker
+// rejections (4xx) and the caller's own cancellation are final.
+func (rt *Router) runPart(ctx context.Context, spec backend.BatchSpec, cands []*worker) (backend.BatchResult, error) {
+	tried := make(map[*worker]bool, len(cands))
 	anyClosed := func(from int) bool {
-		for _, w := range order[from:] {
+		for _, w := range cands[from:] {
 			if !tried[w] && !w.cb.isOpen() {
 				return true
 			}
@@ -199,7 +170,7 @@ func (rt *Router) runPart(ctx context.Context, part backend.BatchSpec, first *wo
 		return false
 	}
 	var lastErr error
-	for i, w := range order {
+	for i, w := range cands {
 		if tried[w] {
 			continue
 		}
@@ -210,8 +181,8 @@ func (rt *Router) runPart(ctx context.Context, part backend.BatchSpec, first *wo
 			continue
 		}
 		tried[w] = true
-		hedge := rt.hedgeTarget(order, tried, i+1)
-		res, err := rt.dispatch(ctx, part, w, hedge, tried)
+		hedge := rt.hedgeTarget(cands, tried, i+1)
+		res, err := rt.dispatch(ctx, spec, w, hedge, tried)
 		if err == nil {
 			return res, nil
 		}
@@ -224,7 +195,7 @@ func (rt *Router) runPart(ctx context.Context, part backend.BatchSpec, first *wo
 		}
 		lastErr = err
 	}
-	return backend.BatchResult{}, fmt.Errorf("cluster: all %d workers failed for stage part: %w", len(order), lastErr)
+	return backend.BatchResult{}, fmt.Errorf("cluster: all %d workers failed for stage %q: %w", len(cands), spec.StageKey, lastErr)
 }
 
 // Close stops the health loop, waits for removed-worker drains, and closes

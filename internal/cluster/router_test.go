@@ -117,7 +117,7 @@ var clusterStatements = []string{
 // batches demonstrably went over the wire.
 func TestClusterIdenticalRelations(t *testing.T) {
 	rt, _ := newCluster(t, 2, func() backend.Backend { return backend.NewSim() },
-		cluster.Config{HealthInterval: -1})
+		cluster.Config{}.With(cluster.Timings{HealthInterval: -1}))
 	for _, sql := range clusterStatements {
 		want := execWith(t, nil, sql) // nil = single-process default backend
 		got := execWith(t, rt, sql)
@@ -145,8 +145,7 @@ func TestClusterIdenticalRelations(t *testing.T) {
 // engine carries the prefix cache across them — cumulative hit tokens
 // strictly above the per-batch sim baseline, relations identical. The
 // workers serve whole batches (a Sharded of width 1, which NewWorker does
-// not wrap again): that is the condition the inequality is stated under,
-// and the one `Capacity: 1` used to give when the router cut batches.
+// not wrap again): that is the condition the inequality is stated under.
 // Hedging is off: the test counts which workers served, and a hedge is a
 // second one.
 func TestClusterStageAffinity(t *testing.T) {
@@ -178,7 +177,7 @@ func TestClusterStageAffinity(t *testing.T) {
 		}
 		return be
 	}
-	rt, _ := newCluster(t, 2, whole, cluster.Config{HealthInterval: -1, HedgeAfter: -1})
+	rt, _ := newCluster(t, 2, whole, cluster.Config{}.With(cluster.Timings{HealthInterval: -1, HedgeAfter: -1}))
 	clusterHit, clusterRes := run(rt)
 
 	if clusterHit <= simHit {
@@ -211,7 +210,7 @@ func TestClusterStageAffinity(t *testing.T) {
 // not a hedge, is what must rescue the second statement.
 func TestClusterFailoverOnKilledWorker(t *testing.T) {
 	rt, srvs := newCluster(t, 2, func() backend.Backend { return backend.NewSim() },
-		cluster.Config{HealthInterval: -1, HedgeAfter: -1, MaxRetries: -1, RetryBackoff: time.Millisecond})
+		cluster.Config{}.With(cluster.Timings{HealthInterval: -1, HedgeAfter: -1, MaxRetries: -1, RetryBackoff: time.Millisecond}))
 
 	sql := clusterStatements[0]
 	want := execWith(t, rt, sql)
@@ -335,13 +334,16 @@ func (g *gateBackend) parked() int {
 	return min(g.calls, g.park)
 }
 
-// saturatedPair starts two workers over one shared gateBackend ledger behind
-// a Capacity-1 router and parks a single-group batch of stage "hot" on its
-// primary, holding that worker's in-flight gauge at the watermark. arrived
-// snapshots the batches each worker (by index) received; release lets the
-// parked batch finish and reports its error.
-func saturatedPair(t *testing.T) (rt *cluster.Router, gate *gateBackend, arrived func() [2][]backend.WireBatch, release func() error) {
-	gate = newGateBackend()
+// TestClusterSaturatedPrimaryKeepsBatchWhole: a stage's owner with four
+// whole batches in flight — the load past which the router once cut the
+// next batch in two with its ring successor — still gets that stage's next
+// batch whole: one /v1/batch carrying every request and its group starts,
+// answered while the four stay parked. Hedging is off: both workers share
+// one ledger, and a hedged copy would be a second request.
+func TestClusterSaturatedPrimaryKeepsBatchWhole(t *testing.T) {
+	const parked = 4
+	gate := newGateBackend()
+	gate.park = parked
 	var mu sync.Mutex
 	var got [2][]backend.WireBatch
 	var addrs []string
@@ -354,136 +356,80 @@ func saturatedPair(t *testing.T) (rt *cluster.Router, gate *gateBackend, arrived
 		t.Cleanup(srv.Close)
 		addrs = append(addrs, srv.URL)
 	}
-	rt, err := cluster.NewRouter(cluster.Config{Workers: addrs, Capacity: 1, HealthInterval: -1, HedgeAfter: -1})
+	rt, err := cluster.NewRouter(cluster.Config{Workers: addrs}.With(cluster.Timings{HealthInterval: -1, HedgeAfter: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rt.Close() })
-
-	firstDone := make(chan error, 1)
-	go func() {
-		_, err := rt.RunBatch(context.Background(), clusterSpec("hot", []int{4}, 16, 4))
-		firstDone <- err
-	}()
-	<-gate.started
-	arrived = func() [2][]backend.WireBatch {
-		mu.Lock()
-		defer mu.Unlock()
-		return [2][]backend.WireBatch{slices.Clone(got[0]), slices.Clone(got[1])}
-	}
-	var once sync.Once
-	release = func() error {
-		once.Do(func() { close(gate.release) })
-		return <-firstDone
-	}
+	var release sync.Once
 	// Registered last, so it runs first: a failed test must not leave the
-	// parked batch holding the servers' Close.
-	t.Cleanup(func() { once.Do(func() { close(gate.release) }) })
-	return rt, gate, arrived, release
-}
+	// parked batches holding the servers' Close.
+	t.Cleanup(func() { release.Do(func() { close(gate.release) }) })
 
-// TestClusterHotStageReplication: with the stage's primary saturated
-// (Capacity whole batches in flight), a grouped batch brings in the next ring
-// node as a replica and sends one half to each — the hot stage trades one
-// extra warm-up for parallelism, each half still carries the group starts its
-// worker shards at, and the accounting stays conserved. Hedging is off: the
-// workers share one ledger, and a hedged half would be counted twice.
-func TestClusterHotStageReplication(t *testing.T) {
-	rt, gate, arrived, release := saturatedPair(t)
+	var others sync.WaitGroup
+	for i := 0; i < parked; i++ {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			if _, err := rt.RunBatch(context.Background(), clusterSpec("hot", []int{1}, 16, 4)); err != nil {
+				t.Errorf("parked batch: %v", err)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); gate.parked() < parked; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d batches parked", gate.parked(), parked)
+		}
+		time.Sleep(time.Millisecond)
+	}
 
-	// Batch 2, same stage, four groups: the saturated primary pulls in the
-	// replica, and each worker gets one part of two whole groups.
 	res, err := rt.RunBatch(context.Background(), clusterSpec("hot", []int{2, 2, 2, 2}, 16, 4))
 	if err != nil {
-		t.Fatalf("replicated batch: %v", err)
+		t.Fatalf("batch on the saturated owner: %v", err)
 	}
 	if res.ModelCalls != 8 {
-		t.Errorf("replicated batch model calls = %d, want 8 (conserved across parts)", res.ModelCalls)
+		t.Errorf("model calls = %d, want 8", res.ModelCalls)
 	}
 
-	if err := release(); err != nil {
-		t.Fatalf("parked batch: %v", err)
+	// Checked while the four are still parked: the batch did not queue
+	// behind them, and only the owner saw any traffic.
+	mu.Lock()
+	arrived := got
+	mu.Unlock()
+	owner := 0
+	if len(arrived[1]) > 0 {
+		owner = 1
 	}
-
-	m := rt.Metrics()
-	if m.HotReplications != 1 {
-		t.Errorf("hot replications = %d, want 1", m.HotReplications)
+	if n := len(arrived[1-owner]); n != 0 {
+		t.Errorf("the owner's ring successor received %d batches, want 0", n)
 	}
-	for addr, wm := range m.Workers {
-		if wm.Batches == 0 {
-			t.Errorf("worker %s served no batches: the replica never joined", addr)
+	if n := len(arrived[owner]); n != parked+1 {
+		t.Fatalf("the owner received %d batches, want %d (the parked ones and the whole batch)", n, parked+1)
+	}
+	var whole *backend.WireBatch
+	for i, wb := range arrived[owner] {
+		if len(wb.Requests) != 1 {
+			whole = &arrived[owner][i]
 		}
 	}
-	gate.mu.Lock()
-	rows := gate.rows
-	gate.mu.Unlock()
-	if rows != 12 {
-		t.Errorf("workers served %d rows, want 12 (4 parked + 4+4 replicated)", rows)
+	if whole == nil {
+		t.Fatal("the owner received only the parked batches")
+	}
+	if len(whole.Requests) != 8 || !slices.Equal(whole.Groups, []int{0, 2, 4, 6}) {
+		t.Fatalf("the owner received %d requests in groups starting at %v, want 8 in [0 2 4 6]", len(whole.Requests), whole.Groups)
+	}
+	if _, err := whole.Spec(); err != nil {
+		t.Errorf("the batch arrived with invalid groups %v: %v", whole.Groups, err)
 	}
 
-	// Exactly two parts crossed the wire, one per worker, and each arrived
-	// as a concatenation of whole groups with valid rebased starts.
-	got := arrived()
-	parts := 0
-	for i := range got {
-		replicated := 0
-		for _, wb := range got[i] {
-			if len(wb.Requests) != 4 || len(wb.Groups) != 2 {
-				continue // the parked single-group batch
-			}
-			replicated++
-			if _, err := wb.Spec(); err != nil {
-				t.Errorf("worker %d: part arrived with invalid groups %v: %v", i, wb.Groups, err)
-			}
-		}
-		if replicated != 1 {
-			t.Errorf("worker %d received %d parts of the replicated batch, want 1 (%d batches arrived)", i, replicated, len(got[i]))
-		}
-		parts += replicated
-	}
-	if total := len(got[0]) + len(got[1]); parts != 2 || total != 3 {
-		t.Errorf("%d parts in %d /v1/batch requests, want 2 parts in 3 (parked + one per worker)", parts, total)
-	}
-}
-
-// TestClusterSaturatedPrimaryOverflowsWhole: a batch that cannot be cut (no
-// group annotation) arriving at a saturated primary is served whole by the
-// ring successor, not queued behind the parked batch, and counts as a hot
-// replication.
-func TestClusterSaturatedPrimaryOverflowsWhole(t *testing.T) {
-	rt, _, arrived, release := saturatedPair(t)
-
-	spec := clusterSpec("hot", []int{3}, 16, 4)
-	spec.Groups = nil
-	res, err := rt.RunBatch(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("overflow batch: %v", err)
-	}
-	if res.ModelCalls != 3 {
-		t.Errorf("overflow batch model calls = %d, want 3", res.ModelCalls)
-	}
-	// Checked while the primary is still parked: the batch did not wait.
-	got := arrived()
-	for i, batches := range got {
-		if len(batches) != 1 {
-			t.Fatalf("worker %d received %d batches, want 1 each (parked on the primary, overflow on the replica)", i, len(batches))
-		}
-	}
-	if a, b := len(got[0][0].Requests), len(got[1][0].Requests); a+b != 7 || a*b != 12 {
-		t.Errorf("workers received %d- and %d-request batches, want the parked 4 and the whole overflow 3", a, b)
-	}
-	if err := release(); err != nil {
-		t.Fatalf("parked batch: %v", err)
-	}
-	if m := rt.Metrics(); m.HotReplications != 1 {
-		t.Errorf("hot replications = %d, want 1", m.HotReplications)
-	}
+	release.Do(func() { close(gate.release) })
+	others.Wait()
 }
 
 // TestRouterLoadIndependence: what a batch costs is a function of the batch,
 // not of what else is in flight — the same grouped spec returns the same
 // BatchResult, field for field, with 0, 1, 2 or 3 other batches parked on
-// its primary (all under the replication watermark).
+// its primary.
 func TestRouterLoadIndependence(t *testing.T) {
 	groups := []int{3, 3, 3, 3, 3, 3}
 	var want backend.BatchResult
@@ -491,7 +437,7 @@ func TestRouterLoadIndependence(t *testing.T) {
 		gate := newGateBackend()
 		gate.inner, gate.park = backend.NewSim(), parked
 		srv, _ := startWorker(gate)
-		rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srv.URL}, HealthInterval: -1, HedgeAfter: -1})
+		rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srv.URL}}.With(cluster.Timings{HealthInterval: -1, HedgeAfter: -1}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -549,7 +495,7 @@ func TestRoutedEqualsSharded(t *testing.T) {
 	var requests atomic.Int64
 	srv := tapWorker(backend.NewSim(), func(backend.WireBatch) { requests.Add(1) })
 	defer srv.Close()
-	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srv.URL}, HealthInterval: -1, HedgeAfter: -1})
+	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srv.URL}}.With(cluster.Timings{HealthInterval: -1, HedgeAfter: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +516,7 @@ func TestRoutedEqualsSharded(t *testing.T) {
 // cancellation clause at entry.
 func TestClusterRefusesDeadContext(t *testing.T) {
 	rt, _ := newCluster(t, 2, func() backend.Backend { return backend.NewSim() },
-		cluster.Config{HealthInterval: -1})
+		cluster.Config{}.With(cluster.Timings{HealthInterval: -1}))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := rt.RunBatch(ctx, clusterSpec("any", []int{2}, 8, 4))
@@ -589,11 +535,7 @@ func TestClusterHealthRecovery(t *testing.T) {
 	srv := httptest.NewServer(server.NewWithConfig(server.Config{Worker: wk}))
 	defer srv.Close()
 
-	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:        []string{srv.URL},
-		HealthInterval: 10 * time.Millisecond,
-		MarkdownAfter:  1,
-	})
+	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srv.URL}}.With(cluster.Timings{HealthInterval: 10 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,7 +126,7 @@ func TestCancelDeadlineExceeded(t *testing.T) {
 func TestCancelBeforePickup(t *testing.T) {
 	db := newDB(12)
 	gb := newGatedBackend()
-	rt := New(db, Config{Workers: 2, QueueDepth: 8, BatchWindow: 200 * time.Millisecond, Backend: gb})
+	rt := New(db, Config{Workers: 2, queueDepth: 8, BatchWindow: 200 * time.Millisecond, Backend: gb})
 	defer rt.Close()
 	held, release := holdWorker(t, rt, gb, heldStatement)
 	defer release()
@@ -156,7 +156,7 @@ func TestCancelBeforePickup(t *testing.T) {
 func TestCancelUnblocksFullQueue(t *testing.T) {
 	db := newDB(24)
 	gb := newGatedBackend()
-	rt := New(db, Config{Workers: 2, QueueDepth: 1, BatchWindow: 300 * time.Millisecond, Backend: gb})
+	rt := New(db, Config{Workers: 2, queueDepth: 1, BatchWindow: 300 * time.Millisecond, Backend: gb})
 	defer rt.Close()
 	held, release := holdWorker(t, rt, gb, heldStatement)
 	defer release()
@@ -205,7 +205,7 @@ func TestStressCancelStorm(t *testing.T) {
 	db := newDB(30)
 	want, _, _ := seqBaseline(t, db, dashboardStatements)
 
-	rt := New(db, Config{Workers: 4, QueueDepth: 8, BatchWindow: 3 * time.Millisecond})
+	rt := New(db, Config{Workers: 4, queueDepth: 8, BatchWindow: 3 * time.Millisecond})
 	defer rt.Close()
 
 	var wg sync.WaitGroup

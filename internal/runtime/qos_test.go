@@ -47,7 +47,7 @@ func runMixedWorkload(t *testing.T, fifo bool) (interactive []time.Duration, llm
 	db := newDB(40)
 	rt := New(db, Config{
 		Workers:       1, // admission order is the whole story
-		QueueDepth:    512,
+		queueDepth:    512,
 		BatchWindow:   -1, // no coalescing: per-statement time stays tight
 		FIFOAdmission: fifo,
 	})

@@ -85,14 +85,14 @@ import (
 	"repro/internal/sqlfront"
 )
 
-// Config sizes the runtime. The zero value serves with 4 workers, a 64-deep
-// admission queue, a 2ms batch window, and a 64k-entry result cache.
+// Config sizes the runtime. The zero value serves with 4 workers, a 2ms
+// batch window, and a 64k-entry result cache. What no deployment varies is
+// fixed: the admission queue depth (queueDepth), the plan cache and trace
+// ring sizes (planCacheCapacity, traceRingSize), and the reorder and prompt
+// memos (query's defaults).
 type Config struct {
 	// Workers bounds concurrently executing statements.
 	Workers int
-	// QueueDepth bounds admitted-but-unscheduled statements; Submit blocks
-	// (backpressure) once the queue is full.
-	QueueDepth int
 	// BatchWindow is the longest the first pending call of a stage
 	// fingerprint waits for concurrent statements to join its batch. It is
 	// an upper bound: a window closes early once nobody is left who could
@@ -124,11 +124,6 @@ type Config struct {
 	// (default 65536; negative disables result caching — inflight dedup
 	// still collapses concurrent identical calls).
 	CacheCapacity int
-	// PlanCacheCapacity bounds the parse+plan cache in distinct statement
-	// texts (default 1024; negative disables plan caching). Statements that
-	// inline varying literals each count as a distinct text, so the bound
-	// keeps an open /v1/sql endpoint from growing memory without limit.
-	PlanCacheCapacity int
 	// Exec is the base execution config statements run under (policy,
 	// model). Per-statement Options override Naive and Policy; StageRunner
 	// is always the runtime's own.
@@ -139,31 +134,44 @@ type Config struct {
 	// lets prefix hits span batch windows; a backend.Sharded wrapper is what
 	// fans one hot batch out over engine replicas; see internal/backend.
 	Backend backend.Backend
-	// ReorderCacheCapacity bounds the GGR reorder cache in schedules
-	// (default query.DefaultReorderCacheCapacity; negative disables): a
-	// batch window identical to an earlier one — same stage fingerprint,
-	// same rows — reuses its schedule instead of re-running the solver.
-	ReorderCacheCapacity int
-	// PromptCacheCapacity bounds the prompt tokenization memo in distinct
-	// pieces — cells and stage prefixes (default
-	// query.DefaultPromptCacheCapacity; negative disables): a cell repeated
-	// across rows, stages and batch windows is tokenized once, on one
-	// long-lived tokenizer.
-	PromptCacheCapacity int
 	// SlowQueryThreshold, when positive, turns on the slow-query log: every
 	// statement is recorded (a trace cannot be reconstructed after the
 	// fact), and those whose wall time — admission to settlement — meets the
 	// threshold are retained in the trace ring and reported to SlowLogger.
 	// Zero records only statements that opt in with Options.Trace.
 	SlowQueryThreshold time.Duration
-	// TraceRingSize bounds the ring of retained traces behind
-	// Runtime.Traces / GET /v1/traces (default 128; negative disables
-	// retention — Handle.Trace still works).
-	TraceRingSize int
 	// SlowLogger, when non-nil, gets one structured record per statement
 	// exceeding SlowQueryThreshold. Nil disables slow logging (traces are
 	// still retained in the ring).
 	SlowLogger *slog.Logger
+
+	// Test sizes; the zero values are the constants below.
+	queueDepth        int  // admission queue depth
+	planCacheCapacity int  // plan cache entries
+	traceRingSize     int  // retained traces
+	noMemos           bool // no reorder cache and no prompt cache
+}
+
+// queueDepth bounds admitted-but-unscheduled statements; Submit blocks
+// (backpressure) once the queue is full.
+const queueDepth = 64
+
+// planCacheCapacity bounds the parse+plan cache in distinct statement
+// texts. Statements that inline varying literals each count as a distinct
+// text, so the bound keeps an open /v1/sql endpoint from growing memory
+// without limit.
+const planCacheCapacity = 1024
+
+// traceRingSize bounds the ring of retained traces behind Runtime.Traces /
+// GET /v1/traces.
+const traceRingSize = 128
+
+// orDefault is v, or def where v is unset (zero).
+func orDefault(v, def int) int {
+	if v != 0 {
+		return v
+	}
+	return def
 }
 
 func (c Config) workers() int {
@@ -171,13 +179,6 @@ func (c Config) workers() int {
 		return c.Workers
 	}
 	return 4
-}
-
-func (c Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 64
 }
 
 func (c Config) batchWindow() time.Duration {
@@ -200,27 +201,6 @@ func (c Config) windowFor(class Class) time.Duration {
 		return w
 	}
 	return 10 * w
-}
-
-func (c Config) cacheCapacity() int {
-	if c.CacheCapacity != 0 {
-		return c.CacheCapacity
-	}
-	return 65536
-}
-
-func (c Config) planCacheCapacity() int {
-	if c.PlanCacheCapacity != 0 {
-		return c.PlanCacheCapacity
-	}
-	return 1024
-}
-
-func (c Config) traceRingSize() int {
-	if c.TraceRingSize != 0 {
-		return c.TraceRingSize
-	}
-	return 128
 }
 
 // rollupLimit bounds distinct StageKeys the per-stage rollup store tracks —
@@ -382,21 +362,17 @@ func New(db *sqlfront.DB, cfg Config) *Runtime {
 	rt := &Runtime{
 		db:      db,
 		cfg:     cfg,
-		queue:   newFairQueue(cfg.queueDepth(), interactiveWeight, batchWeight, cfg.FIFOAdmission),
-		cache:   newResultCache(cfg.cacheCapacity()),
-		plans:   lru.New[string, *sqlfront.Prepared](cfg.planCacheCapacity()),
+		queue:   newFairQueue(orDefault(cfg.queueDepth, queueDepth), interactiveWeight, batchWeight, cfg.FIFOAdmission),
+		cache:   newResultCache(orDefault(cfg.CacheCapacity, 65536)),
+		plans:   lru.New[string, *sqlfront.Prepared](orDefault(cfg.planCacheCapacity, planCacheCapacity)),
 		quotas:  make(map[ClientID]*quotaBucket),
 		clients: make(map[ClientID]*clientCounters),
 		rollups: obs.NewRollups(rollupLimit),
+		traces:  obs.NewRing(orDefault(cfg.traceRingSize, traceRingSize)),
 	}
-	if cfg.traceRingSize() > 0 {
-		rt.traces = obs.NewRing(cfg.traceRingSize())
-	}
-	if cfg.ReorderCacheCapacity >= 0 {
-		rt.reorder = query.NewReorderCache(cfg.ReorderCacheCapacity)
-	}
-	if cfg.PromptCacheCapacity >= 0 {
-		rt.prompts = query.NewPromptCache(cfg.PromptCacheCapacity)
+	if !cfg.noMemos {
+		rt.reorder = query.NewReorderCache(0)
+		rt.prompts = query.NewPromptCache(0)
 	}
 	rt.batcher = newBatcher(rt)
 	for i := 0; i < cfg.workers(); i++ {
@@ -465,7 +441,7 @@ func (rt *Runtime) Metrics() Metrics {
 
 // Traces returns the retained statement traces, newest first: explicitly
 // traced statements plus those over the slow-query threshold, bounded FIFO
-// by Config.TraceRingSize.
+// by traceRingSize.
 func (rt *Runtime) Traces() []*obs.Trace { return rt.traces.Snapshot() }
 
 // observeStage is the executor's per-stage feedback hook (wired as
@@ -633,10 +609,6 @@ func (rt *Runtime) prepared(sql string) (*sqlfront.Prepared, bool, error) {
 	p, err := rt.db.Prepare(sql)
 	if err != nil {
 		return nil, false, err
-	}
-	if rt.cfg.planCacheCapacity() <= 0 {
-		rt.c.planCacheMisses.Add(1)
-		return p, false, nil
 	}
 	rt.planMu.Lock()
 	prev, lostRace := rt.plans.Get(sql)

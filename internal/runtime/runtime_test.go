@@ -266,7 +266,7 @@ func TestPreparedStatements(t *testing.T) {
 // limit, and evicted statements still execute (they just re-prepare).
 func TestPlanCacheBounded(t *testing.T) {
 	db := newDB(6)
-	rt := New(db, Config{Workers: 1, PlanCacheCapacity: 2})
+	rt := New(db, Config{Workers: 1, planCacheCapacity: 2})
 	defer rt.Close()
 	stmts := []string{
 		`SELECT ticket_id FROM tickets WHERE region = 'emea'`,

@@ -187,11 +187,11 @@ func TestReorderCacheRepeatedWindow(t *testing.T) {
 	}
 }
 
-// TestReorderCacheDisabled pins the off switch: negative capacity reports
+// TestReorderCacheDisabled pins the off switch: a runtime without the memos reports
 // no reorder accounting and still serves correctly.
 func TestReorderCacheDisabled(t *testing.T) {
 	db := newDB(12)
-	rt := New(db, Config{Workers: 1, ReorderCacheCapacity: -1, PromptCacheCapacity: -1})
+	rt := New(db, Config{Workers: 1, noMemos: true})
 	defer rt.Close()
 	if _, err := rt.Exec(dashboardStatements[0], Options{}); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func TestStressManyClients(t *testing.T) {
 
 	rt := New(db, Config{
 		Workers:     6,
-		QueueDepth:  16,
+		queueDepth:  16,
 		BatchWindow: 5 * time.Millisecond,
 	})
 	defer rt.Close()

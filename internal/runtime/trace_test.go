@@ -144,7 +144,7 @@ func TestSlowQueryLog(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	rt := New(db, Config{Workers: 1, SlowQueryThreshold: time.Nanosecond,
-		TraceRingSize: 2, SlowLogger: logger})
+		traceRingSize: 2, SlowLogger: logger})
 	defer rt.Close()
 
 	stmts := []string{

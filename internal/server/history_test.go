@@ -163,7 +163,7 @@ func TestSQLResponseSizeIndependentOfHistory(t *testing.T) {
 func TestMetricsEndpointShape(t *testing.T) {
 	worker := httptest.NewServer(NewWithConfig(Config{Worker: NewWorker(backend.NewSim(), nil)}))
 	defer worker.Close()
-	router, err := cluster.NewRouter(cluster.Config{Workers: []string{worker.URL}, HealthInterval: -1})
+	router, err := cluster.NewRouter(cluster.Config{Workers: []string{worker.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestClusterWorkersEndpoint(t *testing.T) {
 		return srv.URL
 	}
 	a, b := newWorker(), newWorker()
-	router, err := cluster.NewRouter(cluster.Config{Workers: []string{a}, HealthInterval: -1})
+	router, err := cluster.NewRouter(cluster.Config{Workers: []string{a}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,8 +120,6 @@ func renderPrometheus(m Metrics) string {
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.Markdowns) })
 		w.family("llmq_cluster_ring_moves_total", "counter", "Batches served off their ring owner (failover).")
 		w.row("llmq_cluster_ring_moves_total", "", float64(c.RingMoves))
-		w.family("llmq_cluster_hot_replications_total", "counter", "Batches that replicated a hot stage onto a second worker.")
-		w.row("llmq_cluster_hot_replications_total", "", float64(c.HotReplications))
 		w.family("llmq_cluster_hedge_launched_total", "counter", "Hedged batch dispatches launched.")
 		w.row("llmq_cluster_hedge_launched_total", "", float64(c.HedgesLaunched))
 		w.family("llmq_cluster_hedge_wins_total", "counter", "Hedge races the hedge answered first.")

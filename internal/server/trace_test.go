@@ -23,7 +23,7 @@ func slowHandler(t *testing.T) http.Handler {
 	db := sqlfront.NewDB()
 	db.Register("tickets", tbl)
 	rt := runtime.New(db, runtime.Config{Workers: 2,
-		SlowQueryThreshold: time.Nanosecond, TraceRingSize: 4})
+		SlowQueryThreshold: time.Nanosecond})
 	t.Cleanup(rt.Close)
 	return NewWithConfig(Config{Runtime: rt})
 }

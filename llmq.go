@@ -317,10 +317,12 @@ type (
 	// fleet (stage-affine placement, whole batches on the wire, health-checked
 	// failover; each worker shards what it receives across its own engine
 	// replicas). Both implement Backend; see internal/cluster. ClusterConfig
-	// sizes what deployments vary; the probe timeout, the breaker's window /
-	// rate / cooldown and the retry budget are constants there (healthTimeout,
-	// breakerWindow …, retryBudgetRatio / retryBudgetBurst), and a primary
-	// replicates once it has Capacity whole batches in flight.
+	// names the fleet and the HTTP client, nothing else: the health sweep,
+	// the probe timeout, the breaker, the adaptive hedge delay, the retries
+	// and the retry budget are constants there (healthInterval,
+	// healthTimeout, markdownAfter, breakerWindow …, defaultHedgeDelay,
+	// retryBudgetRatio / retryBudgetBurst), and the router never cuts a
+	// batch.
 	RemoteBackend       = backend.Remote
 	RemoteBackendConfig = backend.RemoteConfig
 	ClusterRouter       = cluster.Router
@@ -363,9 +365,8 @@ func NewRemoteBackend(cfg RemoteBackendConfig) (*RemoteBackend, error) { return 
 // NewClusterRouter returns the fleet backend: batches are consistent-hashed
 // by stage fingerprint onto the worker ring so persistent engines stay
 // stage-affine across nodes, sent whole to the worker that owns the stage
-// (which shards them across its own replicas), split in two with the ring
-// successor off a saturated primary, and failed over past dead or draining
-// workers.
+// (which shards them across its own replicas), hedged past a slow one, and
+// failed over past dead or draining workers.
 func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluster.NewRouter(cfg) }
 
 // --- serving runtime -----------------------------------------------------------
@@ -377,8 +378,10 @@ func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluste
 // statements from paying for the same model call twice; and Prepare/Execute
 // handles skip parse and planning on every rerun. See internal/runtime for
 // the architecture. RuntimeConfig sizes what deployments vary; the DRR
-// quantums (interactiveWeight : batchWeight = 4 : 1) and the 4096-row batch
-// cap (maxBatchRows) are constants there.
+// quantums (interactiveWeight : batchWeight = 4 : 1), the 4096-row batch
+// cap (maxBatchRows), the admission queue depth (queueDepth), the plan
+// cache and trace ring sizes (planCacheCapacity, traceRingSize) and the
+// reorder and prompt memos are constants there.
 type (
 	Runtime        = runtime.Runtime
 	RuntimeConfig  = runtime.Config
