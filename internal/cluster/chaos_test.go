@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/cluster"
@@ -33,13 +32,9 @@ var chaosProfiles = []struct {
 	{"mixed-storm", "seed=16;latency:delay=10ms:p=0.3;5xx:count=2;conn:count=2;corrupt:count=1"},
 }
 
-// chaosTimings are the router timings shared by the conformance runs: fast
-// retries, no background probes (the faults are the only failure source).
-var chaosTimings = cluster.Timings{
-	HealthInterval: -1,
-	MaxRetries:     3,
-	RetryBackoff:   time.Millisecond,
-}
+// chaosTimings are the router timings shared by the conformance runs: no
+// background probes (the faults are the only failure source).
+var chaosTimings = cluster.Timings{HealthInterval: -1}
 
 // TestChaosConformance runs the full statement set through a 3-worker fleet
 // under each fault profile and diffs rows, columns, and model-call counts

@@ -7,8 +7,8 @@ import (
 
 // Config sizes a Router. Everything else about a router is fixed: the
 // health sweep period (healthInterval), the breaker's threshold
-// (markdownAfter), the adaptive hedge delay (hedge.go), and each worker's
-// remote retries (backend.RemoteConfig's defaults).
+// (markdownAfter), the adaptive hedge delay (hedge.go), and the retry walk
+// (retryPasses, retryPause).
 type Config struct {
 	// Workers are the fleet's /v1/batch addresses ("host:port" or full
 	// URLs). At least one is required.
@@ -20,24 +20,20 @@ type Config struct {
 	// Test timings (export_test.go); the zero values are production's.
 	healthInterval time.Duration // negative: no health loop
 	hedgeAfter     time.Duration // positive: a fixed hedge delay; negative: no hedging
-	maxRetries     int           // backend.RemoteConfig.MaxRetries
-	retryBackoff   time.Duration // backend.RemoteConfig.RetryBackoff
 }
 
 // healthInterval is the period between health sweeps.
 const healthInterval = 2 * time.Second
 
-// markdownAfter is the circuit breaker's consecutive-failure threshold: two
-// failed probes open a worker's circuit, and so does one failed batch, which
-// counts markdownAfter at once since it already survived the remote
-// backend's own retries.
+// markdownAfter is the circuit breaker's consecutive-failure threshold:
+// two failed sends or probes in a row open a worker's circuit.
 const markdownAfter = 2
 
-// retryBudgetRatio / retryBudgetBurst size the retry budget shared by every
-// worker's Remote (see backend.RetryBudget): retries stay under a fifth of
-// real traffic in steady state, and a cold or quiet router can still retry
-// through a burst of ten faults.
-const (
-	retryBudgetRatio = 0.2
-	retryBudgetBurst = 10
-)
+// retryPasses bounds the router's walk over a batch's candidates: each
+// worker is tried at most this many times per batch, the 1 + 2 tries the
+// remote backend once made on its own.
+const retryPasses = 3
+
+// retryPause is the first pause between two passes of the walk, doubled
+// per pass and equal-jittered.
+const retryPause = 25 * time.Millisecond

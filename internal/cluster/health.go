@@ -41,14 +41,14 @@ func (rt *Router) probe(hc *http.Client, w *worker) {
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.healthURL, nil)
 	if err != nil {
-		w.cb.record(true, 1)
+		w.cb.record(true)
 		return
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		w.cb.record(true, 1)
+		w.cb.record(true)
 		return
 	}
 	resp.Body.Close()
-	w.cb.record(resp.StatusCode != http.StatusOK, 1)
+	w.cb.record(resp.StatusCode != http.StatusOK)
 }

@@ -17,12 +17,13 @@ const defaultHedgeDelay = 250 * time.Millisecond
 // looks back over.
 const latencyWindow = 128
 
-// hedgeTarget picks the hedge candidate for a dispatch: the first untried
-// worker from position from whose circuit is closed (a hedge is a latency
-// optimization — it never spends a half-open probe slot).
-func (rt *Router) hedgeTarget(order []*worker, tried map[*worker]bool, from int) *worker {
-	for _, w := range order[from:] {
-		if !tried[w] && !w.cb.isOpen() {
+// hedgeTarget picks the hedge partner for a dispatch to order[at]: the next
+// closed-circuit worker after it in ring order, wrapping around, so a send
+// late in the walk still has a partner. A hedge is a latency optimization:
+// it never spends a half-open probe slot.
+func hedgeTarget(order []*worker, at int) *worker {
+	for k := 1; k < len(order); k++ {
+		if w := order[(at+k)%len(order)]; !w.cb.isOpen() {
 			return w
 		}
 	}
@@ -30,28 +31,29 @@ func (rt *Router) hedgeTarget(order []*worker, tried map[*worker]bool, from int)
 }
 
 // dispatch serves the batch on primary, hedging to hedge if no answer lands
-// within the hedge delay. The first success wins and the loser is canceled;
-// only the winner's result is returned, so accounting never double-charges.
-// A hedge launched during the race marks its worker tried in the caller's
-// failover walk — its outcome (either way) already fed that worker's
-// breaker.
-func (rt *Router) dispatch(ctx context.Context, spec backend.BatchSpec, primary, hedge *worker, tried map[*worker]bool) (backend.BatchResult, error) {
+// within the hedge delay, and returns the worker that answered. The first
+// success wins and the loser is canceled; only the winner's result is
+// returned, so accounting never double-charges. A hedge launched during
+// the race marks its worker tried in the caller's pass — its outcome
+// (either way) already fed that worker's breaker.
+func (rt *Router) dispatch(ctx context.Context, spec backend.BatchSpec, primary, hedge *worker, tried map[*worker]bool) (backend.BatchResult, *worker, error) {
 	delay, ok := rt.hedgeDelay(ctx)
 	if hedge == nil || !ok {
-		return rt.send(ctx, spec, primary)
+		res, err := rt.send(ctx, spec, primary)
+		return res, primary, err
 	}
 
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
-		res    backend.BatchResult
-		err    error
-		hedged bool
+		res backend.BatchResult
+		err error
+		w   *worker
 	}
 	ch := make(chan outcome, 2)
 	go func() {
 		res, err := rt.send(dctx, spec, primary)
-		ch <- outcome{res, err, false}
+		ch <- outcome{res, err, primary}
 	}()
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
@@ -63,29 +65,29 @@ func (rt *Router) dispatch(ctx context.Context, spec backend.BatchSpec, primary,
 			if o.err == nil {
 				cancel()
 				if launched {
-					if o.hedged {
+					if o.w == hedge {
 						rt.hedgeWins.Add(1)
 					} else {
 						rt.hedgesCanceled.Add(1)
 					}
 				}
-				return o.res, nil
+				return o.res, o.w, nil
 			}
 			if !launched {
 				// Primary failed before the hedge would launch: hedging is
 				// for tail latency, failover handles failures.
-				return backend.BatchResult{}, o.err
+				return backend.BatchResult{}, nil, o.err
 			}
 			if firstFail == nil {
 				firstFail = &o
 				continue // the race partner may still answer
 			}
-			// Both failed: surface the non-hedged error first (the hedge's
-			// failure is usually the same root cause one hop later).
-			if firstFail.hedged {
-				return backend.BatchResult{}, o.err
+			// Both failed: surface the primary's error (the hedge's failure
+			// is usually the same root cause one hop later).
+			if firstFail.w == hedge {
+				return backend.BatchResult{}, nil, o.err
 			}
-			return backend.BatchResult{}, firstFail.err
+			return backend.BatchResult{}, nil, firstFail.err
 		case <-timer.C:
 			if launched {
 				continue
@@ -95,7 +97,7 @@ func (rt *Router) dispatch(ctx context.Context, spec backend.BatchSpec, primary,
 			rt.hedgesLaunched.Add(1)
 			go func() {
 				res, err := rt.send(dctx, spec, hedge)
-				ch <- outcome{res, err, true}
+				ch <- outcome{res, err, hedge}
 			}()
 		}
 	}
@@ -123,8 +125,7 @@ func (rt *Router) hedgeDelay(ctx context.Context) (time.Duration, bool) {
 
 // send runs the batch on one worker, feeding its circuit breaker: a success
 // closes/credits the circuit and lands in the latency reservoir; a
-// transient failure counts markdownAfter consecutive failures at once
-// (the remote already retried). The caller's own death is not the
+// transient failure counts one failure. The caller's own death is not the
 // worker's fault and is never charged to the breaker.
 func (rt *Router) send(ctx context.Context, spec backend.BatchSpec, w *worker) (backend.BatchResult, error) {
 	w.inflight.Add(1)
@@ -135,13 +136,13 @@ func (rt *Router) send(ctx context.Context, spec backend.BatchSpec, w *worker) (
 		rt.latMu.Lock()
 		rt.lats.Add(time.Since(start))
 		rt.latMu.Unlock()
-		w.cb.record(false, 1)
+		w.cb.record(false)
 		return res, nil
 	}
 	if ctx.Err() == nil {
 		var re *backend.RemoteError
 		if transient := !errors.As(err, &re) || re.Transient(); transient {
-			w.cb.record(true, markdownAfter)
+			w.cb.record(true)
 		}
 	}
 	return backend.BatchResult{}, err

@@ -56,7 +56,6 @@ func TestHedgeNoDoubleCharge(t *testing.T) {
 
 	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srvA.URL, srvB.URL}}.With(cluster.Timings{
 		HealthInterval: -1,
-		MaxRetries:     -1,
 		HedgeAfter:     20 * time.Millisecond,
 	}))
 	if err != nil {
@@ -111,7 +110,6 @@ func TestHedgePrimaryWinCancelsHedge(t *testing.T) {
 
 	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srvA.URL, srvB.URL}}.With(cluster.Timings{
 		HealthInterval: -1,
-		MaxRetries:     -1,
 		HedgeAfter:     15 * time.Millisecond,
 	}))
 	if err != nil {
@@ -162,7 +160,6 @@ func TestHedgeRespectsDeadline(t *testing.T) {
 
 	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srvA.URL, srvB.URL}}.With(cluster.Timings{
 		HealthInterval: -1,
-		MaxRetries:     -1,
 		HedgeAfter:     500 * time.Millisecond,
 	}))
 	if err != nil {
@@ -191,7 +188,6 @@ func TestHedgeDisabled(t *testing.T) {
 
 	rt, err := cluster.NewRouter(cluster.Config{Workers: []string{srvA.URL, srvB.URL}}.With(cluster.Timings{
 		HealthInterval: -1,
-		MaxRetries:     -1,
 		HedgeAfter:     -1,
 	}))
 	if err != nil {

@@ -20,19 +20,14 @@ type worker struct {
 	cb        *breaker
 
 	inflight atomic.Int64 // batches currently dispatched to this worker
+	retries  atomic.Int64 // failed dispatches the router then sent again
 }
 
 func (w *worker) isDown() bool { return w.cb.isOpen() }
 
 // newWorker builds the router's view of one fleet member.
-func newWorker(cfg Config, hc *http.Client, budget *backend.RetryBudget, addr string) (*worker, error) {
-	rem, err := backend.NewRemote(backend.RemoteConfig{
-		Addr:         addr,
-		Client:       hc,
-		MaxRetries:   cfg.maxRetries,
-		RetryBackoff: cfg.retryBackoff,
-		Budget:       budget,
-	})
+func newWorker(hc *http.Client, addr string) (*worker, error) {
+	rem, err := backend.NewRemote(backend.RemoteConfig{Addr: addr, Client: hc})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: worker %s: %w", addr, err)
 	}
@@ -81,7 +76,7 @@ func (rt *Router) AddWorker(addr string) error {
 	if err != nil {
 		return err
 	}
-	w, err := newWorker(rt.cfg, rt.hc, rt.budget, addr)
+	w, err := newWorker(rt.hc, addr)
 	if err != nil {
 		return err
 	}

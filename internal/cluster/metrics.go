@@ -7,15 +7,15 @@ package cluster
 //
 //llmqlint:accounting
 type WorkerMetrics struct {
-	// Batches/Retries/Errors/BudgetDenied are the worker's
-	// backend.RemoteStats; Markdowns counts circuit-open transitions;
-	// InFlight is the live dispatched-batch gauge.
-	Batches      int64 `json:"batches"`
-	Retries      int64 `json:"retries"`
-	Errors       int64 `json:"errors"`
-	BudgetDenied int64 `json:"budgetDenied"`
-	Markdowns    int64 `json:"markdowns"`
-	InFlight     int64 `json:"inFlight"`
+	// Batches/Errors are the worker's backend.RemoteStats; Retries counts
+	// its failed dispatches that the router then sent again; Markdowns
+	// counts circuit-open transitions; InFlight is the live
+	// dispatched-batch gauge.
+	Batches   int64 `json:"batches"`
+	Retries   int64 `json:"retries"`
+	Errors    int64 `json:"errors"`
+	Markdowns int64 `json:"markdowns"`
+	InFlight  int64 `json:"inFlight"`
 	// Down reports a non-closed circuit; Breaker names the state exactly.
 	Down    bool         `json:"down"`
 	Breaker BreakerState `json:"breaker"`
@@ -32,7 +32,8 @@ type Metrics struct {
 	// Workers maps worker address to its counters (current fleet members
 	// only; a removed worker's counters leave with it).
 	Workers map[string]WorkerMetrics `json:"workers"`
-	// RingMoves counts batches served off their ring owner (failover).
+	// RingMoves counts batches served off their ring owner, whether by
+	// failover or by a winning hedge.
 	RingMoves int64 `json:"ringMoves"`
 	// HedgesLaunched counts hedge dispatches; HedgeWins the races the hedge
 	// answered first; HedgesCanceled the races the primary won after the
@@ -54,14 +55,13 @@ func (rt *Router) Metrics() Metrics {
 		rs := w.remote.Stats()
 		state, opens := w.cb.snapshot()
 		ws[addr] = WorkerMetrics{
-			Batches:      rs.Batches,
-			Retries:      rs.Retries,
-			Errors:       rs.Errors,
-			BudgetDenied: rs.BudgetDenied,
-			Markdowns:    opens,
-			InFlight:     w.inflight.Load(),
-			Down:         state != BreakerClosed,
-			Breaker:      state,
+			Batches:   rs.Batches,
+			Retries:   w.retries.Load(),
+			Errors:    rs.Errors,
+			Markdowns: opens,
+			InFlight:  w.inflight.Load(),
+			Down:      state != BreakerClosed,
+			Breaker:   state,
 		}
 	}
 	rt.mu.RUnlock()

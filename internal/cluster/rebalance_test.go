@@ -33,7 +33,6 @@ func TestLiveRemoveWorkerDrainsInFlight(t *testing.T) {
 
 	rt, err := cluster.NewRouter(cluster.Config{Workers: addrs}.With(cluster.Timings{
 		HealthInterval: -1,
-		MaxRetries:     -1,
 		HedgeAfter:     -1, // a hedge would rescue the parked batch and mask the drain
 	}))
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -23,19 +24,26 @@ import (
 //
 //  1. The ring names the stage's owner, and the owner gets the batch whole;
 //     an owner whose circuit breaker is open fails over to the next
-//     distinct ring node (counted as a ring move), so a broken worker's
-//     stages land deterministically on its successor. The batch keeps its
+//     distinct ring node, so a broken worker's stages land
+//     deterministically on its successor. A batch answered by any worker
+//     but its owner counts as a ring move. The batch keeps its
 //     group starts, and the worker that serves it shards it across its own
 //     engine replicas (server.NewWorker): the process that owns the pool
 //     decides the fan-out width, once.
 //  2. A batch without an answer after the hedge delay is also dispatched to
-//     the next admitted ring node; the first answer wins and the loser is
-//     canceled — only the winner's result is returned, so hedges never
-//     double-charge.
-//  3. A batch whose worker fails (after backend.Remote's own retries) feeds
-//     that worker's circuit breaker and retries on the next ring node;
-//     deterministic 4xx rejections and the caller's own cancellation do
-//     not fail over.
+//     the next closed-circuit ring node after its worker, wrapping around;
+//     the first answer wins and the loser is canceled — only the winner's
+//     result is returned, so hedges never double-charge.
+//  3. A batch whose worker fails feeds that worker's circuit breaker and
+//     goes at once to the next ring node. The walk over the candidates is
+//     the only retry loop (backend.Remote makes one POST) and the breakers
+//     are its budget: at most retryPasses passes with a pause between
+//     them, later passes only to workers the breaker admits, and no pause
+//     at all once every circuit is open, so a dead fleet costs a batch one
+//     attempt per worker. Every failed send counts once toward its
+//     worker's breaker, so two in a row open it, and a one-worker fleet
+//     gets at most 2 tries per batch. Deterministic 4xx rejections and the
+//     caller's own cancellation are final.
 //
 // Why these mechanisms and no others (ROADMAP item 14, measured on a
 // 3-worker fleet with one faulted worker): without hedging, p99 rose 3 to
@@ -45,16 +53,17 @@ import (
 // back in; failover is what answers at all when a worker dies. A busy
 // owner still gets its batch whole: cutting it onto the ring successor
 // changed no answer and no p99 beyond run-to-run spread under any fault
-// profile.
+// profile. Retrying on the same worker inside the remote backend, under a
+// shared retry budget, lowered no p99 or max either; under a 30 % error
+// rate it kept more batches on their owner, at the price of a tail.
 //
 // The fleet is live: AddWorker/RemoveWorker rebalance the consistent-hash
 // ring on a running router (~1/N of stages move), in-flight batches drain
 // on their old assignment, and removed workers stop counting toward ring
 // moves the moment they leave.
 type Router struct {
-	cfg    Config
-	hc     *http.Client
-	budget *backend.RetryBudget
+	cfg Config
+	hc  *http.Client
 
 	mu      sync.RWMutex
 	ring    *ring              // guarded by mu
@@ -92,16 +101,15 @@ func NewRouter(cfg Config) (*Router, error) {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	budget := backend.NewRetryBudget(retryBudgetRatio, retryBudgetBurst)
 	workers := make(map[string]*worker, len(cfg.Workers))
 	for _, addr := range cfg.Workers {
-		w, err := newWorker(cfg, hc, budget, addr)
+		w, err := newWorker(hc, addr)
 		if err != nil {
 			return nil, err
 		}
 		workers[addr] = w
 	}
-	rt := &Router{cfg: cfg, hc: hc, budget: budget, ring: rg, workers: workers, stop: make(chan struct{}),
+	rt := &Router{cfg: cfg, hc: hc, ring: rg, workers: workers, stop: make(chan struct{}),
 		lats: stats.NewWindow[time.Duration](latencyWindow)}
 	if cfg.healthInterval > 0 {
 		rt.loopDone.Add(1)
@@ -146,21 +154,24 @@ func (rt *Router) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend
 	if len(cands) == 0 {
 		return backend.BatchResult{}, fmt.Errorf("cluster: no workers in the fleet")
 	}
-	if cands[0].addr != owner {
+	obs.FromContext(ctx).Set("cluster.primary", cands[0].addr)
+	res, served, err := rt.runPart(ctx, spec, cands)
+	if err == nil && served.addr != owner {
 		rt.ringMoves.Add(1)
 	}
-	obs.FromContext(ctx).Set("cluster.primary", cands[0].addr)
-	return rt.runPart(ctx, spec, cands)
+	return res, err
 }
 
-// runPart serves the batch whole, failing over along the candidate list in
-// order. A worker whose circuit breaker denies admission is skipped while
-// an admitted candidate remains (the breaker itself meters half-open
-// probes); with every circuit open the walk tries workers anyway, so a
-// fleet-wide brownout degrades instead of wedging. Deterministic worker
-// rejections (4xx) and the caller's own cancellation are final.
-func (rt *Router) runPart(ctx context.Context, spec backend.BatchSpec, cands []*worker) (backend.BatchResult, error) {
-	tried := make(map[*worker]bool, len(cands))
+// runPart serves the batch whole and returns the worker that answered. It
+// walks the candidate list for at most retryPasses passes. Pass 1 skips a
+// worker whose breaker denies admission only while a closed-circuit
+// candidate remains untried (the breaker itself meters half-open probes),
+// so a fleet-wide brownout degrades instead of wedging; later passes try
+// only workers the breaker admits. Between passes the walk waits an
+// equal-jittered pause from retryPause, doubled per pass, unless every
+// circuit is open: then it fails at once.
+func (rt *Router) runPart(ctx context.Context, spec backend.BatchSpec, cands []*worker) (backend.BatchResult, *worker, error) {
+	var tried map[*worker]bool
 	anyClosed := func(from int) bool {
 		for _, w := range cands[from:] {
 			if !tried[w] && !w.cb.isOpen() {
@@ -170,32 +181,47 @@ func (rt *Router) runPart(ctx context.Context, spec backend.BatchSpec, cands []*
 		return false
 	}
 	var lastErr error
-	for i, w := range cands {
-		if tried[w] {
-			continue
+	var failed *worker // charged a retry when the walk sends the batch again
+	pause := retryPause
+	for pass := 0; pass < retryPasses; pass++ {
+		if pass > 0 {
+			tried = nil // anyClosed(0) now asks about every candidate
+			if !anyClosed(0) {
+				break
+			}
+			// Equal jitter, [pause/2, pause]: the mean stays high enough to
+			// matter while a retry stampede decorrelates.
+			select {
+			case <-ctx.Done():
+				return backend.BatchResult{}, nil, ctx.Err()
+			case <-time.After(pause/2 + time.Duration(rand.Int64N(int64(pause/2)+1))):
+			}
+			pause *= 2
 		}
-		// Breaker admission: allow() grants closed traffic and metered
-		// half-open probes; a denied worker is skipped only while a
-		// closed-circuit candidate remains untried.
-		if !w.cb.allow() && anyClosed(i+1) {
-			continue
+		tried = make(map[*worker]bool, len(cands))
+		for i, w := range cands {
+			if tried[w] || !w.cb.allow() && (pass > 0 || anyClosed(i+1)) {
+				continue
+			}
+			tried[w] = true
+			if failed != nil {
+				failed.retries.Add(1)
+			}
+			res, served, err := rt.dispatch(ctx, spec, w, hedgeTarget(cands, i), tried)
+			if err == nil {
+				return res, served, nil
+			}
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return backend.BatchResult{}, nil, ctxErr
+			}
+			var re *backend.RemoteError
+			if errors.As(err, &re) && !re.Transient() {
+				return backend.BatchResult{}, nil, err
+			}
+			failed, lastErr = w, err
 		}
-		tried[w] = true
-		hedge := rt.hedgeTarget(cands, tried, i+1)
-		res, err := rt.dispatch(ctx, spec, w, hedge, tried)
-		if err == nil {
-			return res, nil
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return backend.BatchResult{}, ctxErr
-		}
-		var re *backend.RemoteError
-		if errors.As(err, &re) && !re.Transient() {
-			return backend.BatchResult{}, err
-		}
-		lastErr = err
 	}
-	return backend.BatchResult{}, fmt.Errorf("cluster: all %d workers failed for stage %q: %w", len(cands), spec.StageKey, lastErr)
+	return backend.BatchResult{}, nil, fmt.Errorf("cluster: all %d workers failed for stage %q: %w", len(cands), spec.StageKey, lastErr)
 }
 
 // Close stops the health loop, waits for removed-worker drains, and closes

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/llmsim"
 	"repro/internal/query"
 	"repro/internal/server"
@@ -210,7 +211,7 @@ func TestClusterStageAffinity(t *testing.T) {
 // not a hedge, is what must rescue the second statement.
 func TestClusterFailoverOnKilledWorker(t *testing.T) {
 	rt, srvs := newCluster(t, 2, func() backend.Backend { return backend.NewSim() },
-		cluster.Config{}.With(cluster.Timings{HealthInterval: -1, HedgeAfter: -1, MaxRetries: -1, RetryBackoff: time.Millisecond}))
+		cluster.Config{}.With(cluster.Timings{HealthInterval: -1, HedgeAfter: -1}))
 
 	sql := clusterStatements[0]
 	want := execWith(t, rt, sql)
@@ -560,4 +561,139 @@ func TestClusterHealthRecovery(t *testing.T) {
 	// Un-draining restores 200: the next probe marks it back up.
 	wk.SetDraining(false)
 	waitFor("marked up", func(wm cluster.WorkerMetrics) bool { return !wm.Down })
+}
+
+// faultedRouter boots n workers, each over its own backend from mk, behind a
+// router whose client runs every /v1/batch through the fault spec. Health
+// probes and hedging are off, so the injector's Events count exactly the
+// batch POSTs the router made.
+func faultedRouter(t *testing.T, n int, mk func() backend.Backend, spec string) (*cluster.Router, *faults.Injector, []*httptest.Server) {
+	t.Helper()
+	inj, err := faults.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.Config{HTTPClient: &http.Client{Transport: faults.NewRoundTripper(nil, inj)}}
+	rt, srvs := newCluster(t, n, mk, cfg.With(cluster.Timings{HealthInterval: -1, HedgeAfter: -1}))
+	return rt, inj, srvs
+}
+
+// TestRouterDeadFleetCostsOneAttemptPerWorker: with every worker answering
+// 503, the breakers are the retry budget — once every circuit is open a
+// batch costs one attempt per worker and fails without pausing, so K
+// batches cost at most (K+1)·N POSTs.
+func TestRouterDeadFleetCostsOneAttemptPerWorker(t *testing.T) {
+	const workers, batches = 3, 20
+	rt, inj, _ := faultedRouter(t, workers, func() backend.Backend { return backend.NewSim() }, "seed=1;5xx")
+	for i := 0; i < batches; i++ {
+		if _, err := rt.RunBatch(context.Background(), clusterSpec(fmt.Sprintf("dead-%d", i), []int{2}, 16, 4)); err == nil {
+			t.Fatalf("batch %d succeeded on a fleet that only answers 503", i)
+		}
+	}
+	if posts, bound := inj.Stats().Events, int64((batches+1)*workers); posts > bound {
+		t.Errorf("%d batches cost %d POSTs, want at most %d", batches, posts, bound)
+	}
+}
+
+// TestRouterFailsOverBeforePausing: an owner that answers 503 once costs the
+// batch no pause — the ring successor serves it at once, the owner is
+// charged one retry, and the batch counts as a ring move.
+func TestRouterFailsOverBeforePausing(t *testing.T) {
+	rt, _, _ := faultedRouter(t, 2, func() backend.Backend { return backend.NewSim() }, "seed=1;5xx:count=1")
+	start := time.Now()
+	if _, err := rt.RunBatch(context.Background(), clusterSpec("blip", []int{2}, 16, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el >= 12500*time.Microsecond {
+		t.Errorf("batch took %v, want under the 12.5 ms pause floor (no pause before failover)", el)
+	}
+	m := rt.Metrics()
+	var owner, successor cluster.WorkerMetrics
+	for _, wm := range m.Workers {
+		if wm.Retries > 0 {
+			owner = wm
+		} else {
+			successor = wm
+		}
+	}
+	if owner.Retries != 1 || owner.Batches != 0 || successor.Batches != 1 {
+		t.Errorf("owner %+v, successor %+v: want the owner charged 1 retry and the successor serving", owner, successor)
+	}
+	if m.RingMoves != 1 {
+		t.Errorf("ring moves = %d, want 1", m.RingMoves)
+	}
+}
+
+// TestRouterRetryConservation: on a one-worker fleet whose first POST gets a
+// 500, the batch costs exactly two POSTs, and accounting is conserved — the
+// worker serves each request once and the result counts it once.
+func TestRouterRetryConservation(t *testing.T) {
+	gate := &gateBackend{inner: backend.NewSim(), started: make(chan struct{})}
+	rt, inj, srvs := faultedRouter(t, 1, func() backend.Backend { return gate }, "seed=1;5xx:count=1:status=500")
+	spec := clusterSpec("conserve", []int{3, 2}, 40, 8)
+	res, err := rt.RunBatch(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("RunBatch after a transient 500: %v", err)
+	}
+	if res.ModelCalls != len(spec.Requests) {
+		t.Errorf("model calls = %d, want %d", res.ModelCalls, len(spec.Requests))
+	}
+	if res.Metrics.PromptTokens != int64(5*40) {
+		t.Errorf("prompt tokens = %d, want %d (one serve, conserved)", res.Metrics.PromptTokens, 5*40)
+	}
+	if got := inj.Stats().Events; got != 2 {
+		t.Errorf("router made %d POSTs, want 2 (one failure + one retry)", got)
+	}
+	gate.mu.Lock()
+	served := gate.rows
+	gate.mu.Unlock()
+	if served != len(spec.Requests) {
+		t.Errorf("worker served %d requests, want exactly %d (each once)", served, len(spec.Requests))
+	}
+	if wm := rt.Metrics().Workers[srvs[0].URL]; wm.Batches != 1 || wm.Retries != 1 || wm.Errors != 1 {
+		t.Errorf("worker metrics = %+v, want {Batches:1 Retries:1 Errors:1}", wm)
+	}
+}
+
+// TestRouterDeadlineShorterThanPause: when the remaining deadline is shorter
+// than the pause before the next pass, the pause is cut short by the
+// context — the walk never retries past the deadline.
+func TestRouterDeadlineShorterThanPause(t *testing.T) {
+	rt, inj, _ := faultedRouter(t, 1, func() backend.Backend { return backend.NewSim() }, "seed=1;5xx")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := rt.RunBatch(ctx, clusterSpec("deadlined", []int{1}, 16, 4))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if el := time.Since(start); el >= 12500*time.Microsecond {
+		t.Errorf("deadline-bounded batch took %v: the pause outlived the 5 ms deadline", el)
+	}
+	if got := inj.Stats().Events; got > 1 {
+		t.Errorf("router made %d POSTs, want at most 1 (no retry fits inside the deadline)", got)
+	}
+}
+
+// TestClusterRingMoveCountsInlineFailover: a batch whose owner was killed is
+// served by the ring successor within the same walk, and that counts as a
+// ring move although the owner still led the candidate list.
+func TestClusterRingMoveCountsInlineFailover(t *testing.T) {
+	rt, srvs := newCluster(t, 2, func() backend.Backend { return backend.NewSim() },
+		cluster.Config{}.With(cluster.Timings{HealthInterval: -1, HedgeAfter: -1}))
+	spec := clusterSpec("moved", []int{2}, 16, 4)
+	if _, err := rt.RunBatch(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range srvs {
+		if rt.Metrics().Workers[s.URL].Batches > 0 {
+			s.Close() // the owner
+		}
+	}
+	if _, err := rt.RunBatch(context.Background(), spec); err != nil {
+		t.Fatalf("batch with its owner killed: %v", err)
+	}
+	if m := rt.Metrics(); m.RingMoves != 1 {
+		t.Errorf("ring moves = %d, want 1 (served off its killed owner)", m.RingMoves)
+	}
 }

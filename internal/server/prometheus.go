@@ -102,14 +102,10 @@ func renderPrometheus(m Metrics) string {
 		}
 		workerRows("llmq_cluster_worker_batches_total", "counter", "Remote batches served per worker.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.Batches) })
-		workerRows("llmq_cluster_worker_retries_total", "counter", "Remote batch retries per worker.",
+		workerRows("llmq_cluster_worker_retries_total", "counter", "Failed batch sends per worker that the router sent again.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.Retries) })
 		workerRows("llmq_cluster_worker_errors_total", "counter", "Remote batches failed per worker.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.Errors) })
-		workerRows("llmq_cluster_worker_markdowns_total", "counter", "Health mark-down transitions per worker.",
-			func(wm cluster.WorkerMetrics) float64 { return float64(wm.Markdowns) })
-		workerRows("llmq_cluster_worker_budget_denied_total", "counter", "Batches failed fast per worker because the shared retry budget was empty.",
-			func(wm cluster.WorkerMetrics) float64 { return float64(wm.BudgetDenied) })
 		workerRows("llmq_cluster_worker_inflight", "gauge", "Batches currently dispatched per worker.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.InFlight) })
 		workerRows("llmq_cluster_worker_down", "gauge", "1 while the worker is marked down.",
@@ -118,7 +114,7 @@ func renderPrometheus(m Metrics) string {
 			func(wm cluster.WorkerMetrics) float64 { return breakerGauge(wm.Breaker) })
 		workerRows("llmq_cluster_breaker_opens_total", "counter", "Circuit-open transitions per worker.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.Markdowns) })
-		w.family("llmq_cluster_ring_moves_total", "counter", "Batches served off their ring owner (failover).")
+		w.family("llmq_cluster_ring_moves_total", "counter", "Batches served off their ring owner (failover or hedge win).")
 		w.row("llmq_cluster_ring_moves_total", "", float64(c.RingMoves))
 		w.family("llmq_cluster_hedge_launched_total", "counter", "Hedged batch dispatches launched.")
 		w.row("llmq_cluster_hedge_launched_total", "", float64(c.HedgesLaunched))

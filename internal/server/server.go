@@ -487,8 +487,8 @@ func handleHealth(cfg Config, w http.ResponseWriter, r *http.Request) {
 
 // Metrics is the GET /v1/metrics body: the runtime's whole accounting plus,
 // when a router is attached to the server, the fleet's — per-worker
-// batches/retries/errors/markdowns, ring moves, hot-stage replications,
-// hedges. Embedding keeps the JSON object flat.
+// batches/retries/errors/markdowns, ring moves, hedges. Embedding keeps the
+// JSON object flat.
 type Metrics struct {
 	runtime.Metrics
 	Cluster *cluster.Metrics `json:"cluster,omitempty"`

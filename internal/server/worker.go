@@ -149,8 +149,9 @@ func handleBatch(cfg Config, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wk.Draining() {
-		// Retry-After steers a well-behaved client (backend.Remote honors it
-		// over its own backoff) past the drain window instead of hammering.
+		// Retry-After steers a well-behaved client past the drain window
+		// instead of hammering. backend.Remote does not read it: the
+		// router fails over to the next ring node at once.
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
 			fmt.Errorf("worker is draining"))

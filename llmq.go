@@ -318,11 +318,10 @@ type (
 	// failover; each worker shards what it receives across its own engine
 	// replicas). Both implement Backend; see internal/cluster. ClusterConfig
 	// names the fleet and the HTTP client, nothing else: the health sweep,
-	// the probe timeout, the breaker, the adaptive hedge delay, the retries
-	// and the retry budget are constants there (healthInterval,
-	// healthTimeout, markdownAfter, breakerWindow …, defaultHedgeDelay,
-	// retryBudgetRatio / retryBudgetBurst), and the router never cuts a
-	// batch.
+	// the probe timeout, the breaker, the adaptive hedge delay and the retry
+	// walk are constants there (healthInterval, healthTimeout,
+	// markdownAfter, breakerWindow …, defaultHedgeDelay, retryPasses /
+	// retryPause), and the router never cuts a batch.
 	RemoteBackend       = backend.Remote
 	RemoteBackendConfig = backend.RemoteConfig
 	ClusterRouter       = cluster.Router
@@ -357,8 +356,9 @@ func NewShardedBackend(inner Backend, shards int) (*ShardedBackend, error) {
 func NewRecordingBackend(inner Backend) *RecordingBackend { return backend.NewRecording(inner) }
 
 // NewRemoteBackend returns a backend serving every batch on the cluster
-// worker at cfg.Addr over POST /v1/batch, with context deadline propagation
-// and bounded retries on transient failures. Start the worker with
+// worker at cfg.Addr over POST /v1/batch, with context deadline
+// propagation. It makes one POST per batch and never retries; put it behind
+// a ClusterRouter for retries and failover. Start the worker with
 // `llmqserve -worker`.
 func NewRemoteBackend(cfg RemoteBackendConfig) (*RemoteBackend, error) { return backend.NewRemote(cfg) }
 
