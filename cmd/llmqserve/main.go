@@ -38,12 +38,11 @@
 // Admission is multi-tenant: each statement names a client (default "anon")
 // and a service class. Interactive statements get a high deficit-round-robin
 // weight and the short -batch-window; batch-class statements get a low
-// weight and the longer -batch-class-window, and an interactive statement
-// joining a batch-held coalescing window closes it early. -fifo reverts to
-// the old anonymous first-come-first-served queue for A/B runs. -quota-calls
-// and -quota-tokens arm per-client post-paid token buckets (burst caps via
-// -quota-call-burst / -quota-token-burst): a client that overdraws gets 429
-// with a Retry-After header until its buckets refill.
+// weight and a window 10 times as long, and an interactive statement joining
+// a batch-held coalescing window closes it early. -quota-calls and
+// -quota-tokens arm per-client post-paid token buckets, each holding one
+// second of refill: a client that overdraws gets 429 with a Retry-After
+// header until its buckets refill.
 //
 // -backend selects the serving target behind the whole stack (the
 // llmq.Backend seam): "sim" builds one confined engine per batch (the
@@ -124,13 +123,9 @@ func main() {
 		scale       = flag.Float64("scale", 0.05, "dataset scale when -dataset is used")
 		seed        = flag.Int64("seed", 1, "dataset seed")
 		workers     = flag.Int("workers", 4, "concurrent statement executors")
-		window      = flag.Duration("batch-window", 2*time.Millisecond, "cross-query batch coalescing window for interactive statements")
-		classWindow = flag.Duration("batch-class-window", 0, "coalescing window for batch-class statements (default 10x -batch-window)")
-		fifo        = flag.Bool("fifo", false, "revert admission to anonymous FIFO (disables weighted-fair scheduling; for A/B runs)")
+		window      = flag.Duration("batch-window", 2*time.Millisecond, "cross-query batch coalescing window for interactive statements (batch-class statements wait 10x)")
 		quotaCalls  = flag.Float64("quota-calls", 0, "per-client model-call quota in calls/sec (0 = unlimited)")
-		quotaCallB  = flag.Float64("quota-call-burst", 0, "call-quota burst capacity (default max(1, -quota-calls))")
 		quotaToks   = flag.Float64("quota-tokens", 0, "per-client prompt-token quota in tokens/sec (0 = unlimited)")
-		quotaTokB   = flag.Float64("quota-token-burst", 0, "token-quota burst capacity (default max(1, -quota-tokens))")
 		cache       = flag.Int("cache", 65536, "result cache capacity in entries (negative disables)")
 		backendName = flag.String("backend", "sim", "serving backend: sim (one engine per batch), persistent (long-lived engine replicas per stage, prefix cache survives between batches), or sharded-sim/sharded-persistent (data-parallel fan-out)")
 		shards      = flag.Int("shards", 1, "data-parallel shards per batch: >1 wraps -backend in a sharded fan-out (sharded-* backends default to 4); with -worker, 1 leaves /v1/batch at the worker's own default of 4")
@@ -183,31 +178,19 @@ func main() {
 			fatal(err)
 		}
 		rt = runtime.New(db, runtime.Config{
-			Workers:          *workers,
-			BatchWindow:      *window,
-			BatchClassWindow: *classWindow,
-			FIFOAdmission:    *fifo,
-			CacheCapacity:    *cache,
-			Backend:          be,
-			DefaultQuota: runtime.Quota{
-				CallsPerSec:  *quotaCalls,
-				CallBurst:    *quotaCallB,
-				TokensPerSec: *quotaToks,
-				TokenBurst:   *quotaTokB,
-			},
+			Workers:            *workers,
+			BatchWindow:        *window,
+			CacheCapacity:      *cache,
+			Backend:            be,
+			DefaultQuota:       runtime.Quota{CallsPerSec: *quotaCalls, TokensPerSec: *quotaToks},
 			SlowQueryThreshold: *slowQuery,
 			SlowLogger:         logger,
 		})
-		admission := "weighted-fair"
-		if *fifo {
-			admission = "FIFO"
-		}
 		logger.Info("llmqserve: /v1/sql serving",
 			"tables", strings.Join(db.Tables(), ","),
 			"workers", *workers,
 			"batchWindow", window.String(),
 			"backend", *backendName,
-			"admission", admission,
 			"slowQuery", slowQuery.String())
 	} else {
 		logger.Info("llmqserve: no tables registered; /v1/sql disabled (use -csv/-dataset)")

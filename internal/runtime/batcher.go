@@ -21,8 +21,8 @@ import (
 // queries, not just within one.
 //
 // The window is SLO-aware: each member buys the window its service class
-// configures (interactive short, batch-class long — Config.BatchWindow and
-// BatchClassWindow), clamped by its statement deadline, and a group closes
+// gets (interactive Config.BatchWindow, batch-class batchClassWindows times
+// that), clamped by its statement deadline, and a group closes
 // at the NEAREST horizon any member has asked for. So batch-class openers
 // hold a window open to coalesce aggressively, but the moment an interactive
 // statement (or one with a tight deadline) joins, the close is pulled

@@ -76,6 +76,44 @@ func TestLoneStatementClosesIdle(t *testing.T) {
 	}
 }
 
+// TestBatchClassWaitsTenWindows pins the batch-class window at
+// batchClassWindows times BatchWindow. A held statement keeps the window
+// from closing as idle, so a lone statement's group closes on its timer:
+// after 200 ms for a batch-class statement under a 20-ms window, after
+// about 20 ms for an interactive one.
+func TestBatchClassWaitsTenWindows(t *testing.T) {
+	for _, tc := range []struct {
+		class    Class
+		min, max time.Duration
+	}{
+		{ClassBatch, 200 * time.Millisecond, 2 * time.Second},
+		{ClassInteractive, 20 * time.Millisecond, 200 * time.Millisecond},
+	} {
+		t.Run(string(tc.class), func(t *testing.T) {
+			gb := newGatedBackend()
+			rt := New(newDB(12), Config{Workers: 2, BatchWindow: 20 * time.Millisecond, Backend: gb})
+			defer rt.Close()
+			held, release := holdWorker(t, rt, gb, heldStatement)
+			defer release()
+
+			start := time.Now()
+			if _, err := rt.Exec(dashboardStatements[0], Options{Class: tc.class}); err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed < tc.min || elapsed >= tc.max {
+				t.Errorf("%s statement took %v, want [%v, %v)", tc.class, elapsed, tc.min, tc.max)
+			}
+			if m := rt.Metrics(); m.BatchClosesTimer != 1 || closes(m.Totals) != 1 {
+				t.Errorf("timer closes %d, all closes %d: want 1, 1 (%+v)", m.BatchClosesTimer, closes(m.Totals), m.Totals)
+			}
+			release()
+			if _, err := held.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestWindowWaitsForRunningStatement: a group stays open while an admitted
 // statement is still running, and coalesces with it once it arrives. B's
 // first stage is held in the backend while A parks on the stage B reaches
@@ -136,7 +174,7 @@ func TestWindowWaitsForRunningStatement(t *testing.T) {
 func TestCloseReasonsSumToBatches(t *testing.T) {
 	db := newDB(36)
 	want, _, _ := seqBaseline(t, db, dashboardStatements)
-	rt := New(db, Config{Workers: 3, BatchWindow: 5 * time.Millisecond, BatchClassWindow: 50 * time.Millisecond})
+	rt := New(db, Config{Workers: 3, BatchWindow: 5 * time.Millisecond})
 	defer rt.Close()
 	for round := 0; round < 3; round++ {
 		handles := make([]*Handle, len(dashboardStatements))

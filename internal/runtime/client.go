@@ -64,39 +64,22 @@ func (c Class) orDefault() Class {
 	return c
 }
 
-// Quota bounds one client's resource draw as leaky token buckets, one for
-// model calls and one for prompt tokens. Usage is post-paid: a statement is
-// admitted while both buckets are non-negative and its actual calls/tokens
-// are debited when it finishes, so a client that overdraws is locked out
-// until the buckets refill rather than mid-statement. A zero rate leaves
-// that dimension unlimited; the zero Quota disables limiting entirely.
+// Quota bounds one client's resource draw as leaky token buckets of burst
+// size, one for model calls and one for prompt tokens. Usage is post-paid: a
+// statement is admitted while both buckets are non-negative and its actual
+// calls/tokens are debited when it finishes, so a client that overdraws is
+// locked out until the buckets refill rather than mid-statement. A zero rate
+// leaves that dimension unlimited; the zero Quota disables limiting entirely.
 type Quota struct {
-	// CallsPerSec refills the call bucket; CallBurst caps it (default
-	// max(1, CallsPerSec)).
-	CallsPerSec float64
-	CallBurst   float64
-	// TokensPerSec refills the prompt-token bucket; TokenBurst caps it
-	// (default max(1, TokensPerSec)).
-	TokensPerSec float64
-	TokenBurst   float64
+	CallsPerSec  float64 // refills the call bucket
+	TokensPerSec float64 // refills the prompt-token bucket
 }
 
 // Enabled reports whether the quota limits anything.
 func (q Quota) Enabled() bool { return q.CallsPerSec > 0 || q.TokensPerSec > 0 }
 
-func (q Quota) callBurst() float64 {
-	if q.CallBurst > 0 {
-		return q.CallBurst
-	}
-	return math.Max(1, q.CallsPerSec)
-}
-
-func (q Quota) tokenBurst() float64 {
-	if q.TokenBurst > 0 {
-		return q.TokenBurst
-	}
-	return math.Max(1, q.TokensPerSec)
-}
+// burst is a bucket's capacity: one second of refill, and at least one unit.
+func burst(rate float64) float64 { return math.Max(1, rate) }
 
 // QuotaError reports an admission rejected because the client's quota
 // buckets are overdrawn. RetryAfter is how long until both buckets refill
@@ -120,7 +103,7 @@ type quotaBucket struct {
 }
 
 func newQuotaBucket(q Quota, now time.Time) *quotaBucket {
-	return &quotaBucket{quota: q, calls: q.callBurst(), tokens: q.tokenBurst(), last: now}
+	return &quotaBucket{quota: q, calls: burst(q.CallsPerSec), tokens: burst(q.TokensPerSec), last: now}
 }
 
 // refillLocked advances the buckets to now.
@@ -132,8 +115,8 @@ func (b *quotaBucket) refillLocked(now time.Time) {
 		return
 	}
 	b.last = now
-	b.calls = math.Min(b.quota.callBurst(), b.calls+dt*b.quota.CallsPerSec)
-	b.tokens = math.Min(b.quota.tokenBurst(), b.tokens+dt*b.quota.TokensPerSec)
+	b.calls = math.Min(burst(b.quota.CallsPerSec), b.calls+dt*b.quota.CallsPerSec)
+	b.tokens = math.Min(burst(b.quota.TokensPerSec), b.tokens+dt*b.quota.TokensPerSec)
 }
 
 // admit decides whether a new statement may start now. On rejection it

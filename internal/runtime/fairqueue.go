@@ -14,8 +14,8 @@ import (
 // backlogged flow is served at least once every ring pass once its deficit
 // accumulates — bounded-turn admission for every client no matter how deep
 // any other client's backlog is (the starvation-freedom property test pins
-// this). FIFO mode (Config.FIFOAdmission) restores the old behavior as the
-// A/B baseline the QoS acceptance test compares against.
+// this). One flow is served first come, first served: the baseline the QoS
+// acceptance test compares DRR against.
 //
 // Blocking semantics match the channel it replaced: push blocks while the
 // queue is at capacity (backpressure, honoring ctx), pop blocks while it is
@@ -26,10 +26,8 @@ type fairQueue struct {
 
 	mu     sync.Mutex
 	limit  int
-	fifo   bool
-	closed bool   // guarded by mu
-	size   int    // guarded by mu
-	jobs   []*job // guarded by mu; FIFO mode only
+	closed bool // guarded by mu
+	size   int  // guarded by mu
 
 	flows  map[flowKey]*flow // guarded by mu; active (non-empty) flows
 	ring   []*flow           // guarded by mu; round-robin order over flows
@@ -62,12 +60,11 @@ type pushWaiter struct {
 	gone bool
 }
 
-func newFairQueue(limit, interactiveQuantum, batchQuantum int, fifo bool) *fairQueue {
+func newFairQueue(limit, interactiveQuantum, batchQuantum int) *fairQueue {
 	return &fairQueue{
 		interactiveQuantum: interactiveQuantum,
 		batchQuantum:       batchQuantum,
 		limit:              limit,
-		fifo:               fifo,
 		flows:              make(map[flowKey]*flow),
 	}
 }
@@ -155,10 +152,6 @@ func (q *fairQueue) close() {
 
 //llmqlint:holds mu
 func (q *fairQueue) enqueueLocked(j *job) {
-	if q.fifo {
-		q.jobs = append(q.jobs, j)
-		return
-	}
 	j.roundsAtPush = q.rounds
 	k := flowKey{client: j.client, class: j.class}
 	f := q.flows[k]
@@ -181,15 +174,6 @@ func (q *fairQueue) enqueueLocked(j *job) {
 //
 //llmqlint:holds mu
 func (q *fairQueue) nextLocked() *job {
-	if q.fifo {
-		j := q.jobs[0]
-		q.jobs[0] = nil // release the reference eagerly; the slice is reused
-		q.jobs = q.jobs[1:]
-		if len(q.jobs) == 0 {
-			q.jobs = nil
-		}
-		return j
-	}
 	for {
 		f := q.ring[q.cur]
 		if len(f.jobs) == 0 {

@@ -35,7 +35,9 @@ func p99(latencies []time.Duration) time.Duration {
 // batch clients flood the admission queue with distinct statements, then one
 // interactive client runs its statements sequentially against that backlog.
 // It returns the interactive client's per-statement latencies and the
-// fleet's total model calls.
+// fleet's total model calls. With fifo set, every statement is submitted as
+// one (client, class) flow, which DRR serves in arrival order: the
+// first-come-first-served baseline.
 func runMixedWorkload(t *testing.T, fifo bool) (interactive []time.Duration, llmCalls int64) {
 	t.Helper()
 	const (
@@ -46,12 +48,17 @@ func runMixedWorkload(t *testing.T, fifo bool) (interactive []time.Duration, llm
 	)
 	db := newDB(40)
 	rt := New(db, Config{
-		Workers:       1, // admission order is the whole story
-		queueDepth:    512,
-		BatchWindow:   -1, // no coalescing: per-statement time stays tight
-		FIFOAdmission: fifo,
+		Workers:     1, // admission order is the whole story
+		queueDepth:  512,
+		BatchWindow: -1, // no coalescing: per-statement time stays tight
 	})
 	defer rt.Close()
+	opts := func(client ClientID, class Class) Options {
+		if fifo {
+			return Options{Client: "fifo", Class: ClassBatch}
+		}
+		return Options{Client: client, Class: class}
+	}
 
 	// Pay first-run costs (tokenizer, prompt cache, solver) before the
 	// measured phase, identically in both modes: under FIFO the backlog
@@ -59,7 +66,7 @@ func runMixedWorkload(t *testing.T, fifo bool) (interactive []time.Duration, llm
 	// while under fair admission the interactive client would pay it inside
 	// its own measured latency — a confounder, not an admission effect.
 	for i := 0; i < warmStmts; i++ {
-		if _, err := rt.Exec(qosStatement("warm", i), Options{Client: "warm", Class: ClassBatch}); err != nil {
+		if _, err := rt.Exec(qosStatement("warm", i), opts("warm", ClassBatch)); err != nil {
 			t.Fatalf("warmup statement %d: %v", i, err)
 		}
 	}
@@ -69,14 +76,14 @@ func runMixedWorkload(t *testing.T, fifo bool) (interactive []time.Duration, llm
 		for i := 0; i < batchStmts; i++ {
 			batchHandles = append(batchHandles, rt.Submit(
 				qosStatement(fmt.Sprintf("bulk%d", c), i),
-				Options{Client: ClientID(fmt.Sprintf("bulk%d", c)), Class: ClassBatch},
+				opts(ClientID(fmt.Sprintf("bulk%d", c)), ClassBatch),
 			))
 		}
 	}
 
 	for i := 0; i < interStmts; i++ {
 		start := time.Now()
-		if _, err := rt.Exec(qosStatement("dash", i), Options{Client: "dash", Class: ClassInteractive}); err != nil {
+		if _, err := rt.Exec(qosStatement("dash", i), opts("dash", ClassInteractive)); err != nil {
 			t.Fatalf("interactive statement %d: %v", i, err)
 		}
 		interactive = append(interactive, time.Since(start))
@@ -157,7 +164,7 @@ func TestQoSStarvationFreedom(t *testing.T) {
 		}
 		rng.Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
 
-		q := newFairQueue(len(jobs), interactiveQuantum, batchQuantum, false)
+		q := newFairQueue(len(jobs), interactiveQuantum, batchQuantum)
 		seq := map[flowKey][]int{} // per-flow push sequence numbers, in push order
 		for _, j := range jobs {
 			k := flowKey{client: j.client, class: j.class}
@@ -201,18 +208,18 @@ func TestQoSStarvationFreedom(t *testing.T) {
 // overdrawing), lock out until refilled, and report the exact retry horizon.
 func TestQuotaBucket(t *testing.T) {
 	t0 := time.Unix(1000, 0)
-	b := newQuotaBucket(Quota{CallsPerSec: 1, CallBurst: 2}, t0)
+	b := newQuotaBucket(Quota{CallsPerSec: 2}, t0) // holds max(1, 2) = 2 calls
 
 	if _, ok := b.admit(t0); !ok {
 		t.Fatal("fresh bucket rejected")
 	}
-	b.debit(t0, 5, 0) // post-paid: usage may overdraw to -3
+	b.debit(t0, 8, 0) // post-paid: usage may overdraw to -6
 	retry, ok := b.admit(t0)
 	if ok {
 		t.Fatal("overdrawn bucket admitted")
 	}
 	if want := 3 * time.Second; retry != want {
-		t.Errorf("retry = %v, want %v (-3 calls at 1/s)", retry, want)
+		t.Errorf("retry = %v, want %v (-6 calls at 2/s)", retry, want)
 	}
 	if _, ok := b.admit(t0.Add(2 * time.Second)); ok {
 		t.Error("admitted while still overdrawn")
@@ -222,7 +229,7 @@ func TestQuotaBucket(t *testing.T) {
 	}
 
 	// Token dimension limits independently, and the longer deficit wins.
-	b2 := newQuotaBucket(Quota{CallsPerSec: 1, TokensPerSec: 10, TokenBurst: 10}, t0)
+	b2 := newQuotaBucket(Quota{CallsPerSec: 1, TokensPerSec: 10}, t0)
 	b2.debit(t0, 2, 50) // calls -1 (retry 1s), tokens -40 (retry 4s)
 	retry, ok = b2.admit(t0)
 	if ok || retry != 4*time.Second {
@@ -239,15 +246,13 @@ func TestQuotaBucket(t *testing.T) {
 
 // TestQuotaRejectsOverdrawnClient covers the runtime-level 429 path: a
 // client that overdraws its quota gets a *QuotaError with a retry horizon on
-// its NEXT admission, other clients are untouched, and both fleet and
-// per-client rejection counters advance.
+// its NEXT admission, other clients' buckets are untouched, and both fleet
+// and per-client rejection counters advance.
 func TestQuotaRejectsOverdrawnClient(t *testing.T) {
 	db := newDB(12)
 	rt := New(db, Config{
-		Workers: 2,
-		ClientQuotas: map[ClientID]Quota{
-			"miser": {CallsPerSec: 0.001, CallBurst: 1},
-		},
+		Workers:      2,
+		DefaultQuota: Quota{CallsPerSec: 0.001}, // a one-call bucket
 	})
 	defer rt.Close()
 
@@ -286,10 +291,9 @@ func TestQoSInteractiveClosesWindowEarly(t *testing.T) {
 	// window stays open until the interactive joiner pulls it in.
 	gb := newGatedBackend()
 	rt := New(db, Config{
-		Workers:          3,
-		BatchWindow:      5 * time.Millisecond,
-		BatchClassWindow: 2 * time.Second,
-		Backend:          gb,
+		Workers:     3,
+		BatchWindow: 200 * time.Millisecond, // batch-class: 2 s
+		Backend:     gb,
 	})
 	defer rt.Close()
 	held, release := holdWorker(t, rt, gb, heldStatement)

@@ -12,11 +12,11 @@
 //	      │                                 overdrawn clients get a QuotaError —
 //	      │                                 429 + Retry-After on the wire)
 //	      ▼
-//	fair admission queue ──► worker pool   (deficit-round-robin over
+//	fair admission queue ──► worker pool   (deficit-round-robin, 4:1, over
 //	      │                                 per-(client, class) flows: a heavy
 //	      │                                 analytics tenant cannot starve an
 //	      │                                 interactive one; workers bound
-//	      │                                 concurrency as before)
+//	      │                                 concurrency)
 //	      ▼
 //	plan cache                             (sql text → Prepared: parse, bind,
 //	      │                                 validate, and plan exactly once)
@@ -30,7 +30,7 @@
 //	      └─ micro-batcher   pending misses that share a stage fingerprint
 //	            │            coalesce for an SLO-aware batch window —
 //	            │            interactive statements close it early, batch-class
-//	            │            statements hold it open longer to coalesce more,
+//	            │            statements hold it open 10× longer to coalesce more,
 //	            │            and a statement deadline closes it in time — then
 //	            │            run as ONE GGR-reordered stage over the union of
 //	            │            rows (identical repeated windows skip the solve
@@ -87,9 +87,10 @@ import (
 
 // Config sizes the runtime. The zero value serves with 4 workers, a 2ms
 // batch window, and a 64k-entry result cache. What no deployment varies is
-// fixed: the admission queue depth (queueDepth), the plan cache and trace
-// ring sizes (planCacheCapacity, traceRingSize), and the reorder and prompt
-// memos (query's defaults).
+// fixed: the batch-class window (batchClassWindows × BatchWindow), the
+// admission queue depth (queueDepth), the plan cache and trace ring sizes
+// (planCacheCapacity, traceRingSize), and the reorder and prompt memos
+// (query's defaults). Admission is always DRR, under one quota shape.
 type Config struct {
 	// Workers bounds concurrently executing statements.
 	Workers int
@@ -99,27 +100,16 @@ type Config struct {
 	// join it (every admitted, unfinished statement is parked in a window).
 	// Longer windows coalesce more at the cost of added latency; negative disables
 	// coalescing (every stage flushes immediately, dedup and caching still
-	// apply). This is the window interactive-class statements pay; an
-	// interactive statement joining a window scheduled further out (by a
-	// batch-class opener) pulls its close forward to this horizon.
+	// apply). This is the window interactive-class statements pay;
+	// batch-class statements wait batchClassWindows times as long, an
+	// interactive joiner pulls a batch-class opener's close forward to this
+	// horizon, and a nearer statement deadline closes the batch in time.
 	BatchWindow time.Duration
-	// BatchClassWindow is the coalescing window for batch-class statements,
-	// which prefer throughput over latency: they hold a batch open longer so
-	// more concurrent calls ride one engine run. Zero defaults to 10×
-	// BatchWindow; negative makes batch-class flush immediately too. A
-	// statement deadline (context deadline) closer than the window always
-	// closes the batch in time.
-	BatchClassWindow time.Duration
-	// FIFOAdmission reverts the admission scheduler to PR 3's anonymous
-	// single FIFO — the A/B baseline for the QoS acceptance test, in the
-	// Naive tradition.
-	FIFOAdmission bool
 	// DefaultQuota, when enabled, bounds every client's model-call and
-	// prompt-token draw (post-paid token buckets; see Quota). ClientQuotas
-	// overrides it per client. Statements over quota fail admission with a
-	// *QuotaError carrying the retry horizon.
+	// prompt-token draw (post-paid token buckets, one per client; see
+	// Quota). Statements over quota fail admission with a *QuotaError
+	// carrying the retry horizon.
 	DefaultQuota Quota
-	ClientQuotas map[ClientID]Quota
 	// CacheCapacity bounds the result cache in entries, evicted LRU
 	// (default 65536; negative disables result caching — inflight dedup
 	// still collapses concurrent identical calls).
@@ -188,19 +178,22 @@ func (c Config) batchWindow() time.Duration {
 	return 2 * time.Millisecond
 }
 
+// batchClassWindows is how many interactive windows a batch-class
+// statement's window lasts. An open-loop ablation on perf's dashboard mix
+// (8 tenants, half batch-class, 4 workers, 2 ms window; ROADMAP item 16)
+// measured it: with one window for both classes, batches were smaller and
+// virtual engine time per statement rose by 59–76 % at 80–95 % of the
+// saturation knee, while wall-clock p99 fell. The long window trades wall
+// latency for engine time, the cost the paper minimizes.
+const batchClassWindows = 10
+
 // windowFor resolves the coalescing window a statement's class buys.
 func (c Config) windowFor(class Class) time.Duration {
 	w := c.batchWindow()
-	if class != ClassBatch {
+	if class != ClassBatch || w <= 0 {
 		return w
 	}
-	if c.BatchClassWindow != 0 {
-		return c.BatchClassWindow
-	}
-	if w <= 0 {
-		return w
-	}
-	return 10 * w
+	return batchClassWindows * w
 }
 
 // rollupLimit bounds distinct StageKeys the per-stage rollup store tracks —
@@ -297,8 +290,7 @@ type job struct {
 	planState string
 	prepDur   time.Duration
 	// roundsAtPush / drrRounds are the DRR scheduler's ring-pass counter at
-	// enqueue and the passes this statement waited through (set at pop; zero
-	// under FIFO admission).
+	// enqueue and the passes this statement waited through (set at pop).
 	roundsAtPush int64
 	drrRounds    int64
 }
@@ -362,7 +354,7 @@ func New(db *sqlfront.DB, cfg Config) *Runtime {
 	rt := &Runtime{
 		db:      db,
 		cfg:     cfg,
-		queue:   newFairQueue(orDefault(cfg.queueDepth, queueDepth), interactiveWeight, batchWeight, cfg.FIFOAdmission),
+		queue:   newFairQueue(orDefault(cfg.queueDepth, queueDepth), interactiveWeight, batchWeight),
 		cache:   newResultCache(orDefault(cfg.CacheCapacity, 65536)),
 		plans:   lru.New[string, *sqlfront.Prepared](orDefault(cfg.planCacheCapacity, planCacheCapacity)),
 		quotas:  make(map[ClientID]*quotaBucket),
@@ -473,10 +465,7 @@ func (rt *Runtime) clientLocked(id ClientID) *clientCounters {
 // are created lazily so an open-ended client population cannot preallocate
 // memory; the map is bounded by clients actually seen.
 func (rt *Runtime) quotaFor(client ClientID) *quotaBucket {
-	q, ok := rt.cfg.ClientQuotas[client]
-	if !ok {
-		q = rt.cfg.DefaultQuota
-	}
+	q := rt.cfg.DefaultQuota
 	if !q.Enabled() {
 		return nil
 	}
@@ -783,10 +772,7 @@ func (rt *Runtime) traceRoot(j *job, wait time.Duration) *obs.Span {
 	root.Set("client", string(j.client))
 	root.Set("class", string(j.class))
 	root.ChildAt("prepare", start, j.prepDur).Set("planCache", j.planState)
-	adm := root.ChildAt("admission", j.enqueuedAt, wait)
-	if !rt.cfg.FIFOAdmission {
-		adm.Set("drrRounds", j.drrRounds)
-	}
+	root.ChildAt("admission", j.enqueuedAt, wait).Set("drrRounds", j.drrRounds)
 	return root
 }
 

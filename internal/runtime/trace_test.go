@@ -107,6 +107,9 @@ func TestTraceConservation(t *testing.T) {
 	if p := tr.Spans.Find("prepare"); p.Attrs["planCache"] == nil {
 		t.Error("prepare span lacks the planCache attribute")
 	}
+	if a := tr.Spans.Find("admission"); a.Attrs["drrRounds"] == nil {
+		t.Error("admission span lacks the drrRounds attribute")
+	}
 
 	// The trace ring retains explicitly traced statements too.
 	if got := len(rt.Traces()); got != len(stmts) {

@@ -343,10 +343,8 @@ func TestSQLEndpointQuota(t *testing.T) {
 	db := sqlfront.NewDB()
 	db.Register("tickets", tbl)
 	rt := runtime.New(db, runtime.Config{
-		Workers: 2,
-		ClientQuotas: map[runtime.ClientID]runtime.Quota{
-			"miser": {CallsPerSec: 0.001, CallBurst: 1},
-		},
+		Workers:      2,
+		DefaultQuota: runtime.Quota{CallsPerSec: 0.001}, // a one-call bucket per client
 	})
 	t.Cleanup(rt.Close)
 	h := NewWithConfig(Config{Runtime: rt})

@@ -378,10 +378,12 @@ func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluste
 // statements from paying for the same model call twice; and Prepare/Execute
 // handles skip parse and planning on every rerun. See internal/runtime for
 // the architecture. RuntimeConfig sizes what deployments vary; the DRR
-// quantums (interactiveWeight : batchWeight = 4 : 1), the 4096-row batch
-// cap (maxBatchRows), the admission queue depth (queueDepth), the plan
-// cache and trace ring sizes (planCacheCapacity, traceRingSize) and the
-// reorder and prompt memos are constants there.
+// quantums (interactiveWeight : batchWeight = 4 : 1), the batch-class
+// window (batchClassWindows = 10 × BatchWindow), the 4096-row batch cap
+// (maxBatchRows), the admission queue depth (queueDepth), the plan cache
+// and trace ring sizes (planCacheCapacity, traceRingSize) and the reorder
+// and prompt memos are constants there. Every client's quota is
+// DefaultQuota, and each bucket holds max(1, rate).
 type (
 	Runtime        = runtime.Runtime
 	RuntimeConfig  = runtime.Config
