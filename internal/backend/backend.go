@@ -46,7 +46,9 @@ type BatchSpec struct {
 	// alphabet, serving config — see query.StageKey). Persistent backends
 	// key long-lived engine state on it: two batches with equal keys share
 	// a KV cache, so their prefixes hit across batch windows. Batches with
-	// equal StageKeys must carry equal Engine configs.
+	// equal StageKeys must carry equal Engine configs and token ids from one
+	// tokenizer: a stage tokenized on a tokenizer of its own gets a key of
+	// its own (see query.RunStageContext).
 	StageKey string
 	// Requests are the scheduled rows in serving order. Under FIFO the
 	// order IS the serving order; preserving it is the contract the offline

@@ -62,12 +62,17 @@ func backends() map[string]func() backend.Backend {
 	}
 }
 
+// testPrompts is the tokenizer every statement in these tests shares, as a
+// Runtime's statements do: without one, each stage tokenizes on its own and
+// no backend may reuse KV blocks across statements.
+var testPrompts = query.NewPromptCache(0)
+
 func execWith(t *testing.T, be backend.Backend, sql string, naive bool) *sqlfront.Result {
 	t.Helper()
 	db := sqlfront.NewDB()
 	db.Register("tickets", ticketsTable(24))
 	res, err := db.Exec(sql, sqlfront.ExecConfig{
-		Config: query.Config{Backend: be},
+		Config: query.Config{Backend: be, PromptCache: testPrompts},
 		Naive:  naive,
 	})
 	if err != nil {

@@ -45,11 +45,16 @@ func ticketsTable(rows int) *table.Table {
 	return t
 }
 
+// testPrompts is the tokenizer every statement in these tests shares, as a
+// Runtime's statements do: without one, each stage tokenizes on its own, so
+// its batch carries a stage key of its own and lands wherever that hashes.
+var testPrompts = query.NewPromptCache(0)
+
 func execWith(t *testing.T, be backend.Backend, sql string) *sqlfront.Result {
 	t.Helper()
 	db := sqlfront.NewDB()
 	db.Register("tickets", ticketsTable(24))
-	res, err := db.Exec(sql, sqlfront.ExecConfig{Config: query.Config{Backend: be}})
+	res, err := db.Exec(sql, sqlfront.ExecConfig{Config: query.Config{Backend: be, PromptCache: testPrompts}})
 	if err != nil {
 		t.Fatalf("%q: %v", sql, err)
 	}

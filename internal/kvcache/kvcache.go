@@ -23,8 +23,20 @@
 // blocks their common prefix covers and resumes hashing there. Acquire and
 // MatchLen hash from scratch and call the same entry points.
 //
-// A rejected attempt allocates nothing: the matched path is walked into a
-// scratch slice the Cache owns and copied into the Lease only on success.
+// Admission allocates nothing: AcquireHashed, admitted or rejected, and
+// Release take no heap object beyond the amortized growth of node slabs, the
+// eviction heap and the edge map. What a request holds lives elsewhere:
+//
+//   - The lease lives in its caller, which hands AcquireHashed a Lease to
+//     fill (the serving engine keeps one in each request). A Lease is its
+//     deepest pinned block plus a count, not a path: every ancestor of a
+//     pinned block is pinned by the same lease, so Release unpins by walking
+//     parent links, leaf to root.
+//   - The chain lives in the caller's slice. BlockHashesAfter appends to it,
+//     so the engine hashes a whole run into one arena sized on entry.
+//   - A block holds its first child inline; the second and later are filed
+//     in one edge map per Cache, keyed by (parent, hash). Only a leaf is
+//     evicted, so no edge is filed under a node when it is recycled.
 //
 // Node recycling. An evicted trie node goes onto the Cache's free list and
 // the next inserted block reuses it; only when the list is empty does a node
@@ -47,6 +59,7 @@ package kvcache
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/tokenizer"
 )
@@ -92,14 +105,16 @@ func (s Stats) HitRate() float64 {
 
 // Lease is a request's hold on cache memory: a pinned shared prefix path
 // plus private (unshared) blocks for the prompt tail, and reserved space for
-// generated tokens.
+// generated tokens. The zero Lease holds nothing; AcquireHashed fills one in
+// place. A Lease must not be copied while it is held.
 type Lease struct {
 	// Matched is the number of prompt tokens found in cache at Acquire time.
 	Matched int
 	// Prompt is the prompt length in tokens.
 	Prompt int
 
-	path       []*node
+	tail       *node // the deepest pinned block; nil when shared is 0
+	shared     int   // blocks pinned: tail and its ancestors below the root
 	privBlocks int64
 	released   bool
 }
@@ -108,52 +123,59 @@ type Lease struct {
 func (l *Lease) PrivateBlocks() int64 { return l.privBlocks }
 
 // SharedBlocks reports the number of trie blocks the lease pins.
-func (l *Lease) SharedBlocks() int64 { return int64(len(l.path)) }
+func (l *Lease) SharedBlocks() int64 { return int64(l.shared) }
 
 // node is one cached block. Almost every block has at most one child (a
-// prompt's chain), so the first child is held inline and the map is only
-// allocated when a second one arrives; from then on all children live in it.
+// prompt's chain), so the first child is held inline; any others are filed
+// in the Cache's edge map under (node, hash), and spilled counts them.
 type node struct {
 	hash    uint64
 	parent  *node
-	only    *node            // the single child while many is nil
-	many    map[uint64]*node // every child, once there have been two
+	only    *node // the inline child, if any
+	spilled int32 // children filed in Cache.edges
 	refs    int32
 	lastUse int64
 	dead    bool
 }
 
-func (n *node) child(h uint64) *node {
-	if n.many != nil {
-		return n.many[h]
-	}
+func (n *node) leaf() bool { return n.only == nil && n.spilled == 0 }
+
+// edge keys a spilled child in Cache.edges.
+type edge struct {
+	parent *node
+	hash   uint64
+}
+
+func (c *Cache) child(n *node, h uint64) *node {
 	if n.only != nil && n.only.hash == h {
 		return n.only
+	}
+	if n.spilled > 0 {
+		return c.edges[edge{n, h}]
 	}
 	return nil
 }
 
-func (n *node) addChild(ch *node) {
-	switch {
-	case n.many != nil:
-		n.many[ch.hash] = ch
-	case n.only == nil:
+func (c *Cache) addChild(n, ch *node) {
+	if n.only == nil {
 		n.only = ch
-	default:
-		n.many = map[uint64]*node{n.only.hash: n.only, ch.hash: ch}
-		n.only = nil
+		return
 	}
+	if c.edges == nil {
+		c.edges = make(map[edge]*node)
+	}
+	c.edges[edge{n, ch.hash}] = ch
+	n.spilled++
 }
 
-func (n *node) removeChild(ch *node) {
-	if n.many != nil {
-		delete(n.many, ch.hash)
-	} else {
+func (c *Cache) removeChild(n, ch *node) {
+	if n.only == ch {
 		n.only = nil
+		return
 	}
+	delete(c.edges, edge{n, ch.hash})
+	n.spilled--
 }
-
-func (n *node) leaf() bool { return n.only == nil && len(n.many) == 0 }
 
 // Cache is a single device pool. It is not safe for concurrent use; the
 // serving engine is single-threaded over a virtual clock. Concurrent
@@ -167,11 +189,11 @@ type Cache struct {
 	clock int64
 	stats Stats
 	evict evictHeap
+	edges map[edge]*node // each block's children beyond its inline one
 
-	walk    []*node // scratch: the matched path of the Acquire in progress
-	free    *node   // evicted nodes awaiting reuse, linked through parent
-	slab    []node  // unused tail of the newest node slab
-	slabbed int     // nodes allocated in slabs so far
+	free    *node  // evicted nodes awaiting reuse, linked through parent
+	slab    []node // unused tail of the newest node slab
+	slabbed int    // nodes allocated in slabs so far
 }
 
 // New returns an empty cache. BlockSize defaults to 16.
@@ -187,9 +209,6 @@ func New(cfg Config) *Cache {
 
 // UsedBlocks returns total blocks currently allocated.
 func (c *Cache) UsedBlocks() int64 { return c.used }
-
-// TrieBlocks returns blocks held by the shared trie (cached prefixes).
-func (c *Cache) TrieBlocks() int64 { return c.trie }
 
 // Stats returns a copy of the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -212,7 +231,7 @@ func (c *Cache) MatchLenHashed(hashes []uint64) int {
 	n := 0
 	cur := c.root
 	for _, h := range hashes {
-		next := cur.child(h)
+		next := c.child(cur, h)
 		if next == nil {
 			break
 		}
@@ -232,14 +251,19 @@ func (c *Cache) Acquire(tokens []tokenizer.Token, reserveTokens int) (*Lease, bo
 	if !c.cfg.Disabled {
 		hashes = BlockHashes(tokens, c.cfg.BlockSize)
 	}
-	return c.AcquireHashed(hashes, len(tokens), reserveTokens)
+	l := new(Lease)
+	if !c.AcquireHashed(l, hashes, len(tokens), reserveTokens) {
+		return nil, false
+	}
+	return l, true
 }
 
-// AcquireHashed is Acquire for a prompt of the given length whose chain —
-// BlockHashes over the cache's block size — the caller already holds, so a
-// retried prompt is hashed once rather than once per attempt. A disabled
-// cache ignores hashes. A rejected attempt allocates nothing.
-func (c *Cache) AcquireHashed(hashes []uint64, prompt, reserveTokens int) (*Lease, bool) {
+// AcquireHashed is Acquire into the caller's lease for a prompt of the given
+// length whose chain — BlockHashes over the cache's block size — the caller
+// already holds, so a retried prompt is hashed once rather than once per
+// attempt. A disabled cache ignores hashes. On success it overwrites *l; on
+// rejection it leaves *l alone. It allocates nothing but amortized growth.
+func (c *Cache) AcquireHashed(l *Lease, hashes []uint64, prompt, reserveTokens int) bool {
 	c.clock++
 	bs := int64(c.cfg.BlockSize)
 
@@ -247,11 +271,12 @@ func (c *Cache) AcquireHashed(hashes []uint64, prompt, reserveTokens int) (*Leas
 		need := ceilDiv(int64(prompt)+int64(reserveTokens), bs)
 		if !c.ensure(need) {
 			c.stats.Rejections++
-			return nil, false
+			return false
 		}
 		c.used += need
 		c.stats.PromptTokens += int64(prompt)
-		return &Lease{Prompt: prompt, privBlocks: need}, true
+		*l = Lease{Prompt: prompt, privBlocks: need}
+		return true
 	}
 
 	if len(hashes) != prompt/c.cfg.BlockSize {
@@ -260,55 +285,51 @@ func (c *Cache) AcquireHashed(hashes []uint64, prompt, reserveTokens int) (*Leas
 
 	// Walk the existing prefix, pinning it immediately: the eviction pass
 	// below must never reclaim blocks this request is about to reuse.
-	walk := c.walk[:0]
+	walked := 0
 	cur := c.root
 	for _, h := range hashes {
-		next := cur.child(h)
+		next := c.child(cur, h)
 		if next == nil {
 			break
 		}
 		cur = next
 		next.refs++
 		next.lastUse = c.clock
-		walk = append(walk, next)
+		walked++
 	}
-	c.walk = walk
 
-	newShared := int64(len(hashes) - len(walk))
+	newShared := int64(len(hashes) - walked)
 	tailTokens := int64(prompt) - int64(len(hashes))*bs
 	priv := ceilDiv(tailTokens+int64(reserveTokens), bs)
 	if !c.ensure(newShared + priv) {
-		// Undo the pins taken during the walk.
-		for i := len(walk) - 1; i >= 0; i-- {
-			n := walk[i]
+		// Undo the pins taken during the walk, leaf to root.
+		for n := cur; n != c.root; n = n.parent {
 			n.refs--
 			if n.refs == 0 && n.leaf() {
 				c.pushEvictable(n)
 			}
 		}
 		c.stats.Rejections++
-		return nil, false
+		return false
 	}
 
-	path := make([]*node, len(walk), len(hashes))
-	copy(path, walk)
-	for _, h := range hashes[len(walk):] {
+	for _, h := range hashes[walked:] {
 		next := c.newNode(node{hash: h, parent: cur, refs: 1, lastUse: c.clock})
-		cur.addChild(next)
+		c.addChild(cur, next)
 		cur = next
-		path = append(path, next)
 	}
 	c.trie += newShared
 	c.used += newShared + priv
 	c.stats.InsertedBlocks += newShared
 
-	matched := len(walk) * c.cfg.BlockSize
+	matched := walked * c.cfg.BlockSize
 	if matched > prompt {
 		matched = prompt
 	}
 	c.stats.MatchedTokens += int64(matched)
 	c.stats.PromptTokens += int64(prompt)
-	return &Lease{Matched: matched, Prompt: prompt, path: path, privBlocks: priv}, true
+	*l = Lease{Matched: matched, Prompt: prompt, tail: cur, shared: len(hashes), privBlocks: priv}
+	return true
 }
 
 // Release ends a lease: private blocks are freed immediately and the pinned
@@ -321,13 +342,14 @@ func (c *Cache) Release(l *Lease) {
 	l.released = true
 	c.clock++
 	c.used -= l.privBlocks
-	for i := len(l.path) - 1; i >= 0; i-- {
-		n := l.path[i]
+	n := l.tail
+	for range l.shared {
 		n.refs--
 		n.lastUse = c.clock
 		if n.refs == 0 && n.leaf() {
 			c.pushEvictable(n)
 		}
+		n = n.parent
 	}
 }
 
@@ -363,7 +385,7 @@ func (c *Cache) evictOne() bool {
 			continue
 		}
 		n.dead = true
-		n.parent.removeChild(n)
+		c.removeChild(n.parent, n)
 		c.trie--
 		c.used--
 		c.stats.EvictedBlocks++
@@ -399,99 +421,42 @@ func (c *Cache) newNode(v node) *node {
 	return n
 }
 
-// Grow reserves additional private blocks mid-flight (for generation beyond
-// the initial reservation). It reports false when the pool is full.
-func (c *Cache) Grow(l *Lease, addBlocks int64) bool {
-	if addBlocks <= 0 {
-		return true
-	}
-	if !c.ensure(addBlocks) {
-		return false
-	}
-	c.used += addBlocks
-	l.privBlocks += addBlocks
-	return true
-}
-
-// CheckInvariants verifies internal accounting; used by tests and the
-// simulator's debug mode.
-func (c *Cache) CheckInvariants() error {
-	var walk func(n *node) (int64, error)
-	walk = func(n *node) (int64, error) {
-		var count int64
-		children := n.many
-		if n.only != nil {
-			if n.many != nil {
-				return 0, fmt.Errorf("kvcache: inline child beside a child map")
-			}
-			children = map[uint64]*node{n.only.hash: n.only}
-		}
-		for h, ch := range children {
-			if ch.hash != h {
-				return 0, fmt.Errorf("kvcache: child filed under the wrong hash")
-			}
-			if ch.dead {
-				return 0, fmt.Errorf("kvcache: dead node reachable")
-			}
-			if ch.parent != n {
-				return 0, fmt.Errorf("kvcache: broken parent link")
-			}
-			sub, err := walk(ch)
-			if err != nil {
-				return 0, err
-			}
-			count += 1 + sub
-		}
-		return count, nil
-	}
-	reachable, err := walk(c.root)
-	if err != nil {
-		return err
-	}
-	if reachable != c.trie {
-		return fmt.Errorf("kvcache: trie accounting %d != reachable %d", c.trie, reachable)
-	}
-	if c.cfg.CapacityBlocks > 0 && c.used > c.cfg.CapacityBlocks {
-		return fmt.Errorf("kvcache: used %d exceeds capacity %d", c.used, c.cfg.CapacityBlocks)
-	}
-	if c.trie > c.used {
-		return fmt.Errorf("kvcache: trie %d exceeds used %d", c.trie, c.used)
-	}
-	return nil
-}
-
 // BlockHashes chains FNV-1a over full blocks so a block's identity covers
 // its entire prefix, exactly like vLLM's hash-based prefix caching. Element b
 // identifies tokens[:(b+1)*blockSize]; a trailing partial block has none.
 func BlockHashes(tokens []tokenizer.Token, blockSize int) []uint64 {
-	return BlockHashesAfter(nil, nil, tokens, blockSize)
+	return BlockHashesAfter(nil, nil, nil, tokens, blockSize)
 }
 
-// BlockHashesAfter is BlockHashes(tokens, blockSize) computed from a
-// predecessor: given prev and its chain prevHashes, the blocks lying wholly
-// inside the two prompts' common prefix are copied and hashing resumes at
-// the first block that is not. A prefix-sorted schedule makes that most of
-// every prompt. With no predecessor (nil, nil) it hashes from the start.
-func BlockHashesAfter(prev []tokenizer.Token, prevHashes []uint64, tokens []tokenizer.Token, blockSize int) []uint64 {
+// BlockHashesAfter appends BlockHashes(tokens, blockSize) to dst, computed
+// from a predecessor: given prev and its chain prevHashes, the blocks lying
+// wholly inside the two prompts' common prefix are copied and hashing resumes
+// at the first block that is not. A prefix-sorted schedule makes that most of
+// every prompt. With no predecessor (nil, nil) it hashes from the start. When
+// dst has the capacity, nothing is allocated; prevHashes may lie in dst's
+// backing array below len(dst).
+func BlockHashesAfter(dst []uint64, prev []tokenizer.Token, prevHashes []uint64, tokens []tokenizer.Token, blockSize int) []uint64 {
 	shared := 0
 	for shared < len(prev) && shared < len(tokens) && prev[shared] == tokens[shared] {
 		shared++
 	}
-	out := make([]uint64, len(tokens)/blockSize)
+	n := len(tokens) / blockSize
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
 	b := copy(out, prevHashes[:min(shared/blockSize, len(prevHashes))])
 	var h uint64 = 1469598103934665603 // FNV offset basis
 	if b > 0 {
 		h = out[b-1]
 	}
 	const prime = 1099511628211
-	for ; b < len(out); b++ {
+	for ; b < n; b++ {
 		for _, t := range tokens[b*blockSize : (b+1)*blockSize] {
 			h ^= uint64(uint32(t))
 			h *= prime
 		}
 		out[b] = h
 	}
-	return out
+	return dst[:len(dst)+n]
 }
 
 func ceilDiv(a, b int64) int64 {

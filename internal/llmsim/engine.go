@@ -23,9 +23,12 @@ type Request struct {
 	StartTime float64 // admission time (s, virtual)
 	EndTime   float64 // completion time (s, virtual)
 
-	lease *kvcache.Lease
+	// lease is the request's hold on KV memory while it runs, kept by value
+	// so admission allocates nothing.
+	lease kvcache.Lease
 	// hashes is the prompt's block-hash chain, computed the first time the
-	// request reaches admission (hashed) and reused by every retry.
+	// request reaches admission (hashed) and reused by every retry. It is a
+	// window of the run's hash arena.
 	hashes    []uint64
 	hashed    bool
 	prefilled int
@@ -196,7 +199,7 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 	// capacity for every later batch on the same engine.
 	abort := func(err error) (Metrics, error) {
 		for _, r := range running {
-			e.cache.Release(r.lease)
+			e.cache.Release(&r.lease)
 		}
 		return m, err
 	}
@@ -206,18 +209,30 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 	// and CacheAware's window is a prefix of what is still waiting — so the
 	// hashed requests are always reqs[:hashedTo] and each new chain resumes
 	// from the request submitted just before it: under a prefix-sorted
-	// schedule, most of every prompt is never hashed at all. A disabled
-	// cache never reads the chain, so none is built.
+	// schedule, most of every prompt is never hashed at all. The chains are
+	// laid end to end in one arena sized for the whole run. A disabled cache
+	// never reads the chain, so none is built.
+	bs := e.cfg.blockSize()
+	blocks := 0
 	for _, r := range reqs {
 		r.hashes, r.hashed = nil, false
+		blocks += len(r.Prompt) / bs
 	}
-	hashedTo, prev := 0, &Request{} // prev is reqs[hashedTo-1] once there is one
+	var arena []uint64
+	if e.cfg.CacheEnabled {
+		arena = make([]uint64, 0, blocks)
+	}
+	hashedTo := 0
+	var prevPrompt []tokenizer.Token // reqs[hashedTo-1]'s, once there is one
+	var prevHashes []uint64
 	chain := func(r *Request) []uint64 {
 		for !r.hashed && e.cfg.CacheEnabled {
 			cur := reqs[hashedTo]
-			cur.hashes = kvcache.BlockHashesAfter(prev.Prompt, prev.hashes, cur.Prompt, e.cfg.blockSize())
+			start := len(arena)
+			arena = kvcache.BlockHashesAfter(arena, prevPrompt, prevHashes, cur.Prompt, bs)
+			cur.hashes = arena[start:len(arena):len(arena)]
 			cur.hashed = true
-			hashedTo, prev = hashedTo+1, cur
+			hashedTo, prevPrompt, prevHashes = hashedTo+1, cur.Prompt, cur.hashes
 		}
 		return r.hashes
 	}
@@ -243,8 +258,7 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 			if r.OutTokens <= 0 {
 				r.OutTokens = 1 // every request emits at least one token
 			}
-			lease, ok := e.cache.AcquireHashed(chain(r), len(r.Prompt), r.OutTokens)
-			if !ok {
+			if !e.cache.AcquireHashed(&r.lease, chain(r), len(r.Prompt), r.OutTokens) {
 				break
 			}
 			if idx == head {
@@ -252,13 +266,12 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 			} else {
 				waiting = append(waiting[:idx], waiting[idx+1:]...)
 			}
-			r.lease = lease
-			r.Matched = lease.Matched
-			r.prefilled = lease.Matched
+			r.Matched = r.lease.Matched
+			r.prefilled = r.lease.Matched
 			r.admitted = true
 			r.StartTime = clock
 			m.PromptTokens += int64(len(r.Prompt))
-			m.MatchedTokens += int64(lease.Matched)
+			m.MatchedTokens += int64(r.lease.Matched)
 			running = append(running, r)
 			tr.emit(TraceEvent{Time: clock, Kind: "admit", Req: r.ID,
 				Matched: r.Matched, Prompt: len(r.Prompt), UsedBlocks: e.cache.UsedBlocks()})
@@ -332,7 +345,7 @@ func (e *Engine) RunInterruptible(reqs []*Request, interrupt func() error) (Metr
 			if r.prefilled >= len(r.Prompt) && r.generated >= r.OutTokens {
 				r.done = true
 				r.EndTime = clock
-				e.cache.Release(r.lease)
+				e.cache.Release(&r.lease)
 				finished++
 				latencies = append(latencies, clock-r.StartTime)
 				tr.emit(TraceEvent{Time: clock, Kind: "finish", Req: r.ID, Latency: clock - r.StartTime})

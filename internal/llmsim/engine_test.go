@@ -322,3 +322,35 @@ func TestTensorParallelSpeedsPrefill(t *testing.T) {
 		t.Error("8-way TP not faster than single GPU")
 	}
 }
+
+// runAllocSlack bounds how many more allocations an Engine.Run over eight
+// times the requests may make: growth of the node slabs, the eviction heap,
+// the edge map and the engine's own queues, all amortized — nothing per
+// request.
+const runAllocSlack = 16
+
+// TestRunAllocationsDoNotScaleWithRequests: admission, hashing and release
+// allocate nothing per request, so a run over 512 requests allocates about
+// as often as one over 64 of the same shape — a shared prefix branching
+// into distinct tails, on a pool small enough to evict and recycle.
+func TestRunAllocationsDoNotScaleWithRequests(t *testing.T) {
+	cfg := baseConfig(true)
+	cfg.CapacityOverride = 256
+	allocs := func(n int) float64 {
+		reqs := make([]*Request, n)
+		for i := range reqs {
+			reqs[i] = &Request{ID: i, Prompt: append(seq(0, 64), seq((i+1)*1000, 40)...), OutTokens: 4}
+		}
+		return testing.AllocsPerRun(5, func() {
+			m, err := New(cfg).Run(reqs)
+			if err != nil || m.Cache.EvictedBlocks == 0 && n > 64 {
+				t.Fatalf("run over %d requests: err %v, evicted %d", n, err, m.Cache.EvictedBlocks)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(512)
+	t.Logf("allocations per run: %v over 64 requests, %v over 512", small, large)
+	if large-small > runAllocSlack {
+		t.Errorf("a run over 512 requests allocates %v times, over 64 %v: more than %d apart", large, small, runAllocSlack)
+	}
+}

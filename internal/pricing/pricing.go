@@ -137,7 +137,7 @@ func simulateOpenAI(b Book, prompts [][]tokenizer.Token, u *Usage) {
 	for _, p := range prompts {
 		// Callers price prefix-sorted schedules, so each chain resumes from
 		// the previous prompt's.
-		hs = kvcache.BlockHashesAfter(prev, hs, p, gran)
+		hs = kvcache.BlockHashesAfter(nil, prev, hs, p, gran)
 		prev = p
 		matched := 0
 		for _, h := range hs {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backend"
@@ -69,7 +70,8 @@ type Config struct {
 	ReorderCache *ReorderCache
 	// PromptCache, when non-nil, memoizes per-cell prompt tokenization over
 	// one long-lived tokenizer shared across stages and batch windows. Nil
-	// confines the memo and a throwaway tokenizer to each stage.
+	// confines the memo and a throwaway tokenizer to each stage, and so
+	// its KV blocks too: the batch key is scoped to the call.
 	PromptCache *PromptCache
 }
 
@@ -184,6 +186,12 @@ func RunStageContext(ctx context.Context, spec Spec, tbl *table.Table, cfg Confi
 		reqs[i] = &slab[i]
 	}
 
+	batchKey := stageKey
+	if cfg.PromptCache == nil {
+		// A throwaway tokenizer's ids mean nothing to another call's: no
+		// long-lived backend may match them against blocks it cached.
+		batchKey += "call:" + strconv.FormatUint(tokenizerScopes.Add(1), 10)
+	}
 	be := cfg.Backend
 	if be == nil {
 		be = backend.Default
@@ -194,7 +202,7 @@ func RunStageContext(ctx context.Context, spec Spec, tbl *table.Table, cfg Confi
 	// happens once, in the serving runtime, where the statement is charged.
 	bsp := sp.Child("backend")
 	br, err := be.RunBatch(obs.With(ctx, bsp), backend.BatchSpec{
-		StageKey: stageKey,
+		StageKey: batchKey,
 		Requests: reqs,
 		Groups:   core.GroupStarts(sched),
 		Engine:   engineConfig(cfg),
@@ -219,6 +227,9 @@ func RunStageContext(ctx context.Context, spec Spec, tbl *table.Table, cfg Confi
 		ModelCalls:    br.ModelCalls,
 	}, nil
 }
+
+// tokenizerScopes numbers the stages tokenized without a PromptCache.
+var tokenizerScopes atomic.Uint64
 
 // engineConfig renders the execution config's engine sizing for a backend.
 func engineConfig(cfg Config) llmsim.Config {

@@ -337,7 +337,9 @@ func NewSimBackend() *SimBackend { return backend.NewSim() }
 // batches, so prefix hits span batch windows and statements while
 // concurrent batches on one hot stage overlap on separate replicas. It
 // retains at most engineBudget replicas, evicted LRU (<= 0 uses the default
-// budget). Close it to release the engines.
+// budget). Close it to release the engines. KV reuse across statements goes
+// through the Runtime, whose statements share one tokenizer; a call outside
+// it tokenizes each stage on its own, so its blocks serve that stage only.
 func NewPersistentBackend(engineBudget int) *PersistentBackend {
 	return backend.NewPersistent(engineBudget)
 }
