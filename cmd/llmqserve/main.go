@@ -1,5 +1,5 @@
-// Command llmqserve runs the reordering optimizer — and, when tables are
-// registered, a concurrent LLM-SQL serving runtime — as an HTTP service.
+// Command llmqserve runs the concurrent LLM-SQL serving runtime over its
+// registered tables as an HTTP service, or a cluster worker behind a router.
 //
 //	llmqserve -addr :8080
 //	llmqserve -addr :8080 -csv tickets=tickets.csv -dataset Movies -workers 8
@@ -12,9 +12,6 @@
 // the structured error envelope every endpoint returns on failure, is in
 // docs/API.md):
 //
-//	/v1/reorder   {table:{columns,rows,fds}, algorithm?}      -> schedule + PHC
-//	/v1/estimate  {provider, hitOriginal, hitGGR}             -> cost savings
-//	/v1/simulate  {table, prompt, policy?}                    -> serving metrics
 //	/v1/sql       {sql, client?, class?, deadlineMs?,         -> result relation +
 //	               options: {naive?, policy?, trace?}}           per-statement stats +
 //	                                                             fleet totals
@@ -33,7 +30,7 @@
 // plus inflight dedup keep repeated dashboard statements from paying for
 // model calls twice. Each statement is scoped to its HTTP request's context,
 // so a disconnecting client cancels its statement. Without registrations the
-// endpoint answers 503 and the three stateless endpoints work as before.
+// endpoint answers 503.
 //
 // Admission is multi-tenant: each statement names a client (default "anon")
 // and a service class. Interactive statements get a high deficit-round-robin

@@ -123,21 +123,13 @@ func (p *Persistent) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult,
 	return BatchResult{Metrics: metrics, ModelCalls: len(spec.Requests)}, nil
 }
 
-// Engines reports the number of live replicas (for tests and metrics).
+// Engines reports the number of live replicas.
+//
+//llmqlint:api llmq.PersistentBackend; the runtime tests count replicas
 func (p *Persistent) Engines() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.replicas
-}
-
-// StageReplicas reports the live replica count of one stage's pool.
-func (p *Persistent) StageReplicas(stageKey string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pool, ok := p.pools[stageKey]; ok {
-		return len(pool.idle) + pool.busy
-	}
-	return 0
 }
 
 // Close drops every pool and fails pending waiters. Batches running at

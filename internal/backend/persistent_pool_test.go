@@ -212,3 +212,13 @@ func TestPoolCloseFailsWaiters(t *testing.T) {
 		t.Fatal("waiter hung through Close")
 	}
 }
+
+// StageReplicas reports the live replica count of one stage's pool.
+func (p *Persistent) StageReplicas(stageKey string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pool, ok := p.pools[stageKey]; ok {
+		return len(pool.idle) + pool.busy
+	}
+	return 0
+}

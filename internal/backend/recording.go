@@ -68,6 +68,8 @@ func (r *Recording) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, 
 }
 
 // Batches returns a copy of everything recorded so far.
+//
+//llmqlint:api llmq.RecordingBackend; the runtime, cluster and llmq tests read the log
 func (r *Recording) Batches() []RecordedBatch {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -76,9 +76,6 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	return &Remote{addr: cfg.Addr, url: base + "/v1/batch", hc: hc}, nil
 }
 
-// Addr reports the worker address this backend speaks to.
-func (r *Remote) Addr() string { return r.addr }
-
 // RemoteStats is the remote backend's dispatch accounting.
 //
 // Counting fields are conserved accounting: the llmqlint accounting

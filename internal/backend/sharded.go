@@ -67,9 +67,6 @@ func NewSharded(inner Backend, shards int) (*Sharded, error) {
 	return &Sharded{inner: inner, shards: shards}, nil
 }
 
-// Shards reports the configured fan-out width.
-func (s *Sharded) Shards() int { return s.shards }
-
 // ShardStats is the decorator's accounting, merged into runtime.Metrics.
 //
 // Counting fields are conserved accounting: the llmqlint accounting

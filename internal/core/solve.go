@@ -10,7 +10,7 @@ import (
 // ErrUnknownAlgorithm is returned by Solve for a solver name it does not know.
 var ErrUnknownAlgorithm = errors.New("core: unknown algorithm")
 
-// SolveOptions is what the library, POST /v1/reorder and cmd/reorder let a
+// SolveOptions is what the library (llmq.Reorder) and cmd/reorder let a
 // caller vary; each keeps its own spelling of these at its surface.
 type SolveOptions struct {
 	LenOf          table.LenFunc // measures cell values; nil means table.CharLen

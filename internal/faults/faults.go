@@ -38,7 +38,6 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -151,15 +150,6 @@ func Parse(spec string) (*Injector, error) {
 		rules = append(rules, r)
 	}
 	return &Injector{rules: rules, rng: rand.New(rand.NewSource(seed))}, nil
-}
-
-// MustParse is Parse for specs fixed at compile time (tests, CI profiles).
-func MustParse(spec string) *Injector {
-	in, err := Parse(spec)
-	if err != nil {
-		panic(err)
-	}
-	return in
 }
 
 // parseRule parses one "kind:param:param" entry.
@@ -291,6 +281,8 @@ type Stats struct {
 }
 
 // Stats snapshots the injector's accounting.
+//
+//llmqlint:api the cluster router tests count POSTs through an injector's events
 func (in *Injector) Stats() Stats {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -298,18 +290,11 @@ func (in *Injector) Stats() Stats {
 }
 
 // InjectedError is a fault surfaced as an error; seams and tests dispatch
-// on it via errors.As / IsInjected to tell chaos from genuine failures.
+// on it via errors.As to tell chaos from genuine failures.
 type InjectedError struct {
 	Kind Kind
 }
 
 func (e *InjectedError) Error() string {
 	return fmt.Sprintf("faults: injected %s fault", e.Kind)
-}
-
-// IsInjected reports whether err (anywhere in its chain) was injected by
-// this package.
-func IsInjected(err error) bool {
-	var ie *InjectedError
-	return errors.As(err, &ie)
 }

@@ -340,3 +340,19 @@ func TestMiddlewareInjectsServerSideFaults(t *testing.T) {
 		t.Errorf("corrupt body %q still decodes", body)
 	}
 }
+
+// MustParse is Parse for specs fixed in a test.
+func MustParse(spec string) *Injector {
+	in, err := Parse(spec)
+	if err != nil {
+		panic(err)
+	}
+	return in
+}
+
+// IsInjected reports whether err (anywhere in its chain) was injected by
+// this package.
+func IsInjected(err error) bool {
+	var ie *InjectedError
+	return errors.As(err, &ie)
+}

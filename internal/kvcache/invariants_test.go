@@ -1,9 +1,28 @@
 package kvcache
 
-import "fmt"
+import (
+	"fmt"
 
-// Test-only Cache methods: the serving engine neither grows a lease in flight
-// nor audits the trie, so these live beside the tests that use them.
+	"repro/internal/tokenizer"
+)
+
+// Test-only Cache and Lease methods: the serving engine neither grows a
+// lease in flight, audits the trie, nor asks what a lease holds, so these
+// live beside the tests that use them.
+
+// MatchLen is MatchLenHashed for a prompt's tokens.
+func (c *Cache) MatchLen(tokens []tokenizer.Token) int {
+	if c.cfg.Disabled {
+		return 0
+	}
+	return c.MatchLenHashed(BlockHashes(tokens, c.cfg.BlockSize))
+}
+
+// PrivateBlocks reports the lease's unshared block count.
+func (l *Lease) PrivateBlocks() int64 { return l.privBlocks }
+
+// SharedBlocks reports the number of trie blocks the lease pins.
+func (l *Lease) SharedBlocks() int64 { return int64(l.shared) }
 
 // TrieBlocks returns blocks held by the shared trie (cached prefixes).
 func (c *Cache) TrieBlocks() int64 { return c.trie }

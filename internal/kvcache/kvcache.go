@@ -20,8 +20,8 @@
 // engine re-offers a blocked queue head every step — hashes it once, not once
 // per attempt. A prompt that follows another in a prefix-sorted schedule
 // needs even less: BlockHashesAfter copies the predecessor's chain over the
-// blocks their common prefix covers and resumes hashing there. Acquire and
-// MatchLen hash from scratch and call the same entry points.
+// blocks their common prefix covers and resumes hashing there. Acquire
+// hashes from scratch and calls the same entry point.
 //
 // Admission allocates nothing: AcquireHashed, admitted or rejected, and
 // Release take no heap object beyond the amortized growth of node slabs, the
@@ -119,12 +119,6 @@ type Lease struct {
 	released   bool
 }
 
-// PrivateBlocks reports the lease's unshared block count.
-func (l *Lease) PrivateBlocks() int64 { return l.privBlocks }
-
-// SharedBlocks reports the number of trie blocks the lease pins.
-func (l *Lease) SharedBlocks() int64 { return int64(l.shared) }
-
 // node is one cached block. Almost every block has at most one child (a
 // prompt's chain), so the first child is held inline; any others are filed
 // in the Cache's edge map under (node, hash), and spilled counts them.
@@ -213,17 +207,10 @@ func (c *Cache) UsedBlocks() int64 { return c.used }
 // Stats returns a copy of the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// MatchLen reports how many tokens of the sequence are currently cached,
-// without pinning or inserting. Used by schedulers to estimate cost.
-func (c *Cache) MatchLen(tokens []tokenizer.Token) int {
-	if c.cfg.Disabled {
-		return 0
-	}
-	return c.MatchLenHashed(BlockHashes(tokens, c.cfg.BlockSize))
-}
-
-// MatchLenHashed is MatchLen for a prompt whose chain — BlockHashes over the
-// cache's block size — the caller already holds.
+// MatchLenHashed reports how many tokens of a prompt are currently cached,
+// without pinning or inserting, given its chain — BlockHashes over the
+// cache's block size. The serving engine's scheduler uses it to estimate
+// cost.
 func (c *Cache) MatchLenHashed(hashes []uint64) int {
 	if c.cfg.Disabled {
 		return 0

@@ -30,6 +30,8 @@ import (
 var wantRe = regexp.MustCompile("//\\s*want\\s+(`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\")")
 
 // Run loads testdata/src/<pkg> beneath dir and applies a to it.
+//
+//llmqlint:api the harness of every analyzer's fixture test
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
 	fixture := filepath.Join(dir, "src", pkg)

@@ -51,12 +51,11 @@ type Loader struct {
 	exports map[string]string // import path -> export data file
 	imp     types.Importer
 	modRoot string
-	modPath string
 }
 
 // New returns a loader rooted at the module containing dir.
 func New(dir string) (*Loader, error) {
-	root, path, err := findModule(dir)
+	root, err := findModule(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -64,14 +63,10 @@ func New(dir string) (*Loader, error) {
 		Fset:    token.NewFileSet(),
 		exports: make(map[string]string),
 		modRoot: root,
-		modPath: path,
 	}
 	l.imp = importer.ForCompiler(l.Fset, "gc", l.lookup)
 	return l, nil
 }
-
-// ModulePath reports the module's import path prefix.
-func (l *Loader) ModulePath() string { return l.modPath }
 
 // Load resolves patterns (import paths, directories, or `./...`) to package
 // directories via `go list` and loads each one. Test files are skipped: the
@@ -195,26 +190,19 @@ func (l *Loader) Prefetch(patterns ...string) {
 	}
 }
 
-// findModule walks up from dir to the enclosing go.mod and returns the
-// module root directory and module path.
-func findModule(dir string) (root, path string, err error) {
-	dir, err = filepath.Abs(dir)
+// findModule walks up from dir to the directory of the enclosing go.mod.
+func findModule(dir string) (string, error) {
+	dir, err := filepath.Abs(dir)
 	if err != nil {
-		return "", "", err
+		return "", err
 	}
 	for {
-		data, rerr := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if rerr == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("loader: %s/go.mod has no module line", dir)
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
 		}
 		parent := filepath.Dir(dir)
 		if parent == dir {
-			return "", "", fmt.Errorf("loader: no go.mod above %s", dir)
+			return "", fmt.Errorf("loader: no go.mod above %s", dir)
 		}
 		dir = parent
 	}

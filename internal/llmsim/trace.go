@@ -60,17 +60,3 @@ func (t *tracer) Err() error {
 	}
 	return t.err
 }
-
-// ReadTrace parses a JSONL trace back into events (for tests and tools).
-func ReadTrace(r io.Reader) ([]TraceEvent, error) {
-	dec := json.NewDecoder(r)
-	var out []TraceEvent
-	for dec.More() {
-		var ev TraceEvent
-		if err := dec.Decode(&ev); err != nil {
-			return nil, fmt.Errorf("llmsim: trace read: %w", err)
-		}
-		out = append(out, ev)
-	}
-	return out, nil
-}

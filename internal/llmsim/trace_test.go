@@ -1,6 +1,9 @@
 package llmsim
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -101,4 +104,18 @@ func TestTraceWriteFailureSurfaces(t *testing.T) {
 	if _, err := New(cfg).Run(mkReqs(2, 50, 1, false)); err == nil {
 		t.Error("trace write failure swallowed")
 	}
+}
+
+// ReadTrace parses a JSONL trace back into events.
+func ReadTrace(r io.Reader) ([]TraceEvent, error) {
+	dec := json.NewDecoder(r)
+	var out []TraceEvent
+	for dec.More() {
+		var ev TraceEvent
+		if err := dec.Decode(&ev); err != nil {
+			return nil, fmt.Errorf("llmsim: trace read: %w", err)
+		}
+		out = append(out, ev)
+	}
+	return out, nil
 }

@@ -192,6 +192,8 @@ type SpanTree struct {
 // Totals sums the charged accounting over the tree — the conservation
 // check: for a completed statement these equal its charged model calls,
 // prompt tokens, and virtual JCT.
+//
+//llmqlint:api llmq.TraceSpan; the obs, runtime and server trace tests check conservation
 func (t *SpanTree) Totals() (calls, promptTokens int64, jctSeconds float64) {
 	if t == nil {
 		return 0, 0, 0
@@ -207,6 +209,8 @@ func (t *SpanTree) Totals() (calls, promptTokens int64, jctSeconds float64) {
 }
 
 // Find returns the first span (depth-first) with the exact name, or nil.
+//
+//llmqlint:api llmq.TraceSpan; the runtime trace tests look spans up by name
 func (t *SpanTree) Find(name string) *SpanTree {
 	var found *SpanTree
 	t.Walk(func(n *SpanTree) {

@@ -1,10 +1,6 @@
 package pricing
 
-import (
-	"fmt"
-
-	"repro/internal/tokenizer"
-)
+import "repro/internal/tokenizer"
 
 // Gemini is the third provider model the paper cites (context caching,
 // ai.google.dev/gemini-api/docs/caching): the user explicitly creates a
@@ -49,20 +45,4 @@ func simulateGemini(b Book, prompts [][]tokenizer.Token, u *Usage) {
 			u.StorageTokenHours += float64(b.MinPrefix) * b.CacheLifetime
 		}
 	}
-}
-
-// GeminiBreakEvenReads reports how many cache reads amortize one cache's
-// storage rent: the rent per token must be recovered by the per-read
-// discount (base − cached). Useful for deciding whether caching a prefix is
-// worth it at a given reuse factor.
-func GeminiBreakEvenReads(b Book) (float64, error) {
-	if b.Provider != Gemini {
-		return 0, fmt.Errorf("pricing: %s is not a Gemini book", b.Name)
-	}
-	discount := b.InputPerM - b.CachedPerM
-	if discount <= 0 {
-		return 0, fmt.Errorf("pricing: %s has no cached discount", b.Name)
-	}
-	rent := b.StoragePerMH * b.CacheLifetime
-	return rent / discount, nil
 }

@@ -64,25 +64,6 @@ func TestGeminiCachingPaysOffWithReuse(t *testing.T) {
 	}
 }
 
-func TestGeminiBreakEvenReads(t *testing.T) {
-	n, err := GeminiBreakEvenReads(GeminiFlash15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rent $1.00/M·h for 1h vs discount $0.05625/M per read ⇒ ~17.8 reads.
-	if math.Abs(n-1.00/0.05625) > 1e-6 {
-		t.Errorf("break-even reads = %f", n)
-	}
-	if _, err := GeminiBreakEvenReads(GPT4oMini); err == nil {
-		t.Error("non-Gemini book accepted")
-	}
-	broken := GeminiFlash15
-	broken.CachedPerM = broken.InputPerM
-	if _, err := GeminiBreakEvenReads(broken); err == nil {
-		t.Error("zero-discount book accepted")
-	}
-}
-
 func TestGeminiDistinctPrefixesAllRent(t *testing.T) {
 	prompts := [][]tokenizer.Token{seq(0, 1100), seq(10_000, 1100)}
 	u, err := Simulate(GeminiFlash15, prompts, []int{1, 1})

@@ -13,10 +13,9 @@ import (
 	"repro/internal/tokenizer"
 )
 
-// wholeRowTokens is the textual spec PromptTokens must reproduce: one fresh
-// tokenizer walking the prefix, then every row's RowJSON, whole.
-func wholeRowTokens(userPrompt string, sched *core.Schedule) [][]tokenizer.Token {
-	tok := tokenizer.New()
+// wholeRowTokens is the textual spec PromptTokens must reproduce: tok
+// walking the prefix, then every row's RowJSON, whole.
+func wholeRowTokens(tok *tokenizer.Tokenizer, userPrompt string, sched *core.Schedule) [][]tokenizer.Token {
 	prefix := tok.Encode(PromptPrefix(userPrompt))
 	out := make([][]tokenizer.Token, len(sched.Rows))
 	for i, row := range sched.Rows {
@@ -26,16 +25,22 @@ func wholeRowTokens(userPrompt string, sched *core.Schedule) [][]tokenizer.Token
 }
 
 // checkPromptTokens holds the piece-assembled streams to the whole-row walk
-// token for token, ids included — with the stage's own tokenizer, a fresh
-// shared cache, and a cache so small every piece is evicted between uses.
+// token for token, ids included — with the stage's own tokenizer against a
+// fresh one's walk, and with a fresh cache and a cache so small every piece
+// is evicted between uses against a walk on the tokenizer every cache
+// shares.
 func checkPromptTokens(t *testing.T, userPrompt string, tbl *table.Table, sched *core.Schedule) {
 	t.Helper()
 	if err := core.Verify(tbl, sched); err != nil {
 		t.Fatalf("test schedule is not a schedule of its table: %v", err)
 	}
-	want := wholeRowTokens(userPrompt, sched)
 	for name, cache := range map[string]*PromptCache{"stage tokenizer": nil, "cache": NewPromptCache(0), "evicting cache": NewPromptCache(1)} {
 		got := PromptTokens(userPrompt, tbl, sched, cache)
+		tok := tokenizer.New()
+		if cache != nil {
+			tok = cache.tok
+		}
+		want := wholeRowTokens(tok, userPrompt, sched)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d prompts, want %d", name, len(got), len(want))
 		}

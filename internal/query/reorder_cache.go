@@ -133,20 +133,23 @@ func (c *ReorderCache) store(key reorderKey, sched *core.Schedule, phc int64) {
 	c.lru.Put(key, reorderEntry{sched: sched, phc: phc})
 }
 
-// PromptCache memoizes prompt tokenization over one long-lived tokenizer.
+// PromptCache memoizes prompt tokenization over the package's one
+// long-lived tokenizer.
 // The unit is the prompt piece (see PromptTokens): one entry per distinct
 // cell — a (field, value) pair, tokenized as RowJSON serializes it — so a
 // value that repeats down a column is walked once across every row, stage
 // and batch window that serves it. A stage prefix is tokenized on the shared
 // tokenizer but not memoized (see promptEncoder.prefix). Sharing one
-// tokenizer also makes token IDs stable across batches — which is what a
-// persistent backend's cross-batch KV cache compares — where per-stage
-// throwaway tokenizers gave the same text a different ID in every batch.
+// tokenizer also makes token IDs stable across batches and across caches —
+// which is what a persistent backend's cross-batch KV cache compares, under
+// a batch key that names no cache — where per-stage throwaway tokenizers
+// gave the same text a different ID in every batch.
 //
 // Returned token slices are shared and must be treated as immutable (every
 // caller copies them into a fresh prompt slice). The memo is LRU-bounded;
-// the tokenizer's interned vocabulary grows with distinct text, which is the
-// same growth one kvcache trie already exhibits for the same traffic.
+// the tokenizer's interned vocabulary grows with distinct text for the life
+// of the process, which is the growth one kvcache trie already exhibits for
+// the same traffic.
 type PromptCache struct {
 	tok *tokenizer.Tokenizer
 	mu  sync.Mutex
@@ -156,6 +159,10 @@ type PromptCache struct {
 	misses atomic.Int64
 }
 
+// promptTokenizer backs every PromptCache, so equal text has equal ids in
+// every cache.
+var promptTokenizer = tokenizer.New()
+
 // NewPromptCache returns a cache bounded to capacity distinct pieces (<= 0
 // uses DefaultPromptCacheCapacity).
 func NewPromptCache(capacity int) *PromptCache {
@@ -163,7 +170,7 @@ func NewPromptCache(capacity int) *PromptCache {
 		capacity = DefaultPromptCacheCapacity
 	}
 	return &PromptCache{
-		tok: tokenizer.New(),
+		tok: promptTokenizer,
 		lru: lru.New[promptPiece, []tokenizer.Token](capacity),
 	}
 }

@@ -11,8 +11,10 @@ import (
 // TestNoFalsePrefixHitsAcrossTokenizers: without a PromptCache each call
 // tokenizes on a tokenizer of its own, which gives two tables' disjoint words
 // the same ids. A long-lived backend must not match the second call's
-// prompts against blocks the first call cached; with a shared PromptCache the
-// ids mean the same text, and only the shared prompt prefix matches.
+// prompts against blocks the first call cached. With a PromptCache — one
+// shared by both calls or one per call, since every cache encodes on the same
+// tokenizer — the ids mean the same text, and only the shared prompt prefix
+// matches.
 func TestNoFalsePrefixHitsAcrossTokenizers(t *testing.T) {
 	oneColumn := func(words ...string) *table.Table {
 		tbl := table.New("text")
@@ -43,5 +45,13 @@ func TestNoFalsePrefixHitsAcrossTokenizers(t *testing.T) {
 	}
 	if got := matched(backend.NewPersistent(0), NewPromptCache(0), first, second); got != 64 {
 		t.Errorf("with a PromptCache, stage 2 matched %d tokens, want the shared prompt prefix's 64", got)
+	}
+	// A fresh PromptCache per call, as a library user builds one per
+	// statement: the two caches share the backend's unscoped batch key, so
+	// they must give equal text equal ids.
+	be := backend.NewPersistent(0)
+	matched(be, NewPromptCache(0), first)
+	if got := matched(be, NewPromptCache(0), second); got != 64 {
+		t.Errorf("with a fresh PromptCache per call, stage 2 matched %d tokens, want the shared prompt prefix's 64", got)
 	}
 }

@@ -200,14 +200,6 @@ type WaitHistogram struct {
 	Over1s      int64 `json:"over1s"`
 }
 
-// HitRate is the fleet-wide prompt-token-weighted prefix-cache hit rate.
-func (m Totals) HitRate() float64 {
-	if m.PromptTokens == 0 {
-		return 0
-	}
-	return float64(m.MatchedTokens) / float64(m.PromptTokens)
-}
-
 func (c *counters) snapshot() Totals {
 	return Totals{
 		StatementsSubmitted: c.statementsSubmitted.Load(),

@@ -6,7 +6,7 @@
 //
 // Architecture, top to bottom:
 //
-//	Submit/Exec/Prepare                    (statement API; Options carries the
+//	Submit/Exec                            (statement API; Options carries the
 //	      │                                 tenant's ClientID and service Class)
 //	quota gate                             (per-client token/call buckets;
 //	      │                                 overdrawn clients get a QuotaError —
@@ -286,7 +286,7 @@ type job struct {
 	enqueuedAt time.Time
 
 	// planState / prepDur feed the trace's prepare span: how the statement's
-	// plan was resolved ("hit" / "miss" / "prepared") and how long it took.
+	// plan was resolved ("hit" / "miss") and how long it took.
 	planState string
 	prepDur   time.Duration
 	// roundsAtPush / drrRounds are the DRR scheduler's ring-pass counter at
@@ -373,9 +373,6 @@ func New(db *sqlfront.DB, cfg Config) *Runtime {
 	}
 	return rt
 }
-
-// DB returns the registry statements run against.
-func (rt *Runtime) DB() *sqlfront.DB { return rt.db }
 
 // Totals snapshots the fixed-size accounting: the runtime's own counters,
 // the reorder and prompt caches' lookup accounting and — when the serving
@@ -488,9 +485,6 @@ func (rt *Runtime) servingBackend() backend.Backend {
 	return rt.cfg.Exec.Backend
 }
 
-// CachedResults reports the result cache's current entry count.
-func (rt *Runtime) CachedResults() int { return rt.cache.len() }
-
 // Submit admits one statement and returns immediately with its future.
 // Admission blocks while the queue is full; a closed runtime fails fast.
 func (rt *Runtime) Submit(sql string, opts Options) *Handle {
@@ -514,109 +508,7 @@ func (rt *Runtime) SubmitContext(ctx context.Context, sql string, opts Options) 
 	if hit {
 		planState = "hit"
 	}
-	return rt.submitPrepared(ctx, p, opts, planState, time.Since(prepStart))
-}
-
-// Exec is Submit + Wait: run one statement to completion.
-func (rt *Runtime) Exec(sql string, opts Options) (*sqlfront.Result, error) {
-	return rt.Submit(sql, opts).Wait()
-}
-
-// ExecContext is SubmitContext + Wait.
-func (rt *Runtime) ExecContext(ctx context.Context, sql string, opts Options) (*sqlfront.Result, error) {
-	return rt.SubmitContext(ctx, sql, opts).Wait()
-}
-
-// Stmt is a prepared statement bound to the runtime: Execute skips parse,
-// bind, and planning on every run.
-type Stmt struct {
-	rt *Runtime
-	p  *sqlfront.Prepared
-}
-
-// Prepare parses and plans sql once, through the runtime's plan cache:
-// preparing the same text twice returns the same underlying plan.
-func (rt *Runtime) Prepare(sql string) (*Stmt, error) {
-	p, _, err := rt.prepared(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &Stmt{rt: rt, p: p}, nil
-}
-
-// SQL returns the statement text.
-func (s *Stmt) SQL() string { return s.p.SQL() }
-
-// Submit admits the prepared statement and returns its future.
-//
-//llmqlint:detached -- no-cancellation convenience wrapper over SubmitContext
-func (s *Stmt) Submit(opts Options) *Handle { return s.SubmitContext(context.Background(), opts) }
-
-// SubmitContext is Submit with a statement-scoped context (see
-// Runtime.SubmitContext for the cancellation semantics).
-func (s *Stmt) SubmitContext(ctx context.Context, opts Options) *Handle {
-	return s.rt.submitPrepared(ctx, s.p, opts, "prepared", 0)
-}
-
-// Execute runs the prepared statement to completion.
-func (s *Stmt) Execute(opts Options) (*sqlfront.Result, error) {
-	return s.Submit(opts).Wait()
-}
-
-// ExecuteContext is SubmitContext + Wait.
-func (s *Stmt) ExecuteContext(ctx context.Context, opts Options) (*sqlfront.Result, error) {
-	return s.SubmitContext(ctx, opts).Wait()
-}
-
-// Close drains the admission queue, waits for in-flight statements, and
-// flushes any batch still waiting on its window. Statements submitted after
-// Close fail immediately.
-func (rt *Runtime) Close() {
-	rt.closeMu.Lock()
-	if rt.closed {
-		rt.closeMu.Unlock()
-		return
-	}
-	rt.closed = true
-	rt.queue.close()
-	rt.closeMu.Unlock()
-	rt.wg.Wait()
-	rt.batcher.flushAll()
-}
-
-// prepared resolves sql through the plan cache, reporting whether it was a
-// cache hit (the trace's prepare span). The cache is bounded: past
-// capacity the least recently used statement text is evicted.
-func (rt *Runtime) prepared(sql string) (*sqlfront.Prepared, bool, error) {
-	rt.planMu.Lock()
-	p, ok := rt.plans.Get(sql)
-	rt.planMu.Unlock()
-	if ok {
-		rt.c.planCacheHits.Add(1)
-		return p, true, nil
-	}
-	p, err := rt.db.Prepare(sql)
-	if err != nil {
-		return nil, false, err
-	}
-	rt.planMu.Lock()
-	prev, lostRace := rt.plans.Get(sql)
-	if !lostRace {
-		rt.plans.Put(sql, p)
-	}
-	rt.planMu.Unlock()
-	if lostRace {
-		// A concurrent statement inserted the same text first: this one is
-		// served the winner's plan from the cache, so it accounts as a hit
-		// and misses stay one per plan actually inserted.
-		rt.c.planCacheHits.Add(1)
-		return prev, true, nil
-	}
-	rt.c.planCacheMisses.Add(1)
-	return p, false, nil
-}
-
-func (rt *Runtime) submitPrepared(ctx context.Context, p *sqlfront.Prepared, opts Options, planState string, prepDur time.Duration) *Handle {
+	prepDur := time.Since(prepStart)
 	h := &Handle{done: make(chan struct{})}
 	client := opts.Client.orDefault()
 	class := opts.Class.orDefault()
@@ -665,6 +557,64 @@ func (rt *Runtime) submitPrepared(ctx context.Context, p *sqlfront.Prepared, opt
 		rt.settled()
 	}
 	return h
+}
+
+// Exec is Submit + Wait: run one statement to completion.
+func (rt *Runtime) Exec(sql string, opts Options) (*sqlfront.Result, error) {
+	return rt.Submit(sql, opts).Wait()
+}
+
+// ExecContext is SubmitContext + Wait.
+func (rt *Runtime) ExecContext(ctx context.Context, sql string, opts Options) (*sqlfront.Result, error) {
+	return rt.SubmitContext(ctx, sql, opts).Wait()
+}
+
+// Close drains the admission queue, waits for in-flight statements, and
+// flushes any batch still waiting on its window. Statements submitted after
+// Close fail immediately.
+func (rt *Runtime) Close() {
+	rt.closeMu.Lock()
+	if rt.closed {
+		rt.closeMu.Unlock()
+		return
+	}
+	rt.closed = true
+	rt.queue.close()
+	rt.closeMu.Unlock()
+	rt.wg.Wait()
+	rt.batcher.flushAll()
+}
+
+// prepared resolves sql through the plan cache, reporting whether it was a
+// cache hit (the trace's prepare span). The cache is bounded: past
+// capacity the least recently used statement text is evicted.
+func (rt *Runtime) prepared(sql string) (*sqlfront.Prepared, bool, error) {
+	rt.planMu.Lock()
+	p, ok := rt.plans.Get(sql)
+	rt.planMu.Unlock()
+	if ok {
+		rt.c.planCacheHits.Add(1)
+		return p, true, nil
+	}
+	p, err := rt.db.Prepare(sql)
+	if err != nil {
+		return nil, false, err
+	}
+	rt.planMu.Lock()
+	prev, lostRace := rt.plans.Get(sql)
+	if !lostRace {
+		rt.plans.Put(sql, p)
+	}
+	rt.planMu.Unlock()
+	if lostRace {
+		// A concurrent statement inserted the same text first: this one is
+		// served the winner's plan from the cache, so it accounts as a hit
+		// and misses stay one per plan actually inserted.
+		rt.c.planCacheHits.Add(1)
+		return prev, true, nil
+	}
+	rt.c.planCacheMisses.Add(1)
+	return p, false, nil
 }
 
 // settled retires one admitted statement. With it gone, the statements

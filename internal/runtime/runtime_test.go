@@ -122,8 +122,8 @@ func TestResultCacheAccounting(t *testing.T) {
 	if m1.CacheHits != 0 {
 		t.Errorf("hits after first run = %d", m1.CacheHits)
 	}
-	if rt.CachedResults() != first.LLMCalls {
-		t.Errorf("cached entries = %d, want %d", rt.CachedResults(), first.LLMCalls)
+	if rt.cache.len() != first.LLMCalls {
+		t.Errorf("cached entries = %d, want %d", rt.cache.len(), first.LLMCalls)
 	}
 
 	second, err := rt.Exec(sql, Options{})
@@ -218,31 +218,29 @@ func TestInflightDedup(t *testing.T) {
 	if m.InflightDeduped == 0 {
 		t.Error("no inflight dedup recorded for identical concurrent statements")
 	}
-	if rt.CachedResults() != 0 {
-		t.Errorf("result cache disabled but holds %d entries", rt.CachedResults())
+	if rt.cache.len() != 0 {
+		t.Errorf("result cache disabled but holds %d entries", rt.cache.len())
 	}
 }
 
-// TestPreparedStatements covers the Prepare/Execute path: repeated Execute
-// reuses the plan, and re-registering a table transparently re-prepares.
+// TestPreparedStatements covers the plan cache: re-running one statement
+// text reuses its plan, and re-registering a table transparently
+// re-prepares it.
 func TestPreparedStatements(t *testing.T) {
 	db := newDB(12)
 	rt := New(db, Config{Workers: 2})
 	defer rt.Close()
 
-	stmt, err := rt.Prepare(dashboardStatements[3])
+	sql := dashboardStatements[3]
+	first, err := rt.Exec(sql, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := stmt.Execute(Options{})
+	again, err := rt.Exec(sql, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := stmt.Execute(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRelation(t, stmt.SQL(), first, again)
+	sameRelation(t, sql, first, again)
 	if m := rt.Metrics(); m.PlanCacheMisses != 1 {
 		t.Errorf("plan cache misses = %d, want 1", m.PlanCacheMisses)
 	}
@@ -250,7 +248,7 @@ func TestPreparedStatements(t *testing.T) {
 	// A schema-compatible re-registration must be picked up (new rows), not
 	// served from the stale binding.
 	db.Register("tickets", ticketsTable(20))
-	bigger, err := stmt.Execute(Options{})
+	bigger, err := rt.Exec(sql, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

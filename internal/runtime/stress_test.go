@@ -141,9 +141,9 @@ func TestStressRegistrationDuringExecution(t *testing.T) {
 	churn.Wait()
 }
 
-// TestStressRepeatedPrepared hammers a single prepared statement from many
-// goroutines; the plan is shared, so this doubles as a race check on
-// Prepared's immutable execution state.
+// TestStressRepeatedPrepared hammers one statement text from many
+// goroutines; the plan cache shares its plan, so this doubles as a race
+// check on Prepared's immutable execution state.
 func TestStressRepeatedPrepared(t *testing.T) {
 	db := newDB(20)
 	sql := dashboardStatements[0]
@@ -154,10 +154,6 @@ func TestStressRepeatedPrepared(t *testing.T) {
 
 	rt := New(db, Config{Workers: 4, BatchWindow: 2 * time.Millisecond})
 	defer rt.Close()
-	stmt, err := rt.Prepare(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 10; g++ {
@@ -165,7 +161,7 @@ func TestStressRepeatedPrepared(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				res, err := stmt.Execute(Options{})
+				res, err := rt.Exec(sql, Options{})
 				if err != nil {
 					t.Error(err)
 					return

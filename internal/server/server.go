@@ -1,13 +1,13 @@
-// Package server exposes the reordering optimizer as an HTTP service, the
-// integration path the paper targets ("can be easily applied to existing
-// analytics systems and serving platforms"): an analytics engine POSTs the
-// rows and fields an LLM operator is about to send, and receives the
-// cache-maximizing request schedule plus the expected savings. With a
-// serving runtime attached (Config.Runtime), the service additionally
-// executes whole LLM-SQL statements over its registered tables on POST
-// /v1/sql — concurrent requests share the runtime's result cache and
-// cross-query batcher, so a fleet of dashboard clients costs far fewer
-// model calls than the statements run in isolation.
+// Package server is the HTTP face of the serving runtime, the integration
+// path the paper targets ("can be easily applied to existing analytics
+// systems and serving platforms"): with a runtime attached (Config.Runtime)
+// it executes LLM-SQL statements over its registered tables on POST /v1/sql,
+// where concurrent requests share the runtime's admission, result cache and
+// cross-query batcher, so a fleet of dashboard clients costs far fewer model
+// calls than the statements run in isolation. With a Worker attached it
+// serves a cluster router's POST /v1/batch instead. Reordering a table on
+// its own, estimating savings and simulating a policy are library calls
+// (llmq.Reorder, llmq.EstimateSavings, llmq.RunQuery) and cmd/reorder.
 package server
 
 import (
@@ -25,14 +25,9 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/llmsim"
 	"repro/internal/obs"
-	"repro/internal/pricing"
 	"repro/internal/query"
 	"repro/internal/runtime"
-	"repro/internal/table"
-	"repro/internal/tokenizer"
 )
 
 // Error codes of the /v1 error envelope: every /v1/* error response is
@@ -77,102 +72,6 @@ type ErrorResponse struct {
 	Error ErrorBody `json:"error"`
 }
 
-// TableJSON is the wire form of an input relation.
-type TableJSON struct {
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	// FDs lists bidirectional functional-dependency groups.
-	FDs [][]string `json:"fds,omitempty"`
-}
-
-// decode materializes the wire table.
-func (tj *TableJSON) decode() (*table.Table, error) {
-	if len(tj.Columns) == 0 {
-		return nil, fmt.Errorf("table needs at least one column")
-	}
-	seen := map[string]bool{}
-	for _, c := range tj.Columns {
-		if c == "" || seen[c] {
-			return nil, fmt.Errorf("invalid or duplicate column %q", c)
-		}
-		seen[c] = true
-	}
-	t := table.New(tj.Columns...)
-	for i, r := range tj.Rows {
-		if err := t.AppendRow(r...); err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-	}
-	fds := table.NewFDSet()
-	for _, g := range tj.FDs {
-		fds.AddGroup(g...)
-	}
-	if err := t.SetFDs(fds); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ReorderRequest is the /v1/reorder body.
-type ReorderRequest struct {
-	Table TableJSON `json:"table"`
-	// Algorithm: "ggr" (default), "ophr", or "bestfixed".
-	Algorithm string `json:"algorithm,omitempty"`
-	// Exhaustive disables GGR early stopping.
-	Exhaustive bool `json:"exhaustive,omitempty"`
-}
-
-// ReorderResponse carries the schedule in serving order.
-type ReorderResponse struct {
-	Rows        []ScheduledRow `json:"rows"`
-	PHC         int64          `json:"phc"`
-	HitRate     float64        `json:"hitRate"`
-	SolverMs    float64        `json:"solverMs"`
-	RowCount    int            `json:"rowCount"`
-	ColumnCount int            `json:"columnCount"`
-}
-
-// ScheduledRow is one request of the schedule.
-type ScheduledRow struct {
-	Source int      `json:"source"`
-	Fields []string `json:"fields"`
-}
-
-// EstimateRequest is the /v1/estimate body.
-type EstimateRequest struct {
-	// Provider: "openai", "anthropic", or "gemini".
-	Provider    string  `json:"provider"`
-	HitOriginal float64 `json:"hitOriginal"`
-	HitGGR      float64 `json:"hitGGR"`
-}
-
-// EstimateResponse reports the relative input-cost reduction.
-type EstimateResponse struct {
-	Book    string  `json:"book"`
-	Savings float64 `json:"savings"`
-}
-
-// SimulateRequest is the /v1/simulate body: run a prompt over the table on
-// the serving simulator under a policy.
-type SimulateRequest struct {
-	Table  TableJSON `json:"table"`
-	Prompt string    `json:"prompt"`
-	// Policy: "no-cache", "cache-original", "cache-ggr" (default).
-	Policy string `json:"policy,omitempty"`
-	// OutTokens is the per-row output budget (default 8).
-	OutTokens int `json:"outTokens,omitempty"`
-}
-
-// SimulateResponse reports engine metrics for the run.
-type SimulateResponse struct {
-	JCT           float64 `json:"jctSeconds"`
-	HitRate       float64 `json:"hitRate"`
-	PromptTokens  int64   `json:"promptTokens"`
-	MatchedTokens int64   `json:"matchedTokens"`
-	MaxBatch      int     `json:"maxBatch"`
-	SolverMs      float64 `json:"solverMs"`
-}
-
 // Config wires the optional service collaborators.
 type Config struct {
 	// Runtime, when non-nil, serves POST /v1/sql, GET /v1/metrics, and
@@ -207,9 +106,6 @@ func NewWithConfig(cfg Config) http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		handleHealth(cfg, w, r)
 	})
-	mux.HandleFunc("/v1/reorder", handleReorder)
-	mux.HandleFunc("/v1/estimate", handleEstimate)
-	mux.HandleFunc("/v1/simulate", handleSimulate)
 	mux.HandleFunc("/v1/sql", func(w http.ResponseWriter, r *http.Request) {
 		handleSQL(cfg, w, r)
 	})
@@ -577,121 +473,6 @@ func handleTraces(rt *runtime.Runtime, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, TracesResponse{Traces: traces})
 }
 
-func handleReorder(w http.ResponseWriter, r *http.Request) {
-	var req ReorderRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	t, err := req.Table.decode()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err)
-		return
-	}
-	start := time.Now()
-	res, err := core.Solve(t, req.Algorithm, core.SolveOptions{LenOf: tokenizer.Count, Exhaustive: req.Exhaustive})
-	switch {
-	case errors.Is(err, core.ErrUnknownAlgorithm):
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err)
-		return
-	case errors.Is(err, core.ErrBudget):
-		writeError(w, http.StatusUnprocessableEntity, ErrCodeExecutionFailed, err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, ErrCodeInternal, err)
-		return
-	}
-	solver := time.Since(start)
-	out := ReorderResponse{
-		PHC:         res.PHC,
-		HitRate:     core.Hits(res.Schedule, tokenizer.Count).Rate(),
-		SolverMs:    float64(solver.Microseconds()) / 1000,
-		RowCount:    t.NumRows(),
-		ColumnCount: t.NumCols(),
-	}
-	for _, row := range res.Schedule.Rows {
-		fields := make([]string, len(row.Cells))
-		for i, c := range row.Cells {
-			fields[i] = c.Field
-		}
-		out.Rows = append(out.Rows, ScheduledRow{Source: row.Source, Fields: fields})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func handleEstimate(w http.ResponseWriter, r *http.Request) {
-	var req EstimateRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.HitOriginal < 0 || req.HitOriginal > 1 || req.HitGGR < 0 || req.HitGGR > 1 {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, fmt.Errorf("hit rates must be in [0,1]"))
-		return
-	}
-	var book pricing.Book
-	switch pricing.Provider(req.Provider) {
-	case pricing.OpenAI:
-		book = pricing.GPT4oMini
-	case pricing.Anthropic:
-		book = pricing.Claude35Sonnet
-	case pricing.Gemini:
-		book = pricing.GeminiFlash15
-	default:
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, fmt.Errorf("unknown provider %q", req.Provider))
-		return
-	}
-	writeJSON(w, http.StatusOK, EstimateResponse{
-		Book:    book.Name,
-		Savings: pricing.EstimatedSavings(book, req.HitOriginal, req.HitGGR),
-	})
-}
-
-func handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SimulateRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	t, err := req.Table.decode()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err)
-		return
-	}
-	if t.NumRows() == 0 {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, fmt.Errorf("table has no rows"))
-		return
-	}
-	if req.Prompt == "" {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, fmt.Errorf("prompt is required"))
-		return
-	}
-	policy := query.Policy(req.Policy)
-	if req.Policy == "" {
-		policy = query.CacheGGR
-	}
-	out := req.OutTokens
-	if out <= 0 {
-		out = 8
-	}
-	spec := query.Spec{
-		Name: "http-simulate", Dataset: "http", Type: query.Projection,
-		UserPrompt: req.Prompt, OutTokens: out,
-	}
-	st, err := query.RunStageContext(r.Context(), spec, t, query.Config{
-		Policy: policy, Model: llmsim.Llama3_8B, Cluster: llmsim.SingleL4,
-	})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SimulateResponse{
-		JCT:           st.Metrics.JCT,
-		HitRate:       st.Metrics.HitRate(),
-		PromptTokens:  st.Metrics.PromptTokens,
-		MatchedTokens: st.Metrics.MatchedTokens,
-		MaxBatch:      st.Metrics.MaxRunning,
-		SolverMs:      st.SolverSeconds * 1000,
-	})
-}
-
 // requirePOST answers 405 for any other method.
 func requirePOST(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
@@ -701,14 +482,22 @@ func requirePOST(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// readJSON enforces POST + a body-size cap and decodes into dst.
+// readJSON enforces POST + a body-size cap and decodes into dst. The body
+// is one JSON value: anything but whitespace after it is refused, as
+// /v1/batch's decoder refuses it.
 func readJSON(w http.ResponseWriter, r *http.Request, dst interface{}) bool {
 	if !requirePOST(w, r) {
 		return false
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, backend.MaxWireBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = fmt.Errorf("trailing data after the request body")
+		}
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidRequest, fmt.Errorf("decode request: %w", err))
 		return false
 	}

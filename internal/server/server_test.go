@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/backend"
+	"repro/internal/cluster"
 	"repro/internal/runtime"
 	"repro/internal/sqlfront"
 	"repro/internal/table"
@@ -35,19 +37,6 @@ func decode[T any](t testing.TB, rec *httptest.ResponseRecorder) T {
 	return out
 }
 
-func sampleTable() TableJSON {
-	return TableJSON{
-		Columns: []string{"review", "product", "description"},
-		Rows: [][]string{
-			{"great value", "Widget", "a compact widget with a steel finish"},
-			{"broke fast", "Gadget", "a rechargeable gadget for home use"},
-			{"very sturdy", "Widget", "a compact widget with a steel finish"},
-			{"meh quality", "Gadget", "a rechargeable gadget for home use"},
-		},
-		FDs: [][]string{{"product", "description"}},
-	}
-}
-
 func TestHealth(t *testing.T) {
 	h := NewWithConfig(Config{})
 	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
@@ -58,143 +47,36 @@ func TestHealth(t *testing.T) {
 	}
 }
 
-func TestReorderEndpoint(t *testing.T) {
-	rec := post(t, NewWithConfig(Config{}), "/v1/reorder", ReorderRequest{Table: sampleTable()})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	res := decode[ReorderResponse](t, rec)
-	if res.RowCount != 4 || res.ColumnCount != 3 {
-		t.Errorf("shape = %d x %d", res.RowCount, res.ColumnCount)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("schedule has %d rows", len(res.Rows))
-	}
-	if res.PHC <= 0 {
-		t.Errorf("PHC = %d", res.PHC)
-	}
-	// Every row's field list is a permutation of the columns.
-	for _, row := range res.Rows {
-		if len(row.Fields) != 3 {
-			t.Fatalf("row fields = %v", row.Fields)
-		}
-	}
-	// The shared (product, description) pair should lead the scheduled rows.
-	if res.Rows[0].Fields[0] == "review" {
-		t.Errorf("unique review field leads the prompt: %v", res.Rows[0].Fields)
-	}
-}
-
-func TestReorderAlgorithms(t *testing.T) {
-	for _, alg := range []string{"ggr", "ophr", "bestfixed"} {
-		rec := post(t, NewWithConfig(Config{}), "/v1/reorder", ReorderRequest{Table: sampleTable(), Algorithm: alg})
-		if rec.Code != http.StatusOK {
-			t.Errorf("%s: status %d: %s", alg, rec.Code, rec.Body.String())
-		}
-	}
-	rec := post(t, NewWithConfig(Config{}), "/v1/reorder", ReorderRequest{Table: sampleTable(), Algorithm: "bogus"})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bogus algorithm: status %d", rec.Code)
-	}
-}
-
-func TestReorderValidation(t *testing.T) {
-	cases := []TableJSON{
-		{},                            // no columns
-		{Columns: []string{"a", "a"}}, // duplicate
-		{Columns: []string{""}},       // empty name
-		{Columns: []string{"a"}, Rows: [][]string{{"1", "2"}}}, // ragged
-	}
-	for i, tj := range cases {
-		rec := post(t, NewWithConfig(Config{}), "/v1/reorder", ReorderRequest{Table: tj})
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("case %d: status %d", i, rec.Code)
-		}
-	}
-}
-
-func TestReorderMethodGuard(t *testing.T) {
-	req := httptest.NewRequest(http.MethodGet, "/v1/reorder", nil)
-	rec := httptest.NewRecorder()
-	NewWithConfig(Config{}).ServeHTTP(rec, req)
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET allowed: %d", rec.Code)
-	}
-}
-
-func TestEstimateEndpoint(t *testing.T) {
-	for _, provider := range []string{"openai", "anthropic", "gemini"} {
-		rec := post(t, NewWithConfig(Config{}), "/v1/estimate", EstimateRequest{
-			Provider: provider, HitOriginal: 0.1, HitGGR: 0.8,
-		})
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", provider, rec.Code, rec.Body.String())
-		}
-		res := decode[EstimateResponse](t, rec)
-		if res.Savings <= 0 {
-			t.Errorf("%s: savings = %f", provider, res.Savings)
-		}
-	}
-}
-
-func TestEstimateValidation(t *testing.T) {
-	rec := post(t, NewWithConfig(Config{}), "/v1/estimate", EstimateRequest{Provider: "nope", HitOriginal: 0.1, HitGGR: 0.8})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown provider: %d", rec.Code)
-	}
-	rec = post(t, NewWithConfig(Config{}), "/v1/estimate", EstimateRequest{Provider: "openai", HitOriginal: -1, HitGGR: 2})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("out-of-range rates: %d", rec.Code)
-	}
-}
-
-func TestSimulateEndpoint(t *testing.T) {
+// assertRemoved: a paper-tool endpoint that library calls replaced answers
+// 404 to any method, as an unknown path does.
+func assertRemoved(t *testing.T, path string) {
+	t.Helper()
 	h := NewWithConfig(Config{})
-	run := func(policy string) SimulateResponse {
-		rec := post(t, h, "/v1/simulate", SimulateRequest{
-			Table: sampleTable(), Prompt: "Summarize the product", Policy: policy,
-		})
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", policy, rec.Code, rec.Body.String())
+	for _, method := range []string{http.MethodGet, http.MethodPost} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader([]byte(`{}`))))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", method, path, rec.Code)
 		}
-		return decode[SimulateResponse](t, rec)
-	}
-	ggr := run("cache-ggr")
-	none := run("no-cache")
-	if ggr.JCT <= 0 || none.JCT <= 0 {
-		t.Fatal("no serving time")
-	}
-	if ggr.JCT > none.JCT {
-		t.Errorf("GGR %.2fs slower than no-cache %.2fs", ggr.JCT, none.JCT)
-	}
-	if ggr.HitRate <= 0 {
-		t.Error("GGR produced no hits")
 	}
 }
 
-func TestSimulateValidation(t *testing.T) {
-	h := NewWithConfig(Config{})
-	rec := post(t, h, "/v1/simulate", SimulateRequest{Table: sampleTable()})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("missing prompt: %d", rec.Code)
-	}
-	rec = post(t, h, "/v1/simulate", SimulateRequest{
-		Table:  TableJSON{Columns: []string{"a"}},
-		Prompt: "p",
-	})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("empty table: %d", rec.Code)
-	}
-	rec = post(t, h, "/v1/simulate", SimulateRequest{Table: sampleTable(), Prompt: "p", Policy: "bogus"})
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("bogus policy: %d", rec.Code)
-	}
-}
+// TestReorderEndpoint: /v1/reorder is gone; llmq.Reorder and cmd/reorder
+// reorder a table.
+func TestReorderEndpoint(t *testing.T) { assertRemoved(t, "/v1/reorder") }
+
+// TestEstimateEndpoint: /v1/estimate is gone; llmq.EstimateSavings prices a
+// hit-rate change.
+func TestEstimateEndpoint(t *testing.T) { assertRemoved(t, "/v1/estimate") }
+
+// TestSimulateEndpoint: /v1/simulate is gone; llmq.RunQuery runs a prompt
+// over a table on the simulator.
+func TestSimulateEndpoint(t *testing.T) { assertRemoved(t, "/v1/simulate") }
 
 func TestRejectsUnknownFields(t *testing.T) {
 	h, _ := sqlHandler(t)
 	for _, tc := range []struct{ path, body string }{
-		{"/v1/estimate", `{"provider":"openai","hitOriginal":0.1,"hitGGR":0.5,"bogus":1}`},
+		{"/v1/sql", `{"sql":"SELECT ticket_id FROM tickets","bogus":1}`},
 		// The pre-envelope /v1/sql spellings, retired after their deprecation
 		// window: rejected loudly, not half-honoured.
 		{"/v1/sql", `{"sql":"SELECT ticket_id FROM tickets","naive":true}`},
@@ -460,6 +342,12 @@ func TestMetricsEndpoint(t *testing.T) {
 // string.
 func TestErrorEnvelope(t *testing.T) {
 	h, _ := sqlHandler(t)
+	get := func(path string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
 	cases := []struct {
 		name   string
 		rec    *httptest.ResponseRecorder
@@ -470,31 +358,9 @@ func TestErrorEnvelope(t *testing.T) {
 		{"sql bad class", post(t, h, "/v1/sql", SQLRequest{SQL: "SELECT region FROM tickets", Class: "nope"}), http.StatusBadRequest, ErrCodeInvalidRequest},
 		{"sql exec failure", post(t, h, "/v1/sql", SQLRequest{SQL: "SELECT nope FROM tickets"}), http.StatusUnprocessableEntity, ErrCodeExecutionFailed},
 		{"sql no runtime", post(t, NewWithConfig(Config{}), "/v1/sql", SQLRequest{SQL: "SELECT a FROM t"}), http.StatusServiceUnavailable, ErrCodeUnavailable},
-		{"reorder bad table", post(t, h, "/v1/reorder", ReorderRequest{}), http.StatusBadRequest, ErrCodeInvalidRequest},
-		{"reorder bad algorithm", post(t, h, "/v1/reorder", ReorderRequest{Table: sampleTable(), Algorithm: "bogus"}), http.StatusBadRequest, ErrCodeInvalidRequest},
-		{"estimate bad provider", post(t, h, "/v1/estimate", EstimateRequest{Provider: "nope"}), http.StatusBadRequest, ErrCodeInvalidRequest},
-		{"simulate no prompt", post(t, h, "/v1/simulate", SimulateRequest{Table: sampleTable()}), http.StatusBadRequest, ErrCodeInvalidRequest},
+		{"sql wrong method", get("/v1/sql"), http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
+		{"metrics wrong method", post(t, h, "/v1/metrics", struct{}{}), http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
 	}
-	get := func(path string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodGet, path, nil)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
-	}
-	cases = append(cases,
-		struct {
-			name   string
-			rec    *httptest.ResponseRecorder
-			status int
-			code   string
-		}{"reorder wrong method", get("/v1/reorder"), http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
-		struct {
-			name   string
-			rec    *httptest.ResponseRecorder
-			status int
-			code   string
-		}{"metrics wrong method", post(t, h, "/v1/metrics", struct{}{}), http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed},
-	)
 	for _, tc := range cases {
 		if tc.rec.Code != tc.status {
 			t.Errorf("%s: status = %d, want %d", tc.name, tc.rec.Code, tc.status)
@@ -525,5 +391,56 @@ func TestWriteJSONUnencodableBody(t *testing.T) {
 	writeJSON(rec, http.StatusCreated, map[string]int{"n": 1})
 	if rec.Code != http.StatusCreated || rec.Body.String() != "{\"n\":1}\n" {
 		t.Errorf("encodable body: status %d, body %q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestRequestBodyIsOneJSONValue: /v1/sql and POST /v1/cluster/workers read
+// exactly one JSON value. Whitespace after it is fine; any other byte is a
+// 400, and the request it trailed does not run.
+func TestRequestBodyIsOneJSONValue(t *testing.T) {
+	h, _ := sqlHandler(t)
+	srv := httptest.NewServer(NewWithConfig(Config{Worker: NewWorker(backend.NewSim(), nil)}))
+	defer srv.Close()
+	router, err := cluster.NewRouter(cluster.Config{Workers: []string{srv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	fleet := NewWithConfig(Config{Cluster: router})
+
+	const stmt = `{"sql":"SELECT ticket_id FROM tickets"}`
+	const join = `{"op":"add","addr":"127.0.0.1:1"}`
+	for _, tc := range []struct {
+		h          http.Handler
+		path, body string
+		status     int
+	}{
+		{h, "/v1/sql", stmt, http.StatusOK},
+		{h, "/v1/sql", stmt + "\n", http.StatusOK},
+		{h, "/v1/sql", stmt + " \r\n\t", http.StatusOK},
+		{h, "/v1/sql", stmt + stmt, http.StatusBadRequest},
+		{h, "/v1/sql", stmt + "\n" + stmt, http.StatusBadRequest},
+		{h, "/v1/sql", stmt + "}", http.StatusBadRequest},
+		{h, "/v1/sql", stmt + "]", http.StatusBadRequest},
+		{h, "/v1/sql", stmt + "x", http.StatusBadRequest},
+		{h, "/v1/sql", stmt + "0", http.StatusBadRequest},
+		{fleet, "/v1/cluster/workers", join + " {}", http.StatusBadRequest},
+		{fleet, "/v1/cluster/workers", join + "\n", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		tc.h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader([]byte(tc.body))))
+		if rec.Code != tc.status {
+			t.Errorf("%s %q: status %d, want %d (%s)", tc.path, tc.body, rec.Code, tc.status, rec.Body)
+			continue
+		}
+		if tc.status != http.StatusOK {
+			if code := decode[ErrorResponse](t, rec).Error.Code; code != ErrCodeInvalidRequest {
+				t.Errorf("%s %q: code %q, want %q", tc.path, tc.body, code, ErrCodeInvalidRequest)
+			}
+		}
+	}
+	// Only the trailing-newline join ran.
+	if got := router.Workers(); len(got) != 2 {
+		t.Errorf("fleet = %v, want the first worker plus the one accepted join", got)
 	}
 }

@@ -85,9 +85,6 @@ func (s PlannedStage) Name() string {
 	}
 }
 
-// Stages counts the LLM invocations the plan will run.
-func (p *Plan) Stages() int { return len(p.PreStages) + len(p.PostStages) }
-
 // BuildPlan lowers a parsed (and, when sc is non-nil, bound) statement into
 // its logical plan. With optimize false it produces the naive plan — no
 // pushdown, one stage per LLM call occurrence, occurrence-ordered — which

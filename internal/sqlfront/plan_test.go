@@ -579,3 +579,6 @@ func TestExecValidationErrors(t *testing.T) {
 		}
 	}
 }
+
+// Stages counts the LLM invocations the plan will run.
+func (p *Plan) Stages() int { return len(p.PreStages) + len(p.PostStages) }

@@ -65,12 +65,3 @@ func (p *Prepared) ExecContext(ctx context.Context, cfg ExecConfig) (*Result, er
 	p.mu.Unlock()
 	return p.db.execPlan(ctx, st, cfg)
 }
-
-// Query exposes the bound AST (canonical column names, expanded stars) for
-// callers that inspect statements, e.g. to route or log them. The AST must
-// not be modified.
-func (p *Prepared) Query() *Query {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.st.q
-}

@@ -81,6 +81,8 @@ func (f *FDSet) Inferred(col string) []string {
 
 // Group returns the whole equivalence class of col (including col), or
 // {col} when it is in no group.
+//
+//llmqlint:api llmq.FDSet; the core and query tests read a column's group
 func (f *FDSet) Group(col string) []string {
 	g, ok := f.group[col]
 	if !ok {

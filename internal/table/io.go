@@ -2,7 +2,6 @@ package table
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -43,43 +42,6 @@ func ReadCSV(r io.Reader) (*Table, error) {
 		if err := t.AppendRow(rec...); err != nil {
 			return nil, fmt.Errorf("table: line %d: %w", line, err)
 		}
-	}
-	return t, nil
-}
-
-// jsonTable is the JSON wire format: schema plus rows, with FD groups so a
-// round trip preserves solver-relevant metadata.
-type jsonTable struct {
-	Columns []string   `json:"columns"`
-	FDs     [][]string `json:"fds,omitempty"`
-	Rows    [][]string `json:"rows"`
-}
-
-// WriteJSON serializes the table, including FD groups.
-func (t *Table) WriteJSON(w io.Writer) error {
-	jt := jsonTable{Columns: t.cols, FDs: t.fds.Groups(), Rows: t.rows}
-	enc := json.NewEncoder(w)
-	return enc.Encode(jt)
-}
-
-// ReadJSON parses a table previously written with WriteJSON.
-func ReadJSON(r io.Reader) (*Table, error) {
-	var jt jsonTable
-	if err := json.NewDecoder(r).Decode(&jt); err != nil {
-		return nil, fmt.Errorf("table: decode json: %w", err)
-	}
-	t := New(jt.Columns...)
-	for i, row := range jt.Rows {
-		if err := t.AppendRow(row...); err != nil {
-			return nil, fmt.Errorf("table: json row %d: %w", i, err)
-		}
-	}
-	fds := NewFDSet()
-	for _, g := range jt.FDs {
-		fds.AddGroup(g...)
-	}
-	if err := t.SetFDs(fds); err != nil {
-		return nil, err
 	}
 	return t, nil
 }

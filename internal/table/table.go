@@ -100,6 +100,8 @@ func (t *Table) Cell(row, col int) string { return t.rows[row][col] }
 
 // CellByName returns the value of the named column in the given row and
 // whether the column exists.
+//
+//llmqlint:api llmq.Table; the datagen tests read cells by column name
 func (t *Table) CellByName(row int, col string) (string, bool) {
 	i, ok := t.colIdx[col]
 	if !ok {
@@ -216,6 +218,8 @@ func (t *Table) FilterRows(idx []int) *Table {
 }
 
 // Clone deep-copies the table.
+//
+//llmqlint:api llmq.Table
 func (t *Table) Clone() *Table {
 	out := New(t.cols...)
 	out.fds = t.fds.Clone()
@@ -229,11 +233,13 @@ func (t *Table) Clone() *Table {
 	return out
 }
 
-// SortRowsLex sorts rows lexicographically by the given column order. It is
-// the statistics fallback used by GGR once recursion stops: identical values
-// in the leading columns become adjacent, maximizing prefix reuse under a
-// fixed field order. Sorting is stable so earlier orderings are preserved
-// among ties.
+// SortRowsLex sorts rows lexicographically by the given column order:
+// identical values in the leading columns become adjacent, maximizing prefix
+// reuse under a fixed field order (GGR's fallback does the same on its own
+// row indices). Sorting is stable so earlier orderings are preserved among
+// ties.
+//
+//llmqlint:api llmq.Table; the query tests build sorted schedules with it
 func (t *Table) SortRowsLex(colOrder []string) error {
 	idxs := make([]int, len(colOrder))
 	for i, c := range colOrder {
@@ -280,6 +286,8 @@ func (t *Table) applyRowPerm(perm []int) {
 
 // DistinctValues returns the distinct values of a column together with the
 // row indices holding each value, in first-appearance order.
+//
+//llmqlint:api llmq.Table
 func (t *Table) DistinctValues(col int) ([]string, map[string][]int) {
 	groups := make(map[string][]int)
 	var order []string

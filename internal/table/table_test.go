@@ -232,27 +232,6 @@ func TestCSVQuoting(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTripKeepsFDs(t *testing.T) {
-	tb := sample()
-	fds := NewFDSet()
-	fds.AddGroup("a", "c")
-	if err := tb.SetFDs(fds); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := tb.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRelation(t, tb, back)
-	if g := back.FDs().Group("a"); len(g) != 2 {
-		t.Errorf("FDs lost in JSON round trip: %v", g)
-	}
-}
-
 func assertSameRelation(t *testing.T, a, b *Table) {
 	t.Helper()
 	if a.NumRows() != b.NumRows() || a.NumCols() != b.NumCols() {

@@ -12,10 +12,7 @@
 // vocabulary.
 package tokenizer
 
-import (
-	"strings"
-	"sync"
-)
+import "sync"
 
 // Token is a vocabulary identifier. IDs are assigned in order of first
 // appearance, so a tokenizer fed the same inputs in the same order always
@@ -59,13 +56,6 @@ func New() *Tokenizer {
 		shift: 64 - initialSlotsLog2,
 		keys:  make([]uint64, 0, 1<<(initialSlotsLog2-1)),
 	}
-}
-
-// VocabSize reports how many distinct pieces have been interned so far.
-func (t *Tokenizer) VocabSize() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.keys)
 }
 
 // Encode converts text into a sequence of tokens. Concatenating the decoded
@@ -139,31 +129,14 @@ func (t *Tokenizer) growLocked() {
 
 // pieceKey packs a piece — at most maxPiece = 7 bytes, whichever way
 // AppendEncode cut it — and its length into one word, so the vocabulary is
-// keyed by an integer instead of hashing a string per token, and the key is
-// all Decode needs to write the piece back.
+// keyed by an integer instead of hashing a string per token, and the key
+// alone decodes back to the piece.
 func pieceKey(p string) uint64 {
 	key := uint64(len(p)) << 56
 	for i := 0; i < len(p); i++ {
 		key |= uint64(p[i]) << (8 * i)
 	}
 	return key
-}
-
-// Decode reconstructs the text for a token sequence produced by Encode on
-// this tokenizer. Unknown IDs decode to the empty string.
-func (t *Tokenizer) Decode(tokens []Token) string {
-	var sb strings.Builder
-	t.mu.RLock()
-	for _, id := range tokens {
-		if int(id) >= 0 && int(id) < len(t.keys) {
-			key := t.keys[id]
-			for i := 0; i < int(key>>56); i++ {
-				sb.WriteByte(byte(key >> (8 * i)))
-			}
-		}
-	}
-	t.mu.RUnlock()
-	return sb.String()
 }
 
 // Count reports the number of tokens Encode would produce for text. It is a
@@ -177,25 +150,6 @@ func Count(text string) int {
 		i = end
 	}
 	return n
-}
-
-// Split breaks text into surface pieces, one per token. Exported for tests
-// and for tools that need piece boundaries.
-func Split(text string) []string {
-	var out []string
-	for i := 0; i < len(text); {
-		end := segmentEnd(text, i)
-		if end-i <= maxPiece {
-			out = append(out, text[i:end])
-			i = end
-			continue
-		}
-		for ; i < end; i += chunk {
-			out = append(out, text[i:min(i+chunk, end)])
-		}
-		i = end
-	}
-	return out
 }
 
 // piecesFor reports how many tokens a segment of segLen bytes becomes.

@@ -284,3 +284,45 @@ func TestVocabularyMatchesMapReference(t *testing.T) {
 		}
 	}
 }
+
+// VocabSize reports how many distinct pieces have been interned so far.
+func (t *Tokenizer) VocabSize() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.keys)
+}
+
+// Decode reconstructs the text for a token sequence produced by Encode on
+// this tokenizer. Unknown IDs decode to the empty string.
+func (t *Tokenizer) Decode(tokens []Token) string {
+	var sb strings.Builder
+	t.mu.RLock()
+	for _, id := range tokens {
+		if int(id) >= 0 && int(id) < len(t.keys) {
+			key := t.keys[id]
+			for i := 0; i < int(key>>56); i++ {
+				sb.WriteByte(byte(key >> (8 * i)))
+			}
+		}
+	}
+	t.mu.RUnlock()
+	return sb.String()
+}
+
+// Split breaks text into surface pieces, one per token.
+func Split(text string) []string {
+	var out []string
+	for i := 0; i < len(text); {
+		end := segmentEnd(text, i)
+		if end-i <= maxPiece {
+			out = append(out, text[i:end])
+			i = end
+			continue
+		}
+		for ; i < end; i += chunk {
+			out = append(out, text[i:min(i+chunk, end)])
+		}
+		i = end
+	}
+	return out
+}

@@ -30,9 +30,6 @@ func NewEmbedder(dim int) *Embedder {
 	return &Embedder{dim: dim}
 }
 
-// Dim reports the embedding dimensionality.
-func (e *Embedder) Dim() int { return e.dim }
-
 // Embed returns the normalized embedding of text. Empty or wordless text
 // embeds to the zero vector.
 func (e *Embedder) Embed(text string) []float32 {

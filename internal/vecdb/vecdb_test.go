@@ -238,3 +238,6 @@ func TestSearchMatchesDenseDot(t *testing.T) {
 		t.Error("no query had a negative bucket")
 	}
 }
+
+// Dim reports the embedding dimensionality.
+func (e *Embedder) Dim() int { return e.dim }

@@ -377,15 +377,15 @@ func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluste
 // from any number of goroutines run on a bounded worker pool; pending LLM
 // calls that share a prompt coalesce across queries into GGR-ordered
 // batches; an exact-match result cache plus inflight dedup keep repeated
-// statements from paying for the same model call twice; and Prepare/Execute
-// handles skip parse and planning on every rerun. See internal/runtime for
-// the architecture. RuntimeConfig sizes what deployments vary; the DRR
-// quantums (interactiveWeight : batchWeight = 4 : 1), the batch-class
-// window (batchClassWindows = 10 × BatchWindow), the 4096-row batch cap
-// (maxBatchRows), the admission queue depth (queueDepth), the plan cache
-// and trace ring sizes (planCacheCapacity, traceRingSize) and the reorder
-// and prompt memos are constants there. Every client's quota is
-// DefaultQuota, and each bucket holds max(1, rate).
+// statements from paying for the same model call twice; and a plan cache
+// keyed by statement text skips parse and planning on every rerun. See
+// internal/runtime for the architecture. RuntimeConfig sizes what
+// deployments vary; the DRR quantums (interactiveWeight : batchWeight =
+// 4 : 1), the batch-class window (batchClassWindows = 10 × BatchWindow),
+// the 4096-row batch cap (maxBatchRows), the admission queue depth
+// (queueDepth), the plan cache and trace ring sizes (planCacheCapacity,
+// traceRingSize) and the reorder and prompt memos are constants there.
+// Every client's quota is DefaultQuota, and each bucket holds max(1, rate).
 type (
 	Runtime        = runtime.Runtime
 	RuntimeConfig  = runtime.Config

@@ -1,19 +1,13 @@
 package llmq
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/server"
 )
 
 func TestReorderFacade(t *testing.T) {
@@ -55,9 +49,9 @@ func fig1Tables() map[string]*Table {
 	return map[string]*Table{"fig1a": a, "fig1b": b}
 }
 
-// TestReorderAlgorithms holds the three doors to core.Solve to one answer:
-// on every table and algorithm, the library, POST /v1/reorder and
-// `reorder -stats-only` report the same PHC.
+// TestReorderAlgorithms holds the two doors to core.Solve to one answer: on
+// every table and algorithm, the library and `reorder -stats-only` report the
+// same PHC.
 func TestReorderAlgorithms(t *testing.T) {
 	tb := NewTable("a", "b")
 	tb.MustAppendRow("x", "1")
@@ -80,33 +74,16 @@ func TestReorderAlgorithms(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/reorder").CombinedOutput(); err != nil {
 		t.Fatalf("build cmd/reorder: %v\n%s", err, out)
 	}
-	h := server.NewWithConfig(server.Config{})
 	for name, tb := range fig1Tables() {
 		var csv strings.Builder
 		if err := tb.WriteCSV(&csv); err != nil {
 			t.Fatal(err)
-		}
-		tj := server.TableJSON{Columns: tb.Columns()}
-		for r := 0; r < tb.NumRows(); r++ {
-			tj.Rows = append(tj.Rows, tb.Row(r))
 		}
 		for _, alg := range []Algorithm{GGR, OPHR, BestFixed} {
 			lib, err := Reorder(tb, ReorderOptions{Algorithm: alg})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, alg, err)
 			}
-
-			body, _ := json.Marshal(server.ReorderRequest{Table: tj, Algorithm: string(alg)})
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/reorder", bytes.NewReader(body)))
-			var resp server.ReorderResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
-				t.Fatalf("%s/%s: /v1/reorder status %d (%v): %s", name, alg, rec.Code, err, rec.Body)
-			}
-			if resp.PHC != lib.PHC {
-				t.Errorf("%s/%s: /v1/reorder PHC %d, llmq.Reorder %d", name, alg, resp.PHC, lib.PHC)
-			}
-
 			cmd := exec.Command(bin, "-algorithm", string(alg), "-stats-only")
 			cmd.Stdin = strings.NewReader(csv.String())
 			out, err := cmd.CombinedOutput()
